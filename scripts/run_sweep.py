@@ -30,16 +30,16 @@ from nevlab.harness import (  # noqa: E402
 )
 
 
-def summarize(name, report, normalize_by_log=False):
+def summarize(name, rows, normalize_by_log=False):
     margins = []
-    for row in report.rows:
+    for row in rows:
         m = row.margin
         if normalize_by_log:
             m = m / max(1.0, math.log(row.r))
         margins.append(m)
-    conv = sum(row.converged for row in report.rows)
+    conv = sum(row.converged for row in rows)
     print(f"{name:<28} min margin {min(margins):+10.4f}   "
-          f"max {max(margins):+10.4f}   converged {conv}/{len(report.rows)}")
+          f"max {max(margins):+10.4f}   converged {conv}/{len(rows)}")
 
 
 def main():
@@ -57,16 +57,18 @@ def main():
           f"{len(hp.tuples)} tuples, {len(radii)} radii in "
           f"[{radii[0]:g}, {radii[-1]:g}], tol={tol:g}\n")
 
-    summarize("defect relation", verify_cartan(x, hp, radii, tol=tol))
+    summarize("defect relation", verify_cartan(x, hp, radii, tol=tol).rows)
     summarize("pair comparison (level 1)",
-              verify_lemma55(x, hp, None, radii, tol=tol))
+              verify_lemma55(x, hp, None, radii, tol=tol).rows)
+    prop62 = verify_prop62(x, hp, range(1, x.n + 1), radii, tol=tol)
     for d in range(1, x.n + 1):
-        rep = verify_prop62(x, hp, d, radii, tol=tol)
-        summarize(f"second difference d={d}", rep)
-        gap = max(row.values["route_gap"] for row in rep.rows)
+        rows = [row for row in prop62.rows if row.values["d"] == d]
+        summarize(f"second difference d={d}", rows)
+        gap = max(row.values["route_gap"] for row in rows)
         print(f"{'':<28} route agreement gap {gap:.3e}")
-    summarize("height growth", verify_height_growth(x, radii, tol=tol))
-    summarize("tautological monitor", mcquillan_monitor(x, hp, radii, tol=tol),
+    summarize("height growth", verify_height_growth(x, radii, tol=tol).rows)
+    summarize("tautological monitor",
+              mcquillan_monitor(x, hp, radii, tol=tol).rows,
               normalize_by_log=True)
 
 

@@ -223,18 +223,16 @@ def _cmd_identities(cfg: RunConfig, out: Optional[str]) -> int:
     minor identity for every distance-one pair at every level."""
     x, hp = _build(cfg)
     n = x.n
-    rows = ["identity,level,detail,residual_zero"]
+    derivative_rows, two_row_rows = [], []
     failures = 0
     wedges = {d: associated(x, d) for d in range(n + 2)}
     for d in range(1, n + 1):
-        partner = leibniz_partner(x, d)
-        for (ia, p), (ib, q) in zip(wedges[d].coords, partner.coords):
-            ok = p.derivative() == q
-            failures += not ok
-            rows.append(f"derivative,{d},{ia.elements},{int(ok)}")
-    for d in range(1, n + 1):
         Xd = wedges[d]
         Yp = leibniz_partner(x, d)
+        for (ia, p), (_, q) in zip(Xd.coords, Yp.coords):
+            ok = p.derivative() == q
+            failures += not ok
+            derivative_rows.append(f"derivative,{d},{ia.elements},{int(ok)}")
         lower, upper = wedges[d - 1], wedges[d + 1]
         idx = multi_indices(n, d)
         for ia, jb in itertools.combinations(idx, 2):
@@ -249,9 +247,10 @@ def _cmd_identities(cfg: RunConfig, out: Optional[str]) -> int:
             diff = lhsp - rhsp.scale(GaussRational.of(sign))
             ok = diff.is_zero()
             failures += not ok
-            rows.append(
+            two_row_rows.append(
                 f"two_row,{d},{ia.elements}|{jb.elements},{int(ok)}"
             )
+    rows = ["identity,level,detail,residual_zero"] + derivative_rows + two_row_rows
     _emit("\n".join(rows) + "\n", out)
     return 0 if failures == 0 else 2
 
@@ -301,19 +300,7 @@ def run(command: str, cfg: RunConfig, r: Optional[float] = None,
         elif verify_name == "mcquillan":
             report = mcquillan_monitor(x, hp, radii, tol=cfg.tol)
         else:  # prop62, all levels stacked with a level column
-            parts = []
-            code = 0
-            for d in range(1, x.n + 1):
-                rep = verify_prop62(x, hp, d, radii, tol=cfg.tol)
-                for row in rep.rows:
-                    row.values["d"] = d
-                parts.append(rep)
-                code = max(code, _report_exit(rep))
-            merged = parts[0]
-            merged.columns = ("d",) + tuple(parts[0].columns)
-            merged.rows = [row for p in parts for row in p.rows]
-            _emit(merged.to_csv(), out)
-            return code
+            report = verify_prop62(x, hp, range(1, x.n + 1), radii, tol=cfg.tol)
         _emit(report.to_csv(), out)
         return _report_exit(report)
 
@@ -326,26 +313,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description="Heights, proximities and derived-curve inequality "
                     "checks for polynomial curves in projective space.",
     )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True)
+    common.add_argument("--out", default=None)
+    common.add_argument("--tol", type=float, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("check", "compute", "sweep"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True)
-        p.add_argument("--r", type=float, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--tol", type=float, default=None)
-    p = sub.add_parser("verify")
-    p.add_argument("name", choices=VERIFY_NAMES)
-    p.add_argument("--config", required=True)
-    p.add_argument("--r", type=float, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--tol", type=float, default=None)
+    parsers = {name: sub.add_parser(name, parents=[common])
+               for name in ("check", "compute", "sweep", "verify")}
+    parsers["verify"].add_argument("name", choices=VERIFY_NAMES)
+    for name in ("compute", "verify"):
+        parsers[name].add_argument("--r", type=float, default=None)
     args = parser.parse_args(argv)
 
     try:
         with open(args.config, encoding="utf-8") as fh:
             cfg = parse_config(fh.read())
-        return run(args.command, cfg, r=args.r, out=args.out, tol=args.tol,
-                   verify_name=getattr(args, "name", None))
+        return run(args.command, cfg, r=getattr(args, "r", None), out=args.out,
+                   tol=args.tol, verify_name=getattr(args, "name", None))
     except (ConfigError, DegenerateCurveError, ValueError, OSError) as e:
         print(f"nevlab: error: {e}", file=sys.stderr)
         return 1

@@ -15,6 +15,7 @@ __all__ = [
     "associated",
     "leibniz_partner",
     "wronskian",
+    "level_divisor",
     "ramification_divisor",
     "coordinate_gcd",
     "associated_family",
@@ -92,7 +93,10 @@ def leibniz_partner(x: CurveLift, d: int) -> WedgeVector:
     """The derivative wedge x ^ x' ^ ... ^ x^{(d-2)} ^ x^{(d)}.
 
     Coordinatewise this equals the derivative of associated(x, d): all other
-    terms of the product rule repeat a row and vanish.
+    terms of the product rule repeat a row and vanish.  The numeric code
+    differentiates X^d instead (Evaluator.partner); this direct-minor route is
+    kept as the independent side of that relation for criterion 02 and
+    ``nevlab verify identities``.
     """
     if not (1 <= d <= x.n):
         raise ValueError(f"leibniz partner level d={d} out of range 1..{x.n}")
@@ -110,6 +114,13 @@ def associated_family(x: CurveLift) -> list:
     return [associated(x, d) for d in range(x.n + 2)]
 
 
+def level_divisor(X: WedgeVector) -> Divisor:
+    """Divisor of the exact gcd of the Pluecker coordinates of a nonzero
+    derived curve X^d (for d = 2, the ramification divisor)."""
+    g = coordinate_gcd(X.polys())
+    return Divisor.empty() if g.is_constant() else roots(g)
+
+
 def ramification_divisor(x: CurveLift) -> Divisor:
     """Divisor of the exact gcd of the Pluecker coordinates of x ^ x'."""
     w = associated(x, 2)
@@ -117,7 +128,4 @@ def ramification_divisor(x: CurveLift) -> Divisor:
         raise DegenerateCurveError(
             "constant curve: x ^ x' vanishes identically, no ramification divisor"
         )
-    g = coordinate_gcd(w.polys())
-    if g.is_constant():
-        return Divisor.empty()
-    return roots(g)
+    return level_divisor(w)

@@ -129,10 +129,6 @@ class WedgeVector:
     def is_zero(self) -> bool:
         return all(p.is_zero() for _, p in self.coords)
 
-    def eval_many(self, z: np.ndarray) -> np.ndarray:
-        """Float coordinates at the points z; shape (n_coords, len(z))."""
-        return np.vstack([p.eval_many(np.asarray(z)) for _, p in self.coords])
-
 
 @dataclass(frozen=True)
 class WedgeForm:
@@ -182,7 +178,9 @@ class WedgeForm:
 def wedge_rows(rows: Sequence[Sequence[GaussPoly]], n: int) -> WedgeVector:
     """Pluecker coordinates of the d x (n+1) row matrix: the coordinate at I
     is the exact determinant of the minor with columns I.  d = 0 gives the
-    scalar wedge 1."""
+    scalar wedge 1.  Through leibniz_partner these direct minors are also the
+    independent route against which criterion 02 and ``nevlab verify
+    identities`` check the derivative of X^d."""
     d = len(rows)
     if d > n + 1:
         raise ValueError("more rows than the ambient dimension allows")

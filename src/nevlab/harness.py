@@ -10,29 +10,17 @@ numbers up to float rounding.
 
 from __future__ import annotations
 
+import functools
 import io
 import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .curve import (
-    CurveLift,
-    DegenerateCurveError,
-    associated,
-    coordinate_gcd,
-    leibniz_partner,
-)
+from .curve import CurveLift
 from .exterior import MultiIndex, det_exact, multi_indices
-from .gauss import Divisor, GaussRational, roots
-from .nevanlinna import (
-    QUAD_TOL,
-    SelectorContext,
-    adaptive_midpoint,
-    counting,
-)
+from .gauss import GaussRational
+from .nevanlinna import QUAD_TOL, Evaluator, counting
 
 __all__ = [
     "HyperplaneConfig",
@@ -123,6 +111,11 @@ class PairCollection:
     degree: int
     pairs: Tuple[Tuple[MultiIndex, MultiIndex], ...]
 
+    def positions(self) -> List[Tuple[int, int]]:
+        """Each pair as positions in the lexicographic multi-index order."""
+        where = {ia: k for k, ia in enumerate(multi_indices(self.n, self.degree))}
+        return [(where[a], where[b]) for a, b in self.pairs]
+
 
 def distance_one_collection(n: int, d: int) -> PairCollection:
     idx = multi_indices(n, d)
@@ -199,208 +192,7 @@ def _validate_radii(radii: Sequence[float]) -> List[float]:
     return radii
 
 
-class Evaluator:
-    """Caches the derived-curve data of one lift and integrates any requested
-    set of radial components on shared quadrature nodes."""
-
-    def __init__(self, x: CurveLift, config: Optional[HyperplaneConfig] = None,
-                 tol: float = QUAD_TOL):
-        self.x = x
-        self.n = x.n
-        self.tol = tol
-        self.config = config
-        self.ctx = SelectorContext.from_config(config) if config else None
-        if config is not None and config.n != x.n:
-            raise ValueError("hyperplane configuration dimension mismatch")
-        self._wedges: Dict[int, object] = {}
-        self._partners: Dict[int, object] = {}
-        self._arrays: Dict[object, list] = {}
-        self._divisors: Dict[int, Divisor] = {}
-        self._pair_pos: Dict[int, List[Tuple[int, int]]] = {}
-
-    # -- exact/cached data ---------------------------------------------
-
-    def wedge(self, d: int):
-        if d not in self._wedges:
-            X = associated(self.x, d)
-            if X.is_zero():
-                raise DegenerateCurveError(f"curve degenerate at level d={d}")
-            self._wedges[d] = X
-        return self._wedges[d]
-
-    def partner(self, d: int):
-        if d not in self._partners:
-            self._partners[d] = leibniz_partner(self.x, d)
-        return self._partners[d]
-
-    def _coeffs(self, key, wedgevec) -> list:
-        if key not in self._arrays:
-            self._arrays[key] = [p.complex_coeffs() for p in wedgevec.polys()]
-        return self._arrays[key]
-
-    def level_divisor(self, d: int) -> Divisor:
-        if d not in self._divisors:
-            g = coordinate_gcd(self.wedge(d).polys())
-            self._divisors[d] = Divisor.empty() if g.is_constant() else roots(g)
-        return self._divisors[d]
-
-    def counting_d(self, d: int, r: float) -> float:
-        return counting(self.level_divisor(d), r)
-
-    def pair_positions(self, d: int) -> List[Tuple[int, int]]:
-        """Lexicographic positions of the full distance-one collection."""
-        if d not in self._pair_pos:
-            idx = multi_indices(self.n, d)
-            where = {ia: k for k, ia in enumerate(idx)}
-            coll = distance_one_collection(self.n, d)
-            self._pair_pos[d] = [(where[a], where[b]) for a, b in coll.pairs]
-        return self._pair_pos[d]
-
-    # -- shared-node radial integration ----------------------------------
-
-    def radial(self, r: float, names: Sequence[str],
-               pair_sets: Optional[Dict[int, List[Tuple[int, int]]]] = None):
-        """Integrate the named components at radius r on shared nodes.
-
-        Component names: 'hbar:d', 'm:d', 'cartan', 'mumax', 'pairlam:d'
-        (mean pair Weil function on y wedge y' for y = X^d), 'hbarpair:d'
-        (log norm of y wedge y').  Returns ({name: (value, converged)}, nodes).
-        """
-        names = list(names)
-        pair_sets = pair_sets or {}
-        x_arrays = self._coeffs("x", self.wedge(1))
-        if any(nm in ("mumax",) for nm in names):
-            xd_arrays = [p.derivative().complex_coeffs() for p in self.x.coords]
-
-        def stack(arrays, z):
-            return np.vstack(
-                [np.polynomial.polynomial.polyval(z, a) for a in arrays]
-            )
-
-        def g(theta: np.ndarray) -> np.ndarray:
-            z = r * np.exp(1j * theta)
-            cache: Dict[object, np.ndarray] = {}
-
-            def wedge_vals(d):
-                key = ("w", d)
-                if key not in cache:
-                    cache[key] = (
-                        stack(x_arrays, z) if d == 1
-                        else stack(self._coeffs(("w", d), self.wedge(d)), z)
-                    )
-                return cache[key]
-
-            def partner_vals(d):
-                key = ("p", d)
-                if key not in cache:
-                    cache[key] = stack(self._coeffs(("p", d), self.partner(d)), z)
-                return cache[key]
-
-            def selection():
-                if "sel" not in cache:
-                    if self.ctx is None:
-                        raise ValueError("component needs a hyperplane config")
-                    cache["sel"], cache["smax"] = self.ctx.select(wedge_vals(1))
-                return cache["sel"]
-
-            def pair_norm(d):
-                key = ("pn", d)
-                if key not in cache:
-                    G, H = wedge_vals(d), partner_vals(d)
-                    ai, bi = np.triu_indices(G.shape[0], 1)
-                    if len(ai):
-                        M = G[ai] * H[bi] - G[bi] * H[ai]
-                        cache[key] = (np.abs(M) ** 2).sum(axis=0)
-                    else:
-                        cache[key] = np.zeros(G.shape[1])
-                return cache[key]
-
-            rows = []
-            with np.errstate(divide="ignore", invalid="ignore"):
-                for nm in names:
-                    if nm == "cartan":
-                        selection()
-                        rows.append(cache["smax"])
-                    elif nm == "mumax":
-                        rows.append(self._mumax(stack(x_arrays, z),
-                                                stack(xd_arrays, z)))
-                    elif nm.startswith("hbarpair:"):
-                        d = int(nm.split(":")[1])
-                        rows.append(0.5 * np.log(pair_norm(d)))
-                    elif nm.startswith("hbar:"):
-                        d = int(nm.split(":")[1])
-                        if d == 0:
-                            rows.append(np.zeros(len(z)))
-                        else:
-                            w = wedge_vals(d)
-                            rows.append(0.5 * np.log((np.abs(w) ** 2).sum(axis=0)))
-                    elif nm.startswith("m:"):
-                        d = int(nm.split(":")[1])
-                        if d == 0:
-                            rows.append(np.zeros(len(z)))
-                        else:
-                            sel = selection()
-                            rows.append(
-                                self.ctx.level_lambda_mean(d, wedge_vals(d), sel)
-                            )
-                    elif nm.startswith("pairlam:"):
-                        d = int(nm.split(":")[1])
-                        sel = selection()
-                        positions = pair_sets.get(d) or self.pair_positions(d)
-                        rows.append(
-                            self._pair_lambda_mean(
-                                d, wedge_vals(d), partner_vals(d),
-                                pair_norm(d), sel, positions,
-                            )
-                        )
-                    else:
-                        raise ValueError(f"unknown radial component {nm!r}")
-            return np.vstack(rows)
-
-        values, converged, nodes = adaptive_midpoint(g, tol=self.tol)
-        out = {
-            nm: (float(v), bool(c))
-            for nm, v, c in zip(names, values, converged)
-        }
-        return out, nodes
-
-    def _pair_lambda_mean(self, d, G, H, pair_norm2, sel, positions):
-        """Mean over the pair collection of the Weil function of the wedged
-        pair of tuple forms applied to y wedge y'."""
-        lognorm = 0.5 * np.log(pair_norm2)
-        minors = self.ctx.minors(d)
-        out = np.empty(G.shape[1])
-        for t in np.unique(sel):
-            mask = sel == t
-            A = minors[t] @ G[:, mask]
-            B = minors[t] @ H[:, mask]
-            acc = np.zeros(mask.sum())
-            for i, j in positions:
-                acc += np.log(np.abs(A[i] * B[j] - A[j] * B[i]))
-            out[mask] = lognorm[mask] - acc / len(positions)
-        return out
-
-    def _mumax(self, xv: np.ndarray, xpv: np.ndarray) -> np.ndarray:
-        """Pointwise max over tuples of the generalized Weil function of the
-        tuple divisor, in the chart of the largest tuple coordinate."""
-        if self.ctx is None:
-            raise ValueError("mumax needs a hyperplane config")
-        best = np.full(xv.shape[1], -np.inf)
-        for mat in self.ctx.tuple_mats:
-            y = mat @ xv
-            yd = mat @ xpv
-            k0 = np.argmax(np.abs(y), axis=0)[None, :]
-            y0 = np.take_along_axis(y, k0, axis=0)
-            y0d = np.take_along_axis(yd, k0, axis=0)
-            wp = (yd * y0 - y * y0d) / y0 ** 2
-            num = (np.abs(wp) ** 2).sum(axis=0)
-            den = (np.abs(wp / np.where(y == 0, np.nan, y / y0)) ** 2).sum(axis=0)
-            mu_t = -0.5 * np.log(num / den)
-            best = np.fmax(best, mu_t)
-        return best
-
-
-def _margin_rows(evaluator, radii, builder) -> List[MarginReport]:
+def _margin_rows(radii, builder) -> List[MarginReport]:
     rows = []
     for r in _validate_radii(radii):
         rows.append(builder(r))
@@ -437,7 +229,7 @@ def verify_cartan(x: CurveLift, config: HyperplaneConfig,
     return SweepReport(
         columns=("r", "lhs", "rhs", "margin", "T_1", "N_W", "m_1",
                  "sum_check", "converged"),
-        rows=_margin_rows(ev, radii, build),
+        rows=_margin_rows(radii, build),
     )
 
 
@@ -449,7 +241,7 @@ def verify_lemma55(x: CurveLift, config: HyperplaneConfig,
     for a balanced collection C of index pairs inside a tuple."""
     ev = Evaluator(x, config, tol)
     if pairs is None:
-        positions = ev.pair_positions(1)
+        positions = distance_one_collection(x.n, 1).positions()
     else:
         positions = [tuple(sorted(p)) for p in pairs]
         check = balanced_check(positions)
@@ -482,30 +274,37 @@ def verify_lemma55(x: CurveLift, config: HyperplaneConfig,
     return SweepReport(
         columns=("r", "lhs", "rhs", "margin", "m_1", "m_C", "hbar_1",
                  "hbar_pair", "converged"),
-        rows=_margin_rows(ev, radii, build),
+        rows=_margin_rows(radii, build),
     )
 
 
-def verify_prop62(x: CurveLift, config: HyperplaneConfig, d: int,
-                  radii: Sequence[float], tol: float = QUAD_TOL) -> SweepReport:
-    """Level-d second-difference comparison, computed by two routes on shared
-    quadrature nodes: directly (-m_{d-1} + 2 m_d - m_{d+1} against the same
-    second difference of bare heights) and through the pair collection on the
-    level-d derived curve.  route_gap records their disagreement."""
-    if not (1 <= d <= x.n):
-        raise ValueError(f"level d={d} out of range 1..{x.n}")
+def verify_prop62(x: CurveLift, config: HyperplaneConfig,
+                  levels: Sequence[int], radii: Sequence[float],
+                  tol: float = QUAD_TOL) -> SweepReport:
+    """Level-d second-difference comparison at each of the given levels,
+    computed by two routes on shared quadrature nodes: directly (-m_{d-1} +
+    2 m_d - m_{d+1} against the same second difference of bare heights) and
+    through the pair collection on the level-d derived curve.  route_gap
+    records their disagreement.  One Evaluator serves all levels; the rows
+    are stacked level by level behind a leading d column."""
+    levels = list(levels)
+    for d in levels:
+        if not (1 <= d <= x.n):
+            raise ValueError(f"level d={d} out of range 1..{x.n}")
     ev = Evaluator(x, config, tol)
-    coll = distance_one_collection(x.n, d)
-    check = balanced_check(coll.pairs)
-    if check.empty or not check.balanced:
-        raise ValueError("distance-one collection unbalanced or empty")
+    positions = {}
+    for d in levels:
+        coll = distance_one_collection(x.n, d)
+        check = balanced_check(coll.pairs)
+        if check.empty or not check.balanced:
+            raise ValueError("distance-one collection unbalanced or empty")
+        positions[d] = coll.positions()
 
-    names = [f"m:{d-1}", f"m:{d}", f"m:{d+1}",
-             f"hbar:{d-1}", f"hbar:{d}", f"hbar:{d+1}",
-             f"pairlam:{d}", f"hbarpair:{d}"]
-
-    def build(r):
-        vals, _ = ev.radial(r, names)
+    def build(d, r):
+        names = [f"m:{d-1}", f"m:{d}", f"m:{d+1}",
+                 f"hbar:{d-1}", f"hbar:{d}", f"hbar:{d+1}",
+                 f"pairlam:{d}", f"hbarpair:{d}"]
+        vals, _ = ev.radial(r, names, pair_sets={d: positions[d]})
         m = [vals[f"m:{k}"][0] for k in (d - 1, d, d + 1)]
         h = [vals[f"hbar:{k}"][0] for k in (d - 1, d, d + 1)]
         lhs1 = -m[0] + 2 * m[1] - m[2]
@@ -516,6 +315,7 @@ def verify_prop62(x: CurveLift, config: HyperplaneConfig, d: int,
         return MarginReport(
             r=r, lhs=lhs1, rhs=rhs1, margin=rhs1 - lhs1, converged=conv,
             values={
+                "d": d,
                 "lhs_pair": lhs2,
                 "rhs_pair": rhs2,
                 "margin_pair": rhs2 - lhs2,
@@ -526,9 +326,10 @@ def verify_prop62(x: CurveLift, config: HyperplaneConfig, d: int,
         )
 
     return SweepReport(
-        columns=("r", "lhs", "rhs", "margin", "lhs_pair", "rhs_pair",
+        columns=("d", "r", "lhs", "rhs", "margin", "lhs_pair", "rhs_pair",
                  "margin_pair", "route_gap", "m_C", "hbar_pair", "converged"),
-        rows=_margin_rows(ev, radii, build),
+        rows=[row for d in levels
+              for row in _margin_rows(radii, functools.partial(build, d))],
     )
 
 
@@ -554,7 +355,7 @@ def verify_height_growth(x: CurveLift, radii: Sequence[float],
     cols = (["r", "lhs", "rhs", "margin"]
             + [f"T_{d}" for d in levels]
             + [f"excess_{d}" for d in levels] + ["converged"])
-    return SweepReport(columns=tuple(cols), rows=_margin_rows(ev, radii, build))
+    return SweepReport(columns=tuple(cols), rows=_margin_rows(radii, build))
 
 
 def mcquillan_monitor(x: CurveLift, config: HyperplaneConfig,
@@ -586,7 +387,7 @@ def mcquillan_monitor(x: CurveLift, config: HyperplaneConfig,
     return SweepReport(
         columns=("r", "lhs", "rhs", "margin", "T_1", "T_2", "mu_int",
                  "N_Ram", "normalized", "converged"),
-        rows=_margin_rows(ev, radii, build),
+        rows=_margin_rows(radii, build),
     )
 
 
@@ -619,4 +420,4 @@ def full_sweep(x: CurveLift, config: HyperplaneConfig,
     cols = (["r"] + [f"T_{d}" for d in levels]
             + [f"m_{d}" for d in range(0, n + 2)]
             + ["N_W", "N_Ram", "lhs", "rhs", "margin", "converged"])
-    return SweepReport(columns=tuple(cols), rows=_margin_rows(ev, radii, build))
+    return SweepReport(columns=tuple(cols), rows=_margin_rows(radii, build))

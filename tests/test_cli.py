@@ -166,6 +166,16 @@ class TestMain:
                      "--out", str(out)]) == 0
         assert out.read_text(encoding="utf-8").count("\n") == 2
 
+    @pytest.mark.parametrize("command", ["check", "sweep"])
+    def test_radius_only_for_compute_and_verify(self, tmp_path, capsys,
+                                                command):
+        path = tmp_path / "cfg.ini"
+        path.write_text(GOOD, encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(path), "--r", "5"])
+        assert exc.value.code == 2
+        assert "--r" in capsys.readouterr().err
+
     def test_missing_config_file(self, capsys):
         assert main(["check", "--config", "/does/not/exist.ini"]) == 1
         assert "error" in capsys.readouterr().err

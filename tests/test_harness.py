@@ -2,8 +2,10 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from nevlab.curve import normalize
 from nevlab.gauss import GR_ONE, GR_ZERO, parse_poly
@@ -20,7 +22,6 @@ from nevlab.harness import (
     verify_lemma55,
     verify_prop62,
 )
-from nevlab.nevanlinna import counting, height_T, proximity_m
 
 from conftest import corpus, monomial_lift
 
@@ -105,17 +106,39 @@ class TestTelescoping:
 
 
 class TestEvaluatorConsistency:
-    def test_matches_standalone_functionals(self):
+    """Evaluator.radial against oracles that share no code with it."""
+
+    def test_heights_match_closed_forms(self):
+        # on the monomial conic |X^1|^2 = 1 + r^2 + r^4, X^2 = (1, 2z, z^2)
+        # and X^3 = 2 have constant modulus on |z| = r
         x, cfg = corpus()["conic"]
         ev = Evaluator(x, cfg, tol=1e-8)
-        r = 6.0
-        vals, _ = ev.radial(r, ["hbar:1", "hbar:2", "m:1", "m:2"])
-        for d in (1, 2):
-            t_standalone = height_T(x, d, r, tol=1e-8)
-            t_shared = vals[f"hbar:{d}"][0] - ev.counting_d(d, r)
-            assert t_shared == pytest.approx(t_standalone, abs=1e-6)
-            m_standalone = proximity_m(x, d, cfg, r, tol=1e-8).value
-            assert vals[f"m:{d}"][0] == pytest.approx(m_standalone, abs=1e-6)
+        for r in (0.5, 6.0):
+            vals, _ = ev.radial(r, ["hbar:1", "hbar:2", "hbar:3"])
+            assert vals["hbar:1"][0] == pytest.approx(
+                0.5 * math.log(1 + r ** 2 + r ** 4), abs=1e-12)
+            assert vals["hbar:2"][0] == pytest.approx(
+                0.5 * math.log(1 + 4 * r ** 2 + r ** 4), abs=1e-12)
+            assert vals["hbar:3"][0] == pytest.approx(math.log(2), abs=1e-12)
+
+    def test_level_one_proximity_matches_quad(self):
+        # m_1 is the largest level-1 tuple Weil sum divided by n + 1
+        x, cfg = corpus()["conic"]
+        ev = Evaluator(x, cfg, tol=1e-8)
+        forms = np.array([[complex(c) for c in f] for f in cfg.forms])
+
+        def integrand(theta, r):
+            z = r * np.exp(1j * theta)
+            xv = np.array([1, z, z * z])
+            lam = np.log(np.linalg.norm(xv)) - np.log(np.abs(forms @ xv))
+            return max(lam[list(t)].sum() for t in cfg.tuples) / (x.n + 1)
+
+        for r in (0.7, 6.0):
+            vals, _ = ev.radial(r, ["m:1"])
+            want, _ = quad(integrand, 0, 2 * math.pi, args=(r,), limit=200,
+                           epsabs=1e-11)
+            assert vals["m:1"][1]
+            assert vals["m:1"][0] == pytest.approx(want / (2 * math.pi), abs=1e-7)
 
     def test_dimension_mismatch_rejected(self):
         x, _ = corpus()["line"]
@@ -140,14 +163,25 @@ class TestVerifiers:
     def test_prop62_routes_agree(self):
         x, cfg = corpus()["conic"]
         for d in (1, 2):
-            rep = verify_prop62(x, cfg, d, [2.5, 9.0])
+            rep = verify_prop62(x, cfg, [d], [2.5, 9.0])
             for row in rep.rows:
                 assert row.values["route_gap"] < 1e-9
+
+    def test_prop62_levels_stack_single_level_rows(self):
+        x, cfg = corpus()["conic"]
+        radii = [2.5, 9.0]
+        both = verify_prop62(x, cfg, [1, 2], radii)
+        single = [verify_prop62(x, cfg, [d], radii) for d in (1, 2)]
+        assert both.columns[0] == "d"
+        assert all(s.columns == both.columns for s in single)
+        assert both.rows == single[0].rows + single[1].rows
+        assert both.to_csv().splitlines()[1:] == [
+            line for s in single for line in s.to_csv().splitlines()[1:]]
 
     def test_prop62_level_range(self):
         x, cfg = corpus()["line"]
         with pytest.raises(ValueError):
-            verify_prop62(x, cfg, 2, [2.0, 4.0])
+            verify_prop62(x, cfg, [2], [2.0, 4.0])
 
     def test_lemma55_margin_and_custom_pairs(self):
         x, cfg = corpus()["line"]
