@@ -51,6 +51,9 @@ def main():
     cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
     tol = args.tol if args.tol is not None else cfg.tol
     x = normalize(list(cfg.curve))
+    if not x.is_nondegenerate():
+        sys.exit("error: curve image lies in a hyperplane "
+                 "(Wronskian vanishes identically)")
     hp = general_position_tuples(cfg.hyperplanes, cfg.n)
     radii = cfg.radii()
     print(f"curve n={cfg.n}, {len(hp.forms)} forms, "

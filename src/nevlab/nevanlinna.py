@@ -206,8 +206,8 @@ class SelectorContext:
         self.n = n
         self.forms = [tuple(f) for f in forms]
         self.tuples = [tuple(t) for t in tuples]
-        self.tuple_mats = [_form_matrix([self.forms[i] for i in t])
-                           for t in self.tuples]
+        self.form_mat = _form_matrix(self.forms)
+        self.tuple_index = np.array(self.tuples, dtype=np.intp)
         self._minors: dict = {}
 
     @classmethod
@@ -216,27 +216,34 @@ class SelectorContext:
 
     def minors(self, d: int) -> np.ndarray:
         """Exact minor matrices per tuple: entry [t, a, b] pairs the wedge of
-        tuple t's forms at index set I_a with Pluecker coordinate M_b."""
+        tuple t's forms at index set I_a with Pluecker coordinate M_b.  The
+        entry depends only on the form subset t[I_a], so each subset's
+        Pluecker coefficients are computed once and shared by all tuples."""
         if d not in self._minors:
             idx = multi_indices(self.n, d)
+            table = {}
             mats = []
             for t in self.tuples:
-                forms = [self.forms[i] for i in t]
-                mats.append([
-                    WedgeForm(self.n, tuple(forms[i] for i in ia.elements)).coeff_array()
-                    for ia in idx
-                ])
+                row = []
+                for ia in idx:
+                    S = tuple(t[i] for i in ia.elements)
+                    if S not in table:
+                        table[S] = WedgeForm(
+                            self.n, tuple(self.forms[j] for j in S)).coeff_array()
+                    row.append(table[S])
+                mats.append(row)
             self._minors[d] = np.array(mats, dtype=complex)
         return self._minors[d]
 
     def scores(self, xvals: np.ndarray) -> np.ndarray:
-        """Level-1 Weil sums per tuple: sum_i lambda_i(x) at each node."""
-        lognorm = _log_norm(xvals)
-        out = np.empty((len(self.tuples), xvals.shape[1]))
+        """Level-1 Weil sums per tuple: sum_i lambda_i(x) at each node.  Each
+        form's log|L_j(x)| is computed once; a tuple sums its rows in order."""
+        scaled = (self.n + 1) * _log_norm(xvals)
         with np.errstate(divide="ignore"):
-            for k, mat in enumerate(self.tuple_mats):
-                lv = mat @ xvals
-                out[k] = (self.n + 1) * lognorm - np.log(np.abs(lv)).sum(axis=0)
+            logf = np.log(np.abs(self.form_mat @ xvals))
+        out = np.empty((len(self.tuples), xvals.shape[1]))
+        for k, t in enumerate(self.tuple_index):
+            out[k] = scaled - logf[t].sum(axis=0)
         return out
 
     def select(self, xvals: np.ndarray):
@@ -413,9 +420,11 @@ class Evaluator:
     def _mumax(self, xv: np.ndarray, xpv: np.ndarray) -> np.ndarray:
         """Pointwise max over tuples of the generalized Weil function of the
         tuple divisor; fmax drops the nan of nodes on a divisor."""
+        y = self.ctx.form_mat @ xv
+        yd = self.ctx.form_mat @ xpv
         best = np.full(xv.shape[1], -np.inf)
-        for mat in self.ctx.tuple_mats:
-            num, den = _chart_sums(mat @ xv, mat @ xpv)
+        for t in self.ctx.tuple_index:
+            num, den = _chart_sums(y[t], yd[t])
             best = np.fmax(best, -0.5 * np.log(num / den))
         return best
 

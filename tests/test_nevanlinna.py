@@ -1,15 +1,19 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from nevlab.curve import associated, normalize
-from nevlab.exterior import WedgeForm
-from nevlab.gauss import GR_I, GR_ONE, GR_ZERO, Divisor, parse_poly, roots
+from nevlab.exterior import WedgeForm, multi_indices
+from nevlab.gauss import (
+    GR_I, GR_ONE, GR_ZERO, Divisor, GaussRational, parse_poly, roots,
+)
 from nevlab.harness import general_position_tuples
 from nevlab.nevanlinna import (
     QUAD_TOL,
+    Evaluator,
     RadialValue,
     SelectorContext,
     adaptive_midpoint,
@@ -181,6 +185,94 @@ class TestProximity:
             m = proximity_hyperplane(x, form, r).value
             vals.append(m + counting(div, r) - height_T(x, 1, r))
         assert max(vals) - min(vals) < 1e-8
+
+
+STRESS_COORDS = ("1", "z - 2", "z^2 + (1/2)i", "z^3 - 3z + 1", "z^5 + 2z^2 - i")
+STRESS_FORMS = ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
+                (0, 0, 0, 1, 0), (0, 0, 0, 0, 1), (1, 1, 1, 1, 1),
+                (1, 2, 3, 4, 5), (1, -1, 1, -1, 1), (2, 0, 1, 0, 3))
+
+
+def _stress(forms=STRESS_FORMS):
+    """The 5-coordinate stress curve with the given integer forms (by
+    default its 9 forms, which give 111 tuples)."""
+    x = normalize([parse_poly(p) for p in STRESS_COORDS])
+    exact = [tuple(GaussRational(Fraction(c), Fraction(0)) for c in f)
+             for f in forms]
+    return x, general_position_tuples(exact, x.n)
+
+
+def _nodes(r, count=512):
+    return r * np.exp(1j * (np.arange(count) + 0.5) * 2 * np.pi / count)
+
+
+class TestSelectorOracles:
+    """Oracle checks of the per-form SelectorContext against per-tuple
+    rebuilds of the same quantities."""
+
+    def test_minors_match_per_tuple_build(self):
+        # oracle: one WedgeForm per (tuple, index set), as if nothing were
+        # shared between tuples
+        x, cfg = _stress()
+        ctx = SelectorContext.from_config(cfg)
+        for d in range(1, x.n + 2):
+            want = np.array([
+                [WedgeForm(x.n, tuple(cfg.forms[t[i]] for i in ia.elements)
+                           ).coeff_array() for ia in multi_indices(x.n, d)]
+                for t in cfg.tuples
+            ], dtype=complex)
+            assert np.array_equal(ctx.minors(d), want)
+
+    @staticmethod
+    def _brute_select(forms, tuples, xv):
+        """Oracle: per-tuple matmul scores, keeping the first maximum."""
+        lognorm = 0.5 * np.log((np.abs(xv) ** 2).sum(axis=0))
+        best = np.full(xv.shape[1], -np.inf)
+        choice = np.zeros(xv.shape[1], dtype=int)
+        for k, t in enumerate(tuples):
+            mat = np.array([[complex(c) for c in forms[i]] for i in t])
+            s = xv.shape[0] * lognorm - np.log(np.abs(mat @ xv)).sum(axis=0)
+            better = s > best
+            choice[better] = k
+            best[better] = s[better]
+        return choice, best
+
+    @pytest.mark.parametrize("r", [0.54, 1.8, 6.0])
+    def test_select_matches_brute_force(self, r):
+        # form 6 negates form 5, so every tuple holding form 6 ties exactly
+        # with its twin holding form 5 in the same position, which has the
+        # lower index
+        x, cfg = _stress(STRESS_FORMS[:6] + ((-1, -1, -1, -1, -1),)
+                         + STRESS_FORMS[6:])
+        ctx = SelectorContext.from_config(cfg)
+        xv = np.vstack([p.eval_many(_nodes(r)) for p in x.coords])
+        sel, smax = ctx.select(xv)
+        want_sel, want_max = self._brute_select(cfg.forms, cfg.tuples, xv)
+        assert np.array_equal(sel, want_sel)
+        assert np.array_equal(smax, want_max)
+        scores = ctx.scores(xv)
+        index = {t: k for k, t in enumerate(cfg.tuples)}
+        twins = [(index[tuple(5 if i == 6 else i for i in t)], k)
+                 for k, t in enumerate(cfg.tuples) if 6 in t]
+        assert twins
+        for lo, hi in twins:
+            assert lo < hi and np.array_equal(scores[lo], scores[hi])
+        chosen = [cfg.tuples[k] for k in sel]
+        assert all(6 not in t for t in chosen)
+        assert any(5 in t for t in chosen)
+
+    @pytest.mark.parametrize("r", [0.54, 1.8, 6.0])
+    def test_mumax_matches_pointwise_mu(self, r):
+        # oracle: the scalar mu at one point, maximised over the tuples
+        x, cfg = _stress()
+        ev = Evaluator(x, cfg)
+        z = _nodes(r, 8)
+        xv = np.vstack([p.eval_many(z) for p in x.coords])
+        xpv = np.vstack([p.derivative().eval_many(z) for p in x.coords])
+        got = ev._mumax(xv, xpv)
+        for k, zk in enumerate(z):
+            want = max(mu(x, [cfg.forms[i] for i in t], zk) for t in cfg.tuples)
+            assert got[k] == pytest.approx(want, abs=1e-12)
 
 
 class TestMu:
