@@ -25,14 +25,20 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .curve import (
-    CurveLift,
     DegenerateCurveError,
-    associated,
+    associated_family,
     leibniz_partner,
     normalize,
 )
-from .exterior import multi_indices, two_row_identity_sign, wedge_rows
-from .gauss import GaussPoly, GaussRational, PolyParseError, parse_poly, parse_rational
+from .exterior import multi_indices, two_row_identity_sign
+from .gauss import (
+    GaussPoly,
+    GaussRational,
+    PolyParseError,
+    RootFindingError,
+    parse_poly,
+    parse_rational,
+)
 from .harness import (
     HyperplaneConfig,
     full_sweep,
@@ -225,7 +231,7 @@ def _cmd_identities(cfg: RunConfig, out: Optional[str]) -> int:
     n = x.n
     derivative_rows, two_row_rows = [], []
     failures = 0
-    wedges = {d: associated(x, d) for d in range(n + 2)}
+    wedges = associated_family(x)
     for d in range(1, n + 1):
         Xd = wedges[d]
         Yp = leibniz_partner(x, d)
@@ -330,7 +336,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cfg = parse_config(fh.read())
         return run(args.command, cfg, r=getattr(args, "r", None), out=args.out,
                    tol=args.tol, verify_name=getattr(args, "name", None))
-    except (ConfigError, DegenerateCurveError, ValueError, OSError) as e:
+    except (ConfigError, DegenerateCurveError, RootFindingError, ValueError,
+            OSError) as e:
         print(f"nevlab: error: {e}", file=sys.stderr)
         return 1
 

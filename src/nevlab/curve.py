@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .gauss import Divisor, GaussPoly, poly_gcd, roots
-from .exterior import WedgeVector, wedge_rows
+from .exterior import WedgeVector, wedge_layers, wedge_rows
 
 __all__ = [
     "CurveLift",
@@ -110,8 +110,8 @@ def wronskian(x: CurveLift) -> GaussPoly:
 
 
 def associated_family(x: CurveLift) -> list:
-    """All associated wedges X^0, ..., X^{n+1}."""
-    return [associated(x, d) for d in range(x.n + 2)]
+    """All associated wedges X^0, ..., X^{n+1}, from one minor table."""
+    return wedge_layers(x.derivative_rows(x.n + 1), x.n)
 
 
 def level_divisor(X: WedgeVector) -> Divisor:

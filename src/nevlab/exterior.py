@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .gauss import GR_ONE, GR_ZERO, GaussPoly, GaussRational
+from .gauss import GaussPoly, GaussRational, PackedRows, gi_mul, linear_combination
 
 __all__ = [
     "MultiIndex",
@@ -21,6 +22,7 @@ __all__ = [
     "WedgeForm",
     "multi_indices",
     "wedge_rows",
+    "wedge_layers",
     "pair",
     "index_distance",
     "two_row_identity_sign",
@@ -62,32 +64,51 @@ def multi_indices(n: int, d: int) -> list:
     return [MultiIndex(c, n) for c in itertools.combinations(range(n + 1), d)]
 
 
+def _minor_layers(rows: Sequence[Sequence[tuple]], ncols: int) -> list:
+    """The one determinant kernel: minors of the leading rows on every column
+    subset, built row by row by Laplace expansion along the last row.
+
+    rows are packed Gaussian integers (gauss.PackedRows), so the expansion is
+    integer arithmetic.  layers[k] maps each increasing k-tuple S of columns
+    to the packed minor of rows[:k] on S, for k = 0..len(rows); it is
+    computed from layers[k - 1] with one entry product per element of S, so
+    layer k costs C(ncols, k)·k products and a square m x m determinant
+    m·2^(m-1) in all.
+    """
+    layers = [{(): (1, 0)}]
+    for k, row in enumerate(rows):
+        lower, layer = layers[-1], {}
+        for S in itertools.combinations(range(ncols), k + 1):
+            re = im = 0
+            for j, col in enumerate(S):
+                entry, minor = row[col], lower[S[:j] + S[j + 1:]]
+                if not (entry[0] or entry[1]) or not (minor[0] or minor[1]):
+                    continue
+                pr, pi = gi_mul(entry, minor)
+                if (k + j) % 2:
+                    re, im = re - pr, im - pi
+                else:
+                    re, im = re + pr, im + pi
+            layer[S] = (re, im)
+        layers.append(layer)
+    return layers
+
+
 def det_exact(rows: Sequence[Sequence]) -> object:
-    """Determinant by cofactor expansion; works over GaussPoly or GaussRational."""
+    """Exact determinant of a square matrix of GaussPoly or GaussRational
+    entries: the top entry of the minor table of _minor_layers (m·2^(m-1)
+    entry products for an m x m matrix).  A GaussPoly matrix gives a
+    GaussPoly, a GaussRational one a GaussRational."""
     m = len(rows)
     if m == 0:
         raise ValueError("empty determinant")
     if any(len(r) != m for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    if m == 1:
-        return rows[0][0]
-    first = rows[0]
-    rest = rows[1:]
-    acc = None
-    for j in range(m):
-        entry = first[j]
-        if not entry:
-            continue
-        minor = det_exact([r[:j] + r[j + 1:] for r in rest])
-        term = entry * minor
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    if acc is None:
-        acc = first[0] * GaussPoly.zero() if isinstance(first[0], GaussPoly) else (
-            first[0] - first[0]
-        )
-    return acc
+    packed = PackedRows(rows)
+    top = _minor_layers(packed.rows, m)[m][tuple(range(m))]
+    if isinstance(rows[0][0], GaussPoly):
+        return packed.poly(top, m)
+    return packed.scalar(top, m)
 
 
 @dataclass(frozen=True)
@@ -150,52 +171,56 @@ class WedgeForm:
     def degree(self) -> int:
         return len(self.forms)
 
+    @cached_property
+    def _pluecker(self) -> tuple:
+        packed = PackedRows(self.forms)
+        layer = _minor_layers(packed.rows, self.n + 1)[self.degree]
+        return tuple(packed.scalar(v, self.degree) for v in layer.values())
+
     def pluecker_coords(self) -> list:
-        """Exact minor determinants, one per size-d multi-index (lex order)."""
-        d = self.degree
-        if d == 0:
-            return [GR_ONE]
-        out = []
-        for mi in multi_indices(self.n, d):
-            minor = [[f[j] for j in mi.elements] for f in self.forms]
-            out.append(det_exact(minor))
-        return out
+        """Exact minor determinants, one per size-d multi-index (lex order),
+        all read from one minor table and computed once per WedgeForm."""
+        return list(self._pluecker)
 
     def apply(self, X: WedgeVector) -> GaussPoly:
         """Exact pairing with a wedge vector via the Pluecker expansion."""
         if X.degree != self.degree:
             raise ValueError("degree mismatch in wedge pairing")
-        acc = GaussPoly.zero()
-        for c, (_, p) in zip(self.pluecker_coords(), X.coords):
-            if c and not p.is_zero():
-                acc = acc + p.scale(c)
-        return acc
+        return linear_combination(self._pluecker, X.polys())
 
     def coeff_array(self) -> np.ndarray:
-        return np.array([complex(c) for c in self.pluecker_coords()], dtype=complex)
+        return np.array([complex(c) for c in self._pluecker], dtype=complex)
+
+
+def _wedges(rows: Sequence[Sequence[GaussPoly]], n: int, levels) -> list:
+    """The wedges rows[0] ^ ... ^ rows[k-1] for k in levels, all read from
+    one minor table of the d x (n+1) row matrix."""
+    if len(rows) > n + 1:
+        raise ValueError("more rows than the ambient dimension allows")
+    for r in rows:
+        if len(r) != n + 1:
+            raise ValueError("ragged rows: each row must have length n+1")
+    packed = PackedRows(rows)
+    layers = _minor_layers(packed.rows, n + 1)
+    return [WedgeVector(n, k, tuple((MultiIndex(S, n), packed.poly(v, k))
+                                    for S, v in layers[k].items()))
+            for k in levels]
+
+
+def wedge_layers(rows: Sequence[Sequence[GaussPoly]], n: int) -> list:
+    """The wedges rows[0] ^ ... ^ rows[k-1] for k = 0..len(rows), all read
+    from one minor table (so X^0..X^d of a curve cost no more than X^d)."""
+    return _wedges(rows, n, range(len(rows) + 1))
 
 
 def wedge_rows(rows: Sequence[Sequence[GaussPoly]], n: int) -> WedgeVector:
     """Pluecker coordinates of the d x (n+1) row matrix: the coordinate at I
-    is the exact determinant of the minor with columns I.  d = 0 gives the
-    scalar wedge 1.  Through leibniz_partner these direct minors are also the
-    independent route against which criterion 02 and ``nevlab verify
-    identities`` check the derivative of X^d."""
-    d = len(rows)
-    if d > n + 1:
-        raise ValueError("more rows than the ambient dimension allows")
-    rows = [list(r) for r in rows]
-    for r in rows:
-        if len(r) != n + 1:
-            raise ValueError("ragged rows: each row must have length n+1")
-    coords = []
-    for mi in multi_indices(n, d):
-        if d == 0:
-            coords.append((mi, GaussPoly.one()))
-        else:
-            minor = [[r[j] for j in mi.elements] for r in rows]
-            coords.append((mi, det_exact(minor)))
-    return WedgeVector(n, d, tuple(coords))
+    is the exact determinant of the minor with columns I, all minors read
+    from one minor table.  d = 0 gives the scalar wedge 1.  Through
+    leibniz_partner these direct minors are also the independent route
+    against which criterion 02 and ``nevlab verify identities`` check the
+    derivative of X^d."""
+    return _wedges(rows, n, [len(rows)])[0]
 
 
 def pair(F: WedgeForm, X: WedgeVector, at: complex) -> complex:

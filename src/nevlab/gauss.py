@@ -4,13 +4,20 @@ Everything downstream (wedge coordinates, Wronskians, gcd divisors) relies on
 this module being exact: coefficients are pairs of ``fractions.Fraction`` and
 no operation ever rounds.  Floating point enters only at the evaluation
 boundary (``GaussPoly.eval``, ``roots``).
+
+Products are fraction-free: a polynomial's coefficients are Gaussian-integer
+numerators over one common denominator, and a product is computed on the
+numerators packed into Python integers (Kronecker substitution, z = 2^width),
+so each result coefficient becomes a ``Fraction`` once, at the end.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -89,6 +96,69 @@ class GaussRational:
 GR_ZERO = GaussRational.of(0)
 GR_ONE = GaussRational.of(1)
 GR_I = GaussRational.of(0, 1)
+_F_ZERO = Fraction(0)
+
+
+# ---------------------------------------------------------------------------
+# Fraction-free Gaussian-integer kernels
+# ---------------------------------------------------------------------------
+#
+# A Gaussian-integer polynomial sum_k (a_k + b_k i) z^k is packed as the pair
+# of integers (sum_k a_k 2^(width*k), sum_k b_k 2^(width*k)): its value at
+# z = 2^width.  Sums and products of packed values are the packed sums and
+# products, and a result unpacks exactly (as signed digits) while every
+# coefficient magnitude stays below 2^(width-1).  A coefficient list of
+# length one packs to its own numerators, whatever the width.  Only this
+# module knows the format: GaussPoly products and linear combinations use it
+# directly, and the determinant kernel in exterior works on PackedRows.
+
+
+def _lcd_numerators(coeffs: Sequence[GaussRational]) -> tuple:
+    """(den, [(re, im), ...]): Gaussian-integer numerators of the coefficients
+    over their least common denominator den."""
+    den = math.lcm(*(f.denominator for c in coeffs for f in (c.re, c.im)))
+    return den, [(c.re.numerator * (den // c.re.denominator),
+                  c.im.numerator * (den // c.im.denominator)) for c in coeffs]
+
+
+def _l1_norm(nums: Sequence[tuple]) -> int:
+    """Sum of |re| + |im| over integer coefficients; it bounds every
+    coefficient of a product by the product of the factors' norms."""
+    return sum(abs(a) + abs(b) for a, b in nums)
+
+
+def _pack(nums: Sequence[tuple], width: int) -> tuple:
+    """Pack integer (re, im) coefficients, ascending, at z = 2^width."""
+    re = im = 0
+    for a, b in reversed(nums):
+        re = (re << width) + a
+        im = (im << width) + b
+    return re, im
+
+
+def _unpack(value: int, width: int) -> list:
+    """Signed base-2^width digits of value, lowest first, up to the top
+    nonzero one."""
+    mask, half, full = (1 << width) - 1, 1 << (width - 1), 1 << width
+    digits = []
+    while value:
+        digit = value & mask
+        if digit >= half:
+            digit -= full
+        digits.append(digit)
+        value = (value - digit) >> width
+    return digits
+
+
+def gi_mul(a: tuple, b: tuple) -> tuple:
+    """Product of two packed Gaussian integers (or packed polynomials)."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _rational(re: int, im: int, den: int) -> GaussRational:
+    """(re + im i) / den, each part normalised to a Fraction once."""
+    return GaussRational(Fraction(re, den) if re else _F_ZERO,
+                         Fraction(im, den) if im else _F_ZERO)
 
 
 def _as_gr(value) -> GaussRational:
@@ -178,21 +248,32 @@ class GaussPoly:
     def __neg__(self) -> "GaussPoly":
         return GaussPoly(tuple(-c for c in self.coeffs))
 
+    @cached_property
+    def _numerators(self) -> tuple:
+        """(den, [(re, im), ...]): the coefficients' Gaussian-integer
+        numerators over their least common denominator."""
+        return _lcd_numerators(self.coeffs)
+
+    @staticmethod
+    def _from_packed(value: tuple, width: int, den: int) -> "GaussPoly":
+        """The polynomial whose numerators over den are packed in value."""
+        re, im = _unpack(value[0], width), _unpack(value[1], width)
+        size = max(len(re), len(im))
+        re += [0] * (size - len(re))
+        im += [0] * (size - len(im))
+        return GaussPoly(tuple(_rational(a, b, den) for a, b in zip(re, im)))
+
     def __mul__(self, other: "GaussPoly") -> "GaussPoly":
         if self.is_zero() or other.is_zero():
             return GaussPoly.zero()
-        out = [GR_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for a, ca in enumerate(self.coeffs):
-            if not ca:
-                continue
-            for b, cb in enumerate(other.coeffs):
-                if cb:
-                    out[a + b] = out[a + b] + ca * cb
-        return GaussPoly.from_coeffs(out)
+        da, a = self._numerators
+        db, b = other._numerators
+        width = (_l1_norm(a) * _l1_norm(b)).bit_length() + 1
+        return GaussPoly._from_packed(
+            gi_mul(_pack(a, width), _pack(b, width)), width, da * db)
 
     def scale(self, c: GaussRational) -> "GaussPoly":
-        c = _as_gr(c)
-        return GaussPoly.from_coeffs(c * a for a in self.coeffs)
+        return linear_combination([_as_gr(c)], [self])
 
     def __pow__(self, k: int) -> "GaussPoly":
         if k < 0:
@@ -236,7 +317,8 @@ class GaussPoly:
 
     def derivative(self) -> "GaussPoly":
         return GaussPoly.from_coeffs(
-            GaussRational.of(k) * c for k, c in enumerate(self.coeffs) if k > 0
+            GaussRational(c.re * k, c.im * k)
+            for k, c in enumerate(self.coeffs) if k > 0
         )
 
     def monic(self) -> "GaussPoly":
@@ -296,6 +378,65 @@ class GaussPoly:
             else:
                 terms.append(f"{cs}*z^{k}")
         return " + ".join(terms)
+
+
+def linear_combination(cs: Sequence[GaussRational],
+                       ps: Sequence[GaussPoly]) -> GaussPoly:
+    """sum_k cs[k] * ps[k], fraction-free: the polynomials' numerators over
+    one common denominator are packed and summed, and each result
+    coefficient is normalised once."""
+    terms = [(c, p) for c, p in zip(cs, ps) if c and not p.is_zero()]
+    if not terms:
+        return GaussPoly.zero()
+    dc, cn = _lcd_numerators([c for c, _ in terms])
+    parts = [p._numerators for _, p in terms]
+    dp = math.lcm(*(d for d, _ in parts))
+    pn = [[(a * (dp // d), b * (dp // d)) for a, b in ns] for d, ns in parts]
+    bound = sum((abs(a) + abs(b)) * _l1_norm(ns) for (a, b), ns in zip(cn, pn))
+    width = bound.bit_length() + 1
+    re = im = 0
+    for c, ns in zip(cn, pn):
+        pr, pi = gi_mul(c, _pack(ns, width))
+        re, im = re + pr, im + pi
+    return GaussPoly._from_packed((re, im), width, dc * dp)
+
+
+class PackedRows:
+    """A matrix of GaussPoly or GaussRational entries as packed Gaussian
+    integers, for the determinant kernel.
+
+    Row r is scaled by the common denominator of its entries, so rows holds
+    Gaussian integers; all entries are packed at one width, wide enough for
+    every minor of the leading rows, whose coefficients are bounded by the
+    product of the row norms.  A packed minor of the first k rows turns back
+    into its exact value over the product of the first k row scales.
+    """
+
+    def __init__(self, rows: Sequence[Sequence]):
+        entries = [[e.coeffs if isinstance(e, GaussPoly) else (e,) for e in r]
+                   for r in rows]
+        flats, self.scales = [], [1]
+        for r in entries:
+            den, flat = _lcd_numerators([c for cs in r for c in cs])
+            flats.append(flat)
+            self.scales.append(self.scales[-1] * den)
+        # the extra bit keeps width >= 2, so the empty minor 1 unpacks too
+        self.width = sum(_l1_norm(f).bit_length() for f in flats) + 2
+        self.rows = []
+        for r, flat in zip(entries, flats):
+            row, start = [], 0
+            for cs in r:
+                row.append(_pack(flat[start:start + len(cs)], self.width))
+                start += len(cs)
+            self.rows.append(row)
+
+    def poly(self, value: tuple, k: int) -> GaussPoly:
+        """The polynomial minor of the first k rows packed in value."""
+        return GaussPoly._from_packed(value, self.width, self.scales[k])
+
+    def scalar(self, value: tuple, k: int) -> GaussRational:
+        """The scalar minor of the first k rows packed in value."""
+        return _rational(value[0], value[1], self.scales[k])
 
 
 @dataclass(frozen=True)

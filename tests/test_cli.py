@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import nevlab.curve
 from nevlab.cli import (
     ConfigError,
     RunConfig,
@@ -10,6 +11,7 @@ from nevlab.cli import (
     run,
     serialize_config,
 )
+from nevlab.gauss import RootFindingError
 
 GOOD = """
 [curve]
@@ -186,3 +188,17 @@ class TestMain:
                         encoding="utf-8")
         assert main(["sweep", "--config", str(path)]) == 1
         assert "r_min" in capsys.readouterr().err
+
+    def test_root_finding_error_is_exit_one(self, tmp_path, capsys,
+                                             monkeypatch):
+        """A failed root extraction is reported as an error, not a traceback."""
+        def failing_roots(p, tol=None):
+            raise RootFindingError("root iteration failed to converge", p)
+
+        monkeypatch.setattr(nevlab.curve, "roots", failing_roots)
+        path = tmp_path / "ramified.ini"
+        path.write_text(GOOD.replace("1; z; z^2", "1; z^2; z^3"),
+                        encoding="utf-8")
+        assert main(["verify", "growth", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "nevlab: error: root iteration failed to converge\n"

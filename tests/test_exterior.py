@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings, strategies as st
 
+from nevlab import exterior
 from nevlab.exterior import (
     MultiIndex,
     WedgeForm,
@@ -45,23 +47,92 @@ class TestMultiIndices:
         assert index_distance(a, a) == 0
 
 
+Z = sympy.Symbol("z")
+
+
+def sym(c):
+    """sympy value of a GaussRational or GaussPoly."""
+    if isinstance(c, GaussPoly):
+        return sum((sym(a) * Z ** k for k, a in enumerate(c.coeffs)),
+                   sympy.Integer(0))
+    return sympy.Rational(c.re) + sympy.Rational(c.im) * sympy.I
+
+
+def sym_det(mat):
+    """Oracle: sympy's determinant of a matrix of exact entries, computed
+    over the domain QQ_I or QQ_I[z] that sympy picks for the entries."""
+    dm = DomainMatrix.from_Matrix(
+        sympy.Matrix([[sym(c) for c in row] for row in mat]))
+    return sympy.expand(dm.domain.to_sympy(dm.det()))
+
+
+def same(mine, want):
+    return sympy.expand(sym(mine) - want) == 0
+
+
 class TestDetExact:
     def test_matches_sympy(self, rng):
         for size in (1, 2, 3, 4):
             mat = [[rand_rational(rng) for _ in range(size)] for _ in range(size)]
-            mine = det_exact(mat)
-            smat = sympy.Matrix(
-                [[sympy.Rational(c.re) + sympy.Rational(c.im) * sympy.I
-                  for c in row] for row in mat])
-            want = sympy.expand(smat.det())
-            got = sympy.Rational(mine.re) + sympy.Rational(mine.im) * sympy.I
-            assert sympy.simplify(got - want) == 0
+            assert same(det_exact(mat), sym_det(mat))
 
     def test_polynomial_entries(self):
         z = GaussPoly.z()
         one = GaussPoly.one()
         d = det_exact([[one, z], [z, z * z]])
         assert d.is_zero()
+
+    def test_polynomial_matrices_match_sympy(self, rng):
+        """Oracle: sympy determinants of GaussPoly matrices up to 6 x 6."""
+        for size in (1, 2, 3, 4, 5, 6):
+            mat = [[rand_poly(rng, max_deg=2, span=3) for _ in range(size)]
+                   for _ in range(size)]
+            got = det_exact(mat)
+            assert isinstance(got, GaussPoly)
+            assert same(got, sym_det(mat))
+
+    def test_degenerate_scalar_matrices_are_exact_zero(self, rng):
+        """Oracle: sympy agrees on zero rows, zero columns and rank
+        deficiency, where the determinant is exactly zero."""
+        size = 5
+        for kind in ("row", "column", "rank"):
+            mat = [[rand_rational(rng) for _ in range(size)]
+                   for _ in range(size)]
+            if kind == "row":
+                mat[2] = [GR_ZERO] * size
+            elif kind == "column":
+                for row in mat:
+                    row[3] = GR_ZERO
+            else:
+                c = rand_rational(rng)
+                mat[4] = [a * c - b for a, b in zip(mat[0], mat[1])]
+            got = det_exact(mat)
+            assert isinstance(got, GaussRational) and not got
+            assert sym_det(mat) == 0
+
+    def test_scalar_matrices_with_zeros_match_sympy(self, rng):
+        """Oracle: sparse scalar matrices up to 6 x 6 against sympy."""
+        for size in (3, 4, 5, 6):
+            mat = [[rand_rational(rng) if rng.random() < 0.6 else GR_ZERO
+                    for _ in range(size)] for _ in range(size)]
+            assert same(det_exact(mat), sym_det(mat))
+
+    def test_six_by_six_makes_at_most_192_products(self, rng, monkeypatch):
+        """Work-count guard: the minor table makes m * 2^(m-1) entry products
+        for an m x m matrix (192 at m = 6); cofactor expansion makes
+        6 + 6*5 + ... + 6! = 1236."""
+        calls = []
+        inner = exterior.gi_mul
+
+        def counting(a, b):
+            calls.append(1)
+            return inner(a, b)
+
+        monkeypatch.setattr(exterior, "gi_mul", counting)
+        mat = [[rand_poly(rng, max_deg=2, nonzero=True) for _ in range(6)]
+               for _ in range(6)]
+        det_exact(mat)
+        assert 0 < len(calls) <= 6 * 2 ** 5
 
 
 class TestMergeSign:
@@ -78,14 +149,22 @@ class TestMergeSign:
 
 class TestWedge:
     def test_pluecker_coords_are_minors(self, rng):
-        n, d = 3, 2
-        rows = [[rand_poly(rng, max_deg=2) for _ in range(n + 1)]
-                for _ in range(d)]
-        X = wedge_rows(rows, n)
-        for mi, p in X.coords:
-            want = det_exact([[rows[a][j] for j in mi.elements]
-                              for a in range(d)])
-            assert p == want
+        """Oracle: every coordinate of wedge_rows and every Pluecker
+        coefficient of a WedgeForm is the sympy minor on its columns."""
+        n = 3
+        for d in (1, 2, 3):
+            rows = [[rand_poly(rng, max_deg=2) for _ in range(n + 1)]
+                    for _ in range(d)]
+            forms = tuple(tuple(rand_rational(rng) for _ in range(n + 1))
+                          for _ in range(d))
+            X = wedge_rows(rows, n)
+            coeffs = WedgeForm(n, forms).pluecker_coords()
+            assert [mi.elements for mi, _ in X.coords] == [
+                mi.elements for mi in multi_indices(n, d)]
+            for (mi, p), c in zip(X.coords, coeffs):
+                cols = list(mi.elements)
+                assert same(p, sym_det([[r[j] for j in cols] for r in rows]))
+                assert same(c, sym_det([[f[j] for j in cols] for f in forms]))
 
     def test_relations_hold_for_decomposable(self, rng):
         for n, d in [(3, 2), (4, 2), (4, 3)]:

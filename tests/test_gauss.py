@@ -82,6 +82,64 @@ class TestPoly:
             assert p.eval(z) == pytest.approx(want, abs=1e-12)
 
 
+# Large denominators and purely imaginary coefficients for the product tests.
+big_fracs = st.fractions(min_value=-10**6, max_value=10**6,
+                         max_denominator=10**6)
+big_rationals = st.one_of(
+    st.builds(GaussRational, big_fracs, big_fracs),
+    st.builds(lambda im: GaussRational(Fraction(0), im), big_fracs),
+)
+big_polys = st.builds(
+    lambda coeffs: GaussPoly(tuple(coeffs)),
+    st.lists(big_rationals, min_size=0, max_size=7),
+)
+
+
+def naive_product(p, q):
+    """Oracle: the convolution of the coefficient lists, one Fraction
+    operation at a time; canonical (re, im) pairs, trailing zeros trimmed."""
+    out = [[Fraction(0), Fraction(0)]
+           for _ in range(max(len(p.coeffs) + len(q.coeffs) - 1, 0))]
+    for a, ca in enumerate(p.coeffs):
+        for b, cb in enumerate(q.coeffs):
+            out[a + b][0] += ca.re * cb.re - ca.im * cb.im
+            out[a + b][1] += ca.re * cb.im + ca.im * cb.re
+    while out and out[-1] == [0, 0]:
+        out.pop()
+    return [tuple(c) for c in out]
+
+
+def parts(p):
+    for c in p.coeffs:
+        assert type(c.re) is Fraction and type(c.im) is Fraction
+    return [(c.re, c.im) for c in p.coeffs]
+
+
+class TestFractionFreeProduct:
+    """The packed fraction-free product against a per-coefficient Fraction
+    convolution (oracle)."""
+
+    @given(big_polys, big_polys)
+    @settings(max_examples=100)
+    def test_mul_matches_naive_convolution(self, p, q):
+        prod = p * q
+        assert parts(prod) == naive_product(p, q)
+        assert parse_poly(str(prod)) == prod
+
+    @given(big_polys, big_rationals)
+    @settings(max_examples=60)
+    def test_scale_matches_naive_product(self, p, c):
+        assert parts(p.scale(c)) == naive_product(p, GaussPoly((c,)))
+
+    def test_zero_and_imaginary_units(self):
+        p = parse_poly("(1/999983)i*z^3 - (2/3)i")
+        assert (p * GaussPoly.zero()).is_zero()
+        assert (GaussPoly.zero() * p).is_zero()
+        assert p.scale(GR_ZERO).is_zero()
+        assert parts(p * p) == naive_product(p, p)
+        assert p.scale(GR_I) * p.scale(GR_I) == -(p * p)
+
+
 class TestGcd:
     def test_common_factor(self):
         a = parse_poly("(z - 1)*(z + 2)")
