@@ -36,6 +36,7 @@ from .gauss import (
     GaussRational,
     PolyParseError,
     RootFindingError,
+    linear_combination,
     parse_poly,
     parse_rational,
 )
@@ -247,11 +248,11 @@ def _cmd_identities(cfg: RunConfig, out: Optional[str]) -> int:
             inter = tuple(sorted(set(ia.elements) & set(jb.elements)))
             union = tuple(sorted(set(ia.elements) | set(jb.elements)))
             sign = two_row_identity_sign(ia, jb)
-            lhsp = (Xd.coord(ia.elements) * Yp.coord(jb.elements)
-                    - Xd.coord(jb.elements) * Yp.coord(ia.elements))
-            rhsp = lower.coord(inter) * upper.coord(union)
-            diff = lhsp - rhsp.scale(GaussRational.of(sign))
-            ok = diff.is_zero()
+            ok = linear_combination(
+                [GaussRational.of(c) for c in (1, -1, -sign)],
+                [Xd.coord(ia.elements) * Yp.coord(jb.elements),
+                 Xd.coord(jb.elements) * Yp.coord(ia.elements),
+                 lower.coord(inter) * upper.coord(union)]).is_zero()
             failures += not ok
             two_row_rows.append(
                 f"two_row,{d},{ia.elements}|{jb.elements},{int(ok)}"

@@ -94,7 +94,7 @@ def leibniz_partner(x: CurveLift, d: int) -> WedgeVector:
 
     Coordinatewise this equals the derivative of associated(x, d): all other
     terms of the product rule repeat a row and vanish.  The numeric code
-    differentiates X^d instead (Evaluator.partner); this direct-minor route is
+    differentiates X^d instead (NodeBatch.partner); this direct-minor route is
     kept as the independent side of that relation for criterion 02 and
     ``nevlab verify identities``.
     """

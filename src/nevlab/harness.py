@@ -193,10 +193,7 @@ def _validate_radii(radii: Sequence[float]) -> List[float]:
 
 
 def _margin_rows(radii, builder) -> List[MarginReport]:
-    rows = []
-    for r in _validate_radii(radii):
-        rows.append(builder(r))
-    return rows
+    return [builder(r) for r in _validate_radii(radii)]
 
 
 def verify_cartan(x: CurveLift, config: HyperplaneConfig,
@@ -210,19 +207,18 @@ def verify_cartan(x: CurveLift, config: HyperplaneConfig,
     n_1 = ev.level_divisor(1)
 
     def build(r):
-        vals, _ = ev.radial(r, ["cartan", "hbar:1", "m:1"])
-        t1 = vals["hbar:1"][0] - counting(n_1, r)
-        lhs = vals["cartan"][0]
+        (lhs, hbar1, m1), conv, _ = ev.radial(
+            r, lambda at: [at.cartan(), at.hbar(1), at.m(1)])
+        t1 = hbar1 - counting(n_1, r)
         nw = counting(n_w, r)
         rhs = (n + 1) * t1 - nw
-        conv = all(c for _, c in vals.values())
         return MarginReport(
-            r=r, lhs=lhs, rhs=rhs, margin=rhs - lhs, converged=conv,
+            r=r, lhs=lhs, rhs=rhs, margin=rhs - lhs, converged=conv.all(),
             values={
                 "T_1": t1,
                 "N_W": nw,
-                "m_1": vals["m:1"][0],
-                "sum_check": (n + 1) * vals["m:1"][0],
+                "m_1": m1,
+                "sum_check": (n + 1) * m1,
             },
         )
 
@@ -254,20 +250,18 @@ def verify_lemma55(x: CurveLift, config: HyperplaneConfig,
             raise ValueError("pair indices out of range")
 
     def build(r):
-        vals, _ = ev.radial(
-            r, ["m:1", "pairlam:1", "hbar:1", "hbarpair:1"],
-            pair_sets={1: positions},
-        )
-        lhs = 2 * vals["m:1"][0] - vals["pairlam:1"][0]
-        rhs = 2 * vals["hbar:1"][0] - vals["hbarpair:1"][0]
-        conv = all(c for _, c in vals.values())
+        (m1, m_c, hbar1, hbar_pair), conv, _ = ev.radial(
+            r, lambda at: [at.m(1), at.pairlam(1, positions), at.hbar(1),
+                           at.hbarpair(1)])
+        lhs = 2 * m1 - m_c
+        rhs = 2 * hbar1 - hbar_pair
         return MarginReport(
-            r=r, lhs=lhs, rhs=rhs, margin=rhs - lhs, converged=conv,
+            r=r, lhs=lhs, rhs=rhs, margin=rhs - lhs, converged=conv.all(),
             values={
-                "m_1": vals["m:1"][0],
-                "m_C": vals["pairlam:1"][0],
-                "hbar_1": vals["hbar:1"][0],
-                "hbar_pair": vals["hbarpair:1"][0],
+                "m_1": m1,
+                "m_C": m_c,
+                "hbar_1": hbar1,
+                "hbar_pair": hbar_pair,
             },
         )
 
@@ -301,27 +295,25 @@ def verify_prop62(x: CurveLift, config: HyperplaneConfig,
         positions[d] = coll.positions()
 
     def build(d, r):
-        names = [f"m:{d-1}", f"m:{d}", f"m:{d+1}",
-                 f"hbar:{d-1}", f"hbar:{d}", f"hbar:{d+1}",
-                 f"pairlam:{d}", f"hbarpair:{d}"]
-        vals, _ = ev.radial(r, names, pair_sets={d: positions[d]})
-        m = [vals[f"m:{k}"][0] for k in (d - 1, d, d + 1)]
-        h = [vals[f"hbar:{k}"][0] for k in (d - 1, d, d + 1)]
+        vals, conv, _ = ev.radial(r, lambda at: [
+            at.m(d - 1), at.m(d), at.m(d + 1),
+            at.hbar(d - 1), at.hbar(d), at.hbar(d + 1),
+            at.pairlam(d, positions[d]), at.hbarpair(d)])
+        m, h, (m_c, hbar_pair) = vals[0:3], vals[3:6], vals[6:]
         lhs1 = -m[0] + 2 * m[1] - m[2]
         rhs1 = -h[0] + 2 * h[1] - h[2]
-        lhs2 = 2 * m[1] - vals[f"pairlam:{d}"][0]
-        rhs2 = 2 * h[1] - vals[f"hbarpair:{d}"][0]
-        conv = all(c for _, c in vals.values())
+        lhs2 = 2 * m[1] - m_c
+        rhs2 = 2 * h[1] - hbar_pair
         return MarginReport(
-            r=r, lhs=lhs1, rhs=rhs1, margin=rhs1 - lhs1, converged=conv,
+            r=r, lhs=lhs1, rhs=rhs1, margin=rhs1 - lhs1, converged=conv.all(),
             values={
                 "d": d,
                 "lhs_pair": lhs2,
                 "rhs_pair": rhs2,
                 "margin_pair": rhs2 - lhs2,
                 "route_gap": abs((rhs1 - lhs1) - (rhs2 - lhs2)),
-                "m_C": vals[f"pairlam:{d}"][0],
-                "hbar_pair": vals[f"hbarpair:{d}"][0],
+                "m_C": m_c,
+                "hbar_pair": hbar_pair,
             },
         )
 
@@ -342,15 +334,14 @@ def verify_height_growth(x: CurveLift, radii: Sequence[float],
     divisors = {d: ev.level_divisor(d) for d in levels}
 
     def build(r):
-        vals, _ = ev.radial(r, [f"hbar:{d}" for d in levels])
-        t = {d: vals[f"hbar:{d}"][0] - counting(divisors[d], r) for d in levels}
+        vals, conv, _ = ev.radial(r, lambda at: [at.hbar(d) for d in levels])
+        t = {d: h - counting(divisors[d], r) for d, h in zip(levels, vals)}
         excess = {d: t[d] - 2 ** (d - 1) * t[1] for d in levels}
         worst = max(excess.values())
-        conv = all(c for _, c in vals.values())
         values = {f"T_{d}": t[d] for d in levels}
         values.update({f"excess_{d}": excess[d] for d in levels})
         return MarginReport(r=r, lhs=worst, rhs=slack, margin=slack - worst,
-                            converged=conv, values=values)
+                            converged=conv.all(), values=values)
 
     cols = (["r", "lhs", "rhs", "margin"]
             + [f"T_{d}" for d in levels]
@@ -371,15 +362,14 @@ def mcquillan_monitor(x: CurveLift, config: HyperplaneConfig,
     n_ram = ev.level_divisor(2)
 
     def build(r):
-        vals, _ = ev.radial(r, ["hbar:1", "hbar:2", "mumax"])
-        t1 = vals["hbar:1"][0] - counting(n_1, r)
+        (hbar1, hbar2, mu_int), conv, _ = ev.radial(
+            r, lambda at: [at.hbar(1), at.hbar(2), at.mumax()])
+        t1 = hbar1 - counting(n_1, r)
         nram = counting(n_ram, r)
-        t2 = vals["hbar:2"][0] - nram
-        mu_int = vals["mumax"][0]
+        t2 = hbar2 - nram
         m = (t2 - 2 * t1) + mu_int + nram
-        conv = all(c for _, c in vals.values())
         return MarginReport(
-            r=r, lhs=m, rhs=0.0, margin=-m, converged=conv,
+            r=r, lhs=m, rhs=0.0, margin=-m, converged=conv.all(),
             values={"T_1": t1, "T_2": t2, "mu_int": mu_int, "N_Ram": nram,
                     "normalized": m / max(1.0, math.log(r))},
         )
@@ -399,23 +389,22 @@ def full_sweep(x: CurveLift, config: HyperplaneConfig,
     n = x.n
     levels = list(range(1, n + 2))
     divisors = {d: ev.level_divisor(d) for d in levels}
-    names = [f"hbar:{d}" for d in levels] + [f"m:{d}" for d in levels] + ["cartan"]
 
     def build(r):
-        vals, _ = ev.radial(r, names)
-        t = {d: vals[f"hbar:{d}"][0] - counting(divisors[d], r) for d in levels}
+        vals, conv, _ = ev.radial(r, lambda at: [at.hbar(d) for d in levels]
+                                  + [at.m(d) for d in levels] + [at.cartan()])
+        hbar, m, lhs = vals[:n + 1], vals[n + 1:-1], vals[-1]
+        t = {d: h - counting(divisors[d], r) for d, h in zip(levels, hbar)}
         nw = counting(divisors[n + 1], r)
         nram = counting(divisors[2], r) if n >= 1 else 0.0
-        lhs = vals["cartan"][0]
         rhs = (n + 1) * t[1] - nw
-        conv = all(c for _, c in vals.values())
         values = {f"T_{d}": t[d] for d in levels}
         values["m_0"] = 0.0
-        values.update({f"m_{d}": vals[f"m:{d}"][0] for d in levels})
+        values.update({f"m_{d}": v for d, v in zip(levels, m)})
         values["N_W"] = nw
         values["N_Ram"] = nram
         return MarginReport(r=r, lhs=lhs, rhs=rhs, margin=rhs - lhs,
-                            converged=conv, values=values)
+                            converged=conv.all(), values=values)
 
     cols = (["r"] + [f"T_{d}" for d in levels]
             + [f"m_{d}" for d in range(0, n + 2)]

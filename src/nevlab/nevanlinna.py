@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -114,12 +115,13 @@ def circle_integral(
     tol: float = QUAD_TOL,
     r: float = 1.0,
 ) -> RadialValue:
-    """Circle average of a scalar integrand g(theta); g should accept arrays."""
+    """Circle average of a scalar integrand g(theta); g maps an array of
+    nodes to an array of values of the same shape."""
 
     def gv(nodes: np.ndarray) -> np.ndarray:
         out = np.asarray(g(nodes), dtype=float)
         if out.shape != nodes.shape:
-            out = np.array([g(t) for t in nodes], dtype=float)
+            raise ValueError("integrand must return one value per node")
         return out.reshape(1, -1)
 
     values, converged, nodes = adaptive_midpoint(gv, tol=tol)
@@ -171,9 +173,9 @@ def height_T(x: CurveLift, d: int, r: float, tol: float = QUAD_TOL) -> float:
     if d == 0:
         return 0.0
     ev = Evaluator(x, None, tol)
-    n_d = ev.counting_d(d, r)  # rejects r <= 0 before any quadrature
-    vals, _ = ev.radial(r, [f"hbar:{d}"])
-    return vals[f"hbar:{d}"][0] - n_d
+    n_d = counting(ev.level_divisor(d), r)  # rejects r <= 0 before quadrature
+    (hbar,), _, _ = ev.radial(r, lambda at: [at.hbar(d)])
+    return hbar - n_d
 
 
 def weil(F: WedgeForm, v) -> float:
@@ -252,35 +254,126 @@ class SelectorContext:
         sel = np.argmax(s, axis=0)
         return sel, s[sel, np.arange(s.shape[1])]
 
+    def _by_selected(self, d: int, sel: np.ndarray, *vals: np.ndarray):
+        """For each distinct selected tuple t: the mask of the nodes that
+        select it and t's level-d minors applied to each of vals (level-d
+        Pluecker values, one column per node) at those nodes."""
+        minors = self.minors(d)
+        for t in np.unique(sel):
+            mask = sel == t
+            yield mask, [minors[t] @ v[:, mask] for v in vals]
+
     def level_lambda_mean(self, d: int, wedge_vals: np.ndarray,
                           sel: np.ndarray) -> np.ndarray:
         """Mean over all size-d index sets I of lambda_I(X^d) per node, using
         the selected tuple at each node."""
         lognorm = _log_norm(wedge_vals)
         out = np.empty(wedge_vals.shape[1])
-        minors = self.minors(d)
         with np.errstate(divide="ignore"):
-            for t in np.unique(sel):
-                mask = sel == t
-                lv = minors[t] @ wedge_vals[:, mask]
+            for mask, (lv,) in self._by_selected(d, sel, wedge_vals):
                 out[mask] = lognorm[mask] - np.log(np.abs(lv)).mean(axis=0)
         return out
 
+    def pair_lambda_mean(self, d: int, G: np.ndarray, H: np.ndarray,
+                         lognorm: np.ndarray, sel: np.ndarray,
+                         positions: Sequence[Tuple[int, int]]) -> np.ndarray:
+        """Mean over the pair positions of the Weil function of the wedged
+        pair of selected tuple forms applied to y wedge y', for y = X^d with
+        values G, y' with values H and lognorm the log norm of y wedge y'."""
+        out = np.empty(G.shape[1])
+        for mask, (A, B) in self._by_selected(d, sel, G, H):
+            acc = np.zeros(mask.sum())
+            for i, j in positions:
+                acc += np.log(np.abs(A[i] * B[j] - A[j] * B[i]))
+            out[mask] = lognorm[mask] - acc / len(positions)
+        return out
 
-def _component(name: str):
-    """Parse a radial component name into (kind, level); the level of the
-    unlevelled components 'cartan' and 'mumax' is None."""
-    if name in ("cartan", "mumax"):
-        return name, None
-    kind, _, level = name.partition(":")
-    if kind not in ("hbar", "m", "pairlam", "hbarpair") or not level.isdigit():
-        raise ValueError(f"unknown radial component {name!r}")
-    return kind, int(level)
+    def mumax(self, xv: np.ndarray, xpv: np.ndarray) -> np.ndarray:
+        """Pointwise max over all tuples of the generalized Weil function of
+        the tuple divisor, at curve values xv and derivatives xpv; fmax drops
+        the nan of nodes on a divisor."""
+        y = self.form_mat @ xv
+        yd = self.form_mat @ xpv
+        best = np.full(xv.shape[1], -np.inf)
+        for t in self.tuple_index:
+            num, den = _chart_sums(y[t], yd[t])
+            best = np.fmax(best, -0.5 * np.log(num / den))
+        return best
+
+
+class NodeBatch:
+    """One batch of quadrature nodes z of an Evaluator.  Each component
+    method returns one value per node; X^d, (X^d)', the tuple selection and
+    the log norm of X^d wedge (X^d)' are evaluated once per batch."""
+
+    def __init__(self, ev: "Evaluator", z: np.ndarray):
+        self.ev = ev
+        self.z = z
+        self._wedge: Dict[int, np.ndarray] = {}
+        self._partner: Dict[int, np.ndarray] = {}
+        self._pair_norm: Dict[int, np.ndarray] = {}
+
+    def _ctx(self) -> SelectorContext:
+        if self.ev.ctx is None:
+            raise ValueError("component needs a hyperplane config")
+        return self.ev.ctx
+
+    def wedge(self, d: int) -> np.ndarray:
+        """X^d, one row per Pluecker coordinate."""
+        if d not in self._wedge:
+            self._wedge[d] = _eval_stack(self.ev._coeffs(("w", d)), self.z)
+        return self._wedge[d]
+
+    def partner(self, d: int) -> np.ndarray:
+        """(X^d)', the coordinatewise derivative of X^d."""
+        if d not in self._partner:
+            self._partner[d] = _eval_stack(self.ev._coeffs(("p", d)), self.z)
+        return self._partner[d]
+
+    @cached_property
+    def selection(self):
+        """The selected tuple at each node and its level-1 Weil sum."""
+        return self._ctx().select(self.wedge(1))
+
+    def hbar(self, d: int) -> np.ndarray:
+        """log |X^d|; identically zero at d = 0."""
+        return _log_norm(self.wedge(d)) if d else np.zeros(len(self.z))
+
+    def m(self, d: int) -> np.ndarray:
+        """Mean level-d Weil function of the selected tuple; zero at d = 0."""
+        ctx = self._ctx()
+        if d == 0:
+            return np.zeros(len(self.z))
+        return ctx.level_lambda_mean(d, self.wedge(d), self.selection[0])
+
+    def cartan(self) -> np.ndarray:
+        """The largest level-1 tuple Weil sum."""
+        return self.selection[1]
+
+    def mumax(self) -> np.ndarray:
+        """The largest tuple mu."""
+        return self._ctx().mumax(self.wedge(1), self.partner(1))
+
+    def pairlam(self, d: int,
+                positions: Sequence[Tuple[int, int]]) -> np.ndarray:
+        """Mean pair Weil function on y wedge y' for y = X^d over the pair
+        positions (in the lexicographic multi-index order of level d)."""
+        return self._ctx().pair_lambda_mean(
+            d, self.wedge(d), self.partner(d), self.hbarpair(d),
+            self.selection[0], positions)
+
+    def hbarpair(self, d: int) -> np.ndarray:
+        """log |y wedge y'| for y = X^d."""
+        if d not in self._pair_norm:
+            G, H = self.wedge(d), self.partner(d)
+            ai, bi = np.triu_indices(G.shape[0], 1)
+            self._pair_norm[d] = _log_norm(G[ai] * H[bi] - G[bi] * H[ai])
+        return self._pair_norm[d]
 
 
 class Evaluator:
-    """Caches the derived-curve data of one lift and integrates any requested
-    set of radial components on shared quadrature nodes.
+    """Caches the derived-curve data of one lift and integrates any rows of
+    NodeBatch components on shared quadrature nodes.
 
     config is a hyperplane configuration (n, forms and general-position
     tuples, as in harness.HyperplaneConfig) or a prepared SelectorContext,
@@ -310,18 +403,16 @@ class Evaluator:
             self._wedges[d] = X
         return self._wedges[d]
 
-    def partner(self, d: int) -> WedgeVector:
-        """The coordinatewise derivative of X^d, which the product rule makes
-        the wedge x ^ x' ^ ... ^ x^{(d-2)} ^ x^{(d)} (see leibniz_partner)."""
-        X = self.wedge(d)
-        return WedgeVector(X.n, d, tuple((mi, p.derivative()) for mi, p in X.coords))
-
     def _coeffs(self, key) -> list:
-        """Coefficient arrays of X^d for key ('w', d), of (X^d)' for ('p', d)."""
+        """Coefficient arrays of X^d for key ('w', d), of (X^d)' for ('p', d):
+        the coordinatewise derivative, which the product rule makes the wedge
+        x ^ x' ^ ... ^ x^{(d-2)} ^ x^{(d)} (see leibniz_partner)."""
         if key not in self._arrays:
             kind, d = key
-            wedge = self.wedge(d) if kind == "w" else self.partner(d)
-            self._arrays[key] = _coeff_arrays(wedge.polys())
+            polys = self.wedge(d).polys()
+            if kind == "p":
+                polys = [p.derivative() for p in polys]
+            self._arrays[key] = _coeff_arrays(polys)
         return self._arrays[key]
 
     def level_divisor(self, d: int) -> Divisor:
@@ -329,104 +420,22 @@ class Evaluator:
             self._divisors[d] = level_divisor(self.wedge(d))
         return self._divisors[d]
 
-    def counting_d(self, d: int, r: float) -> float:
-        return counting(self.level_divisor(d), r)
-
     # -- shared-node radial integration ----------------------------------
 
-    def radial(self, r: float, names: Sequence[str],
-               pair_sets: Optional[Dict[int, List[Tuple[int, int]]]] = None):
-        """Integrate the named components at radius r on shared nodes.
-
-        Component names: 'hbar:d', 'm:d', 'cartan', 'mumax', 'pairlam:d'
-        (mean pair Weil function on y wedge y' for y = X^d, over the pair
-        positions pair_sets[d]), 'hbarpair:d' (log norm of y wedge y').
-        Returns ({name: (value, converged)}, nodes).
-        """
-        names = list(names)
-        comps = [_component(nm) for nm in names]
-        if self.ctx is None and any(kind in ("m", "cartan", "mumax", "pairlam")
-                                    for kind, _ in comps):
-            raise ValueError("component needs a hyperplane config")
-        if any(kind == "pairlam" and d not in (pair_sets or {}) for kind, d in comps):
-            raise ValueError("'pairlam:d' needs its pair positions in pair_sets")
+    def radial(self, r: float,
+               rows: Callable[[NodeBatch], Sequence[np.ndarray]]):
+        """Integrate at radius r, on shared nodes, the component rows that
+        rows(at) returns for a NodeBatch at, for example
+        ``lambda at: [at.cartan(), at.hbar(1), at.m(1)]``.  Returns
+        adaptive_midpoint's (values, converged, nodes), one value and one
+        flag per row in row order."""
 
         def g(theta: np.ndarray) -> np.ndarray:
-            z = r * np.exp(1j * theta)
-            at = {}
-            rows = []
+            at = NodeBatch(self, r * np.exp(1j * theta))
             with np.errstate(divide="ignore", invalid="ignore"):
-                for kind, d in comps:
-                    if kind == "cartan":
-                        rows.append(self._at("sel", z, at)[1])
-                    elif kind == "mumax":
-                        rows.append(self._mumax(self._at(("w", 1), z, at),
-                                                self._at(("p", 1), z, at)))
-                    elif kind == "hbarpair":
-                        rows.append(self._at(("pn", d), z, at))
-                    elif kind == "pairlam":
-                        rows.append(self._pair_lambda_mean(
-                            d, self._at(("w", d), z, at), self._at(("p", d), z, at),
-                            self._at(("pn", d), z, at), self._at("sel", z, at)[0],
-                            pair_sets[d],
-                        ))
-                    elif d == 0:  # hbar:0 and m:0 vanish identically
-                        rows.append(np.zeros(len(z)))
-                    elif kind == "hbar":
-                        rows.append(_log_norm(self._at(("w", d), z, at)))
-                    else:
-                        rows.append(self.ctx.level_lambda_mean(
-                            d, self._at(("w", d), z, at), self._at("sel", z, at)[0]))
-            return np.vstack(rows)
+                return np.vstack(rows(at))
 
-        values, converged, nodes = adaptive_midpoint(g, tol=self.tol)
-        out = {
-            nm: (float(v), bool(c))
-            for nm, v, c in zip(names, values, converged)
-        }
-        return out, nodes
-
-    def _at(self, key, z: np.ndarray, at: dict):
-        """Values at the nodes z, built once per node batch in ``at``:
-        ('w', d) and ('p', d) are X^d and (X^d)', 'sel' the selected tuple
-        and its level-1 Weil sum, ('pn', d) the log norm of X^d wedge (X^d)'."""
-        if key not in at:
-            if key == "sel":
-                at[key] = self.ctx.select(self._at(("w", 1), z, at))
-            elif key[0] == "pn":
-                G = self._at(("w", key[1]), z, at)
-                H = self._at(("p", key[1]), z, at)
-                ai, bi = np.triu_indices(G.shape[0], 1)
-                at[key] = _log_norm(G[ai] * H[bi] - G[bi] * H[ai])
-            else:
-                at[key] = _eval_stack(self._coeffs(key), z)
-        return at[key]
-
-    def _pair_lambda_mean(self, d, G, H, lognorm, sel, positions):
-        """Mean over the pair collection of the Weil function of the wedged
-        pair of tuple forms applied to y wedge y'."""
-        minors = self.ctx.minors(d)
-        out = np.empty(G.shape[1])
-        for t in np.unique(sel):
-            mask = sel == t
-            A = minors[t] @ G[:, mask]
-            B = minors[t] @ H[:, mask]
-            acc = np.zeros(mask.sum())
-            for i, j in positions:
-                acc += np.log(np.abs(A[i] * B[j] - A[j] * B[i]))
-            out[mask] = lognorm[mask] - acc / len(positions)
-        return out
-
-    def _mumax(self, xv: np.ndarray, xpv: np.ndarray) -> np.ndarray:
-        """Pointwise max over tuples of the generalized Weil function of the
-        tuple divisor; fmax drops the nan of nodes on a divisor."""
-        y = self.ctx.form_mat @ xv
-        yd = self.ctx.form_mat @ xpv
-        best = np.full(xv.shape[1], -np.inf)
-        for t in self.ctx.tuple_index:
-            num, den = _chart_sums(y[t], yd[t])
-            best = np.fmax(best, -0.5 * np.log(num / den))
-        return best
+        return adaptive_midpoint(g, tol=self.tol)
 
 
 def proximity_m(x: CurveLift, d: int, L, r: float,
@@ -439,10 +448,10 @@ def proximity_m(x: CurveLift, d: int, L, r: float,
         raise ValueError("proximity needs r > 0")
     if d == 0:
         return RadialValue(r=r, value=0.0, quadrature_nodes=0, converged=True)
-    vals, nodes = Evaluator(x, L, tol).radial(r, [f"m:{d}"])
-    value, converged = vals[f"m:{d}"]
-    return RadialValue(r=r, value=value, quadrature_nodes=nodes,
-                       converged=converged)
+    (value,), converged, nodes = Evaluator(x, L, tol).radial(
+        r, lambda at: [at.m(d)])
+    return RadialValue(r=r, value=float(value), quadrature_nodes=nodes,
+                       converged=bool(converged.all()))
 
 
 def proximity_hyperplane(x: CurveLift, form, r: float,

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.combinatorics import Permutation
 from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings, strategies as st
 
@@ -141,10 +142,11 @@ class TestMergeSign:
         assert merge_sign([1, 0]) == -1
         assert merge_sign([2, 0, 1]) == 1
 
-    @given(st.permutations(list(range(5))))
-    def test_square_is_identity(self, perm):
-        assert merge_sign(list(perm)) in (-1, 1)
-        assert merge_sign(list(perm)) == merge_sign(list(perm))
+    @given(st.lists(st.integers(-50, 50), unique=True, max_size=8))
+    def test_matches_sympy_parity(self, seq):
+        # oracle: the signature of the permutation that sorts seq
+        ranks = [sorted(seq).index(v) for v in seq]
+        assert merge_sign(seq) == Permutation(ranks).signature()
 
 
 class TestWedge:

@@ -114,12 +114,13 @@ class TestEvaluatorConsistency:
         x, cfg = corpus()["conic"]
         ev = Evaluator(x, cfg, tol=1e-8)
         for r in (0.5, 6.0):
-            vals, _ = ev.radial(r, ["hbar:1", "hbar:2", "hbar:3"])
-            assert vals["hbar:1"][0] == pytest.approx(
+            (h1, h2, h3), _, _ = ev.radial(
+                r, lambda at: [at.hbar(1), at.hbar(2), at.hbar(3)])
+            assert h1 == pytest.approx(
                 0.5 * math.log(1 + r ** 2 + r ** 4), abs=1e-12)
-            assert vals["hbar:2"][0] == pytest.approx(
+            assert h2 == pytest.approx(
                 0.5 * math.log(1 + 4 * r ** 2 + r ** 4), abs=1e-12)
-            assert vals["hbar:3"][0] == pytest.approx(math.log(2), abs=1e-12)
+            assert h3 == pytest.approx(math.log(2), abs=1e-12)
 
     def test_level_one_proximity_matches_quad(self):
         # m_1 is the largest level-1 tuple Weil sum divided by n + 1
@@ -134,11 +135,11 @@ class TestEvaluatorConsistency:
             return max(lam[list(t)].sum() for t in cfg.tuples) / (x.n + 1)
 
         for r in (0.7, 6.0):
-            vals, _ = ev.radial(r, ["m:1"])
+            (m1,), (converged,), _ = ev.radial(r, lambda at: [at.m(1)])
             want, _ = quad(integrand, 0, 2 * math.pi, args=(r,), limit=200,
                            epsabs=1e-11)
-            assert vals["m:1"][1]
-            assert vals["m:1"][0] == pytest.approx(want / (2 * math.pi), abs=1e-7)
+            assert converged
+            assert m1 == pytest.approx(want / (2 * math.pi), abs=1e-7)
 
     def test_dimension_mismatch_rejected(self):
         x, _ = corpus()["line"]

@@ -51,6 +51,12 @@ class TestCounting:
 
 
 class TestQuadrature:
+    def test_integrand_shape_is_checked(self):
+        with pytest.raises(ValueError, match="one value per node"):
+            circle_integral(lambda t: 1.0)
+        with pytest.raises(ValueError, match="one value per node"):
+            circle_integral(lambda t: np.vstack([t, t]))
+
     def test_matches_scipy_on_smooth_integrand(self):
         def g(t):
             return np.exp(np.cos(t)) * np.cos(np.sin(t))
@@ -265,14 +271,43 @@ class TestSelectorOracles:
     def test_mumax_matches_pointwise_mu(self, r):
         # oracle: the scalar mu at one point, maximised over the tuples
         x, cfg = _stress()
-        ev = Evaluator(x, cfg)
+        ctx = SelectorContext.from_config(cfg)
         z = _nodes(r, 8)
         xv = np.vstack([p.eval_many(z) for p in x.coords])
         xpv = np.vstack([p.derivative().eval_many(z) for p in x.coords])
-        got = ev._mumax(xv, xpv)
+        got = ctx.mumax(xv, xpv)
         for k, zk in enumerate(z):
             want = max(mu(x, [cfg.forms[i] for i in t], zk) for t in cfg.tuples)
             assert got[k] == pytest.approx(want, abs=1e-12)
+
+
+class TestRadialComponents:
+    @pytest.mark.parametrize("row", [
+        lambda at: [at.m(1)],
+        lambda at: [at.cartan()],
+        lambda at: [at.mumax()],
+        lambda at: [at.pairlam(1, [(0, 1)])],
+    ], ids=["m", "cartan", "mumax", "pairlam"])
+    def test_selection_needs_config(self, row):
+        x, _ = corpus()["conic"]
+        with pytest.raises(ValueError, match="needs a hyperplane config"):
+            Evaluator(x).radial(2.0, row)
+
+    def test_heights_and_mumax_select_no_tuple(self, monkeypatch):
+        x, cfg = corpus()["conic"]
+        calls = []
+        select = SelectorContext.select
+
+        def counted(self, xvals):
+            calls.append(xvals.shape[1])
+            return select(self, xvals)
+
+        monkeypatch.setattr(SelectorContext, "select", counted)
+        ev = Evaluator(x, cfg)
+        ev.radial(2.0, lambda at: [at.hbar(1), at.hbar(2), at.mumax()])
+        assert calls == []
+        ev.radial(2.0, lambda at: [at.cartan(), at.m(1)])
+        assert calls
 
 
 class TestMu:
