@@ -29,6 +29,7 @@ __all__ = [
     "pluecker_relations_check",
     "det_exact",
     "merge_sign",
+    "pluecker_values",
 ]
 
 
@@ -190,6 +191,14 @@ class WedgeForm:
 
     def coeff_array(self) -> np.ndarray:
         return np.array([complex(c) for c in self._pluecker], dtype=complex)
+
+
+def pluecker_values(packed: PackedRows, S: Sequence[int], n: int) -> np.ndarray:
+    """WedgeForm(n, [forms[j] for j in S]).coeff_array() for forms packed
+    in packed, read from one minor table of the rows S of packed."""
+    layer = _minor_layers([packed.rows[j] for j in S], n + 1)[len(S)]
+    return np.array([packed.scalar_complex(v, S) for v in layer.values()],
+                    dtype=complex)
 
 
 def _wedges(rows: Sequence[Sequence[GaussPoly]], n: int, levels) -> list:

@@ -415,10 +415,11 @@ class PackedRows:
     def __init__(self, rows: Sequence[Sequence]):
         entries = [[e.coeffs if isinstance(e, GaussPoly) else (e,) for e in r]
                    for r in rows]
-        flats, self.scales = [], [1]
+        flats, self.dens, self.scales = [], [], [1]
         for r in entries:
             den, flat = _lcd_numerators([c for cs in r for c in cs])
             flats.append(flat)
+            self.dens.append(den)
             self.scales.append(self.scales[-1] * den)
         # the extra bit keeps width >= 2, so the empty minor 1 unpacks too
         self.width = sum(_l1_norm(f).bit_length() for f in flats) + 2
@@ -437,6 +438,14 @@ class PackedRows:
     def scalar(self, value: tuple, k: int) -> GaussRational:
         """The scalar minor of the first k rows packed in value."""
         return _rational(value[0], value[1], self.scales[k])
+
+    def scalar_complex(self, value: tuple, rows: Sequence[int]) -> complex:
+        """complex() of the scalar minor of the given rows packed in value.
+        Each part is one int/int true division, which is correctly rounded,
+        so it equals complex(scalar(...)): float() of a Fraction divides the
+        same way."""
+        den = math.prod(self.dens[i] for i in rows)
+        return complex(value[0] / den, value[1] / den)
 
 
 @dataclass(frozen=True)

@@ -279,8 +279,9 @@ def verify_prop62(x: CurveLift, config: HyperplaneConfig,
     computed by two routes on shared quadrature nodes: directly (-m_{d-1} +
     2 m_d - m_{d+1} against the same second difference of bare heights) and
     through the pair collection on the level-d derived curve.  route_gap
-    records their disagreement.  One Evaluator serves all levels; the rows
-    are stacked level by level behind a leading d column."""
+    records their disagreement.  One Evaluator serves all levels, and the
+    levels of one radius share their node batches (Evaluator.radials); the
+    rows are stacked level by level behind a leading d column."""
     levels = list(levels)
     for d in levels:
         if not (1 <= d <= x.n):
@@ -294,11 +295,17 @@ def verify_prop62(x: CurveLift, config: HyperplaneConfig,
             raise ValueError("distance-one collection unbalanced or empty")
         positions[d] = coll.positions()
 
+    def level_row(d, at):
+        return [at.m(d - 1), at.m(d), at.m(d + 1),
+                at.hbar(d - 1), at.hbar(d), at.hbar(d + 1),
+                at.pairlam(d, positions[d]), at.hbarpair(d)]
+
+    radii = _validate_radii(radii)
+    each = [functools.partial(level_row, d) for d in levels]
+    results = {r: dict(zip(levels, ev.radials(r, each))) for r in radii}
+
     def build(d, r):
-        vals, conv, _ = ev.radial(r, lambda at: [
-            at.m(d - 1), at.m(d), at.m(d + 1),
-            at.hbar(d - 1), at.hbar(d), at.hbar(d + 1),
-            at.pairlam(d, positions[d]), at.hbarpair(d)])
+        vals, conv, _ = results[r][d]
         m, h, (m_c, hbar_pair) = vals[0:3], vals[3:6], vals[6:]
         lhs1 = -m[0] + 2 * m[1] - m[2]
         rhs1 = -h[0] + 2 * h[1] - h[2]
@@ -320,8 +327,7 @@ def verify_prop62(x: CurveLift, config: HyperplaneConfig,
     return SweepReport(
         columns=("d", "r", "lhs", "rhs", "margin", "lhs_pair", "rhs_pair",
                  "margin_pair", "route_gap", "m_C", "hbar_pair", "converged"),
-        rows=[row for d in levels
-              for row in _margin_rows(radii, functools.partial(build, d))],
+        rows=[build(d, r) for d in levels for r in radii],
     )
 
 

@@ -5,6 +5,10 @@ Quadrature is a composite midpoint rule with node doubling; midpoint nodes
 sit at half-steps so they never land on theta = 2*pi*k/N.  A node that still
 hits a singularity is offset by a further half-step; if that fails too the
 result is flagged unconverged rather than patched silently.
+
+Every circle average of a curve integrates a row function of one NodeBatch
+of nodes (Evaluator.radial); the rows of one radius share bit-identical
+batches (Evaluator.radials), and the tuple selector works in one pass.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from typing import Callable, Dict, Sequence, Tuple
 import numpy as np
 
 from .curve import CurveLift, DegenerateCurveError, associated, level_divisor
-from .exterior import WedgeForm, WedgeVector, multi_indices
-from .gauss import Divisor, GaussPoly
+from .exterior import WedgeForm, WedgeVector, multi_indices, pluecker_values
+from .gauss import Divisor, GaussPoly, PackedRows
 
 __all__ = [
     "RadialValue",
@@ -161,7 +165,7 @@ def height_bar(X, r: float, tol: float = QUAD_TOL) -> RadialValue:
         arrays = _coeff_arrays(X.polys())
 
     def g(theta: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             return _log_norm(_eval_stack(arrays, r * np.exp(1j * theta)))
 
     return circle_integral(g, tol, r)
@@ -210,6 +214,7 @@ class SelectorContext:
         self.tuples = [tuple(t) for t in tuples]
         self.form_mat = _form_matrix(self.forms)
         self.tuple_index = np.array(self.tuples, dtype=np.intp)
+        self._packed = PackedRows(self.forms)
         self._minors: dict = {}
 
     @classmethod
@@ -220,7 +225,8 @@ class SelectorContext:
         """Exact minor matrices per tuple: entry [t, a, b] pairs the wedge of
         tuple t's forms at index set I_a with Pluecker coordinate M_b.  The
         entry depends only on the form subset t[I_a], so each subset's
-        Pluecker coefficients are computed once and shared by all tuples."""
+        Pluecker coefficients are computed once, from the forms packed once
+        per context, and shared by all tuples."""
         if d not in self._minors:
             idx = multi_indices(self.n, d)
             table = {}
@@ -230,29 +236,34 @@ class SelectorContext:
                 for ia in idx:
                     S = tuple(t[i] for i in ia.elements)
                     if S not in table:
-                        table[S] = WedgeForm(
-                            self.n, tuple(self.forms[j] for j in S)).coeff_array()
+                        table[S] = pluecker_values(self._packed, S, self.n)
                     row.append(table[S])
                 mats.append(row)
             self._minors[d] = np.array(mats, dtype=complex)
         return self._minors[d]
 
-    def scores(self, xvals: np.ndarray) -> np.ndarray:
-        """Level-1 Weil sums per tuple: sum_i lambda_i(x) at each node.  Each
-        form's log|L_j(x)| is computed once; a tuple sums its rows in order."""
+    def select(self, xvals: np.ndarray):
+        """The tuple with the largest level-1 Weil sum sum_i lambda_i(x) at
+        each node, and that sum, in one pass over the tuples: strict > keeps
+        the lowest index on a tie, and the first NaN sum wins, as in
+        np.argmax.  Each form's log|L_j(x)| is computed once; a tuple sums
+        its rows in order."""
         scaled = (self.n + 1) * _log_norm(xvals)
         with np.errstate(divide="ignore"):
             logf = np.log(np.abs(self.form_mat @ xvals))
-        out = np.empty((len(self.tuples), xvals.shape[1]))
-        for k, t in enumerate(self.tuple_index):
-            out[k] = scaled - logf[t].sum(axis=0)
-        return out
-
-    def select(self, xvals: np.ndarray):
-        """Argmax tuple per node (ties go to the lowest index) and the max."""
-        s = self.scores(xvals)
-        sel = np.argmax(s, axis=0)
-        return sel, s[sel, np.arange(s.shape[1])]
+        # a sum is NaN only where the log norm is not finite or a form value
+        # is NaN or +inf
+        nan_free = np.isfinite(scaled).all() and (logf < np.inf).all()
+        sums = (scaled - logf[t].sum(axis=0) for t in self.tuple_index)
+        best = next(sums)
+        sel = np.zeros(xvals.shape[1], dtype=np.intp)
+        for k, s in enumerate(sums, 1):
+            take = s > best
+            if not nan_free:
+                take |= np.isnan(s) & ~np.isnan(best)
+            np.copyto(best, s, where=take)
+            sel[take] = k
+        return sel, best
 
     def _by_selected(self, d: int, sel: np.ndarray, *vals: np.ndarray):
         """For each distinct selected tuple t: the mask of the nodes that
@@ -303,15 +314,23 @@ class SelectorContext:
 
 class NodeBatch:
     """One batch of quadrature nodes z of an Evaluator.  Each component
-    method returns one value per node; X^d, (X^d)', the tuple selection and
-    the log norm of X^d wedge (X^d)' are evaluated once per batch."""
+    method returns one value per node; the tuple selection, |X^d|, m(d) and
+    the log norm of X^d wedge (X^d)' are evaluated once per batch, X^d and
+    (X^d)' once until release()."""
 
     def __init__(self, ev: "Evaluator", z: np.ndarray):
         self.ev = ev
         self.z = z
         self._wedge: Dict[int, np.ndarray] = {}
         self._partner: Dict[int, np.ndarray] = {}
+        self._hbar: Dict[int, np.ndarray] = {}
+        self._m: Dict[int, np.ndarray] = {}
         self._pair_norm: Dict[int, np.ndarray] = {}
+
+    def release(self) -> None:
+        """Drop X^d and (X^d)', the bulk of the batch, until needed again."""
+        self._wedge.clear()
+        self._partner.clear()
 
     def _ctx(self) -> SelectorContext:
         if self.ev.ctx is None:
@@ -337,14 +356,21 @@ class NodeBatch:
 
     def hbar(self, d: int) -> np.ndarray:
         """log |X^d|; identically zero at d = 0."""
-        return _log_norm(self.wedge(d)) if d else np.zeros(len(self.z))
+        if d == 0:
+            return np.zeros(len(self.z))
+        if d not in self._hbar:
+            self._hbar[d] = _log_norm(self.wedge(d))
+        return self._hbar[d]
 
     def m(self, d: int) -> np.ndarray:
         """Mean level-d Weil function of the selected tuple; zero at d = 0."""
         ctx = self._ctx()
         if d == 0:
             return np.zeros(len(self.z))
-        return ctx.level_lambda_mean(d, self.wedge(d), self.selection[0])
+        if d not in self._m:
+            self._m[d] = ctx.level_lambda_mean(d, self.wedge(d),
+                                               self.selection[0])
+        return self._m[d]
 
     def cartan(self) -> np.ndarray:
         """The largest level-1 tuple Weil sum."""
@@ -363,11 +389,15 @@ class NodeBatch:
             self.selection[0], positions)
 
     def hbarpair(self, d: int) -> np.ndarray:
-        """log |y wedge y'| for y = X^d."""
+        """log |y wedge y'| for y = X^d; the squared Pluecker coordinates
+        |G_a H_b - G_b H_a|^2 are added pair by pair in triu_indices order,
+        the order of _log_norm's sum."""
         if d not in self._pair_norm:
             G, H = self.wedge(d), self.partner(d)
-            ai, bi = np.triu_indices(G.shape[0], 1)
-            self._pair_norm[d] = _log_norm(G[ai] * H[bi] - G[bi] * H[ai])
+            sq = np.zeros(len(self.z))
+            for a, b in zip(*np.triu_indices(len(G), 1)):
+                sq += np.abs(G[a] * H[b] - G[b] * H[a]) ** 2
+            self._pair_norm[d] = 0.5 * np.log(sq)
         return self._pair_norm[d]
 
 
@@ -392,6 +422,7 @@ class Evaluator:
         self._wedges: Dict[int, WedgeVector] = {}
         self._arrays: Dict[tuple, list] = {}
         self._divisors: Dict[int, Divisor] = {}
+        self._shared = None  # NodeBatch by node bytes inside radials()
 
     # -- exact/cached data ---------------------------------------------
 
@@ -428,14 +459,38 @@ class Evaluator:
         rows(at) returns for a NodeBatch at, for example
         ``lambda at: [at.cartan(), at.hbar(1), at.m(1)]``.  Returns
         adaptive_midpoint's (values, converged, nodes), one value and one
-        flag per row in row order."""
+        flag per row in row order.  Outside radials no batch outlives its
+        integrand call."""
 
         def g(theta: np.ndarray) -> np.ndarray:
-            at = NodeBatch(self, r * np.exp(1j * theta))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.vstack(rows(at))
+            at = self._batch(r, theta)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                vals = np.vstack(rows(at))
+            at.release()
+            return vals
 
         return adaptive_midpoint(g, tol=self.tol)
+
+    def radials(self, r: float, each: Sequence[Callable]) -> list:
+        """radial(r, rows) for each rows function in each, in order.  Every
+        call keeps its own adaptive_midpoint loop, but the calls share each
+        NodeBatch whose nodes are bit-identical, so the selection, |X^d| and
+        m(d) of a batch are evaluated once for all of them.  A batch keeps
+        only its per-node values between calls, and the shared batches are
+        dropped on return."""
+        self._shared = {}
+        try:
+            return [self.radial(r, rows) for rows in each]
+        finally:
+            self._shared = None
+
+    def _batch(self, r: float, theta: np.ndarray) -> NodeBatch:
+        if self._shared is None:
+            return NodeBatch(self, r * np.exp(1j * theta))
+        key = (r, theta.tobytes())
+        if key not in self._shared:
+            self._shared[key] = NodeBatch(self, r * np.exp(1j * theta))
+        return self._shared[key]
 
 
 def proximity_m(x: CurveLift, d: int, L, r: float,
@@ -462,7 +517,7 @@ def proximity_hyperplane(x: CurveLift, form, r: float,
 
     def g(theta: np.ndarray) -> np.ndarray:
         xv = _eval_stack(arrays, r * np.exp(1j * theta))
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             return _log_norm(xv) - np.log(np.abs(coeffs @ xv))
 
     return circle_integral(g, tol, r)

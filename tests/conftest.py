@@ -67,3 +67,18 @@ def corpus():
         "conic": (conic, conic_cfg),
         "ramified": (ramified, ram_cfg),
     }
+
+
+STRESS_COORDS = ("1", "z - 2", "z^2 + (1/2)i", "z^3 - 3z + 1", "z^5 + 2z^2 - i")
+STRESS_FORMS = ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
+                (0, 0, 0, 1, 0), (0, 0, 0, 0, 1), (1, 1, 1, 1, 1),
+                (1, 2, 3, 4, 5), (1, -1, 1, -1, 1), (2, 0, 1, 0, 3))
+
+
+def stress(forms=STRESS_FORMS):
+    """The 5-coordinate stress curve with the given integer forms (by
+    default its 9 forms, which give 111 tuples)."""
+    x = normalize([parse_poly(p) for p in STRESS_COORDS])
+    exact = [tuple(GaussRational(Fraction(c), Fraction(0)) for c in f)
+             for f in forms]
+    return x, general_position_tuples(exact, x.n)

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import pytest
 
 import nevlab.curve
+import nevlab.nevanlinna
 from nevlab.cli import (
     ConfigError,
     RunConfig,
@@ -202,3 +204,33 @@ class TestMain:
         assert main(["verify", "growth", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err == "nevlab: error: root iteration failed to converge\n"
+
+
+HUGE_RADIUS = GOOD.replace("coords = 1; z; z^2", "coords = 1; z^40; z^80 + 1")
+
+
+class TestFloatOverflow:
+    def test_growth_at_huge_radius_warns_nothing(self, tmp_path, monkeypatch,
+                                                 capsys):
+        # |X^2| overflows at r = 53; the row is reported unconverged (exit 2)
+        # without a numpy RuntimeWarning.  One 16-node batch stands in for
+        # the full node-doubling loop, which runs to the node cap.
+        quadrature = nevlab.nevanlinna.adaptive_midpoint
+        calls = []
+
+        def one_batch(g, tol):
+            calls.append(tol)
+            return quadrature(g, tol, initial=16, cap=16)
+
+        monkeypatch.setattr(nevlab.nevanlinna, "adaptive_midpoint", one_batch)
+        path = tmp_path / "huge.ini"
+        path.write_text(HUGE_RADIUS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["verify", "growth", "--r", "53",
+                         "--config", str(path)])
+        assert code == 2
+        assert calls
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[-1].endswith(",0")

@@ -12,6 +12,7 @@ from nevlab.gauss import (
     Divisor,
     GaussPoly,
     GaussRational,
+    PackedRows,
     PolyParseError,
     RootFindingError,
     parse_poly,
@@ -138,6 +139,22 @@ class TestFractionFreeProduct:
         assert p.scale(GR_ZERO).is_zero()
         assert parts(p * p) == naive_product(p, p)
         assert p.scale(GR_I) * p.scale(GR_I) == -(p * p)
+
+
+class TestPackedScalar:
+    @given(st.lists(st.integers(1, 10 ** 12), min_size=3, max_size=3),
+           st.integers(-10 ** 60, 10 ** 60), st.integers(-10 ** 60, 10 ** 60),
+           st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True))
+    @settings(max_examples=100)
+    def test_scalar_complex_is_complex_of_the_exact_minor(self, dens, re, im,
+                                                          rows):
+        # each row's scale is its denominator; numerators far beyond 2^53
+        # must still round once, as float() of the Fraction does
+        packed = PackedRows([[GaussRational.of(Fraction(1, den))]
+                             for den in dens])
+        exact = GaussRational(Fraction(re, math.prod(dens[i] for i in rows)),
+                              Fraction(im, math.prod(dens[i] for i in rows)))
+        assert packed.scalar_complex((re, im), rows) == complex(exact)
 
 
 class TestGcd:

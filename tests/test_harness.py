@@ -23,7 +23,7 @@ from nevlab.harness import (
     verify_prop62,
 )
 
-from conftest import corpus, monomial_lift
+from conftest import corpus, monomial_lift, stress
 
 
 ONE, ZERO = GR_ONE, GR_ZERO
@@ -178,6 +178,16 @@ class TestVerifiers:
         assert both.rows == single[0].rows + single[1].rows
         assert both.to_csv().splitlines()[1:] == [
             line for s in single for line in s.to_csv().splitlines()[1:]]
+
+    @pytest.mark.parametrize("r", [0.54, 1.8])
+    def test_prop62_shared_batches_match_single_levels(self, r):
+        # all levels of one radius share node batches; each level alone
+        # shares none, and the stacked text must not differ
+        x, cfg = stress()
+        both = verify_prop62(x, cfg, range(1, x.n + 1), [r])
+        single = [verify_prop62(x, cfg, [d], [r]) for d in range(1, x.n + 1)]
+        assert both.to_csv() == single[0].to_csv() + "".join(
+            s.to_csv().split("\n", 1)[1] for s in single[1:])
 
     def test_prop62_level_range(self):
         x, cfg = corpus()["line"]

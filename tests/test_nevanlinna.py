@@ -1,19 +1,18 @@
+import gc
 import math
-from fractions import Fraction
+import weakref
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from nevlab.curve import associated, normalize
+from nevlab.curve import associated
 from nevlab.exterior import WedgeForm, multi_indices
-from nevlab.gauss import (
-    GR_I, GR_ONE, GR_ZERO, Divisor, GaussRational, parse_poly, roots,
-)
-from nevlab.harness import general_position_tuples
+from nevlab.gauss import GR_I, GR_ONE, GR_ZERO, Divisor, parse_poly, roots
 from nevlab.nevanlinna import (
     QUAD_TOL,
     Evaluator,
+    NodeBatch,
     RadialValue,
     SelectorContext,
     adaptive_midpoint,
@@ -28,10 +27,19 @@ from nevlab.nevanlinna import (
     weil,
 )
 
-from conftest import corpus, monomial_lift
+from conftest import STRESS_FORMS, corpus, monomial_lift, rand_forms, stress
 
 
 ONE, ZERO = GR_ONE, GR_ZERO
+
+
+def _scores(ctx, xvals):
+    """Oracle for SelectorContext.select: the (tuples, nodes) matrix of
+    level-1 Weil sums, whose np.argmax over axis 0 is the selection.  It
+    repeats select's arithmetic per tuple, so the maxima agree bit for bit."""
+    scaled = (ctx.n + 1) * (0.5 * np.log((np.abs(xvals) ** 2).sum(axis=0)))
+    logf = np.log(np.abs(ctx.form_mat @ xvals))
+    return np.array([scaled - logf[list(t)].sum(axis=0) for t in ctx.tuples])
 
 
 class TestCounting:
@@ -178,7 +186,7 @@ class TestProximity:
         theta = np.linspace(0.1, 6.2, 50)
         z = 3.0 * np.exp(1j * theta)
         xv = np.vstack([p.eval_many(z) for p in self.x.coords])
-        scores = self.ctx.scores(xv)
+        scores = _scores(self.ctx, xv)
         sel, smax = self.ctx.select(xv)
         assert np.all(smax >= scores - 1e-12)
 
@@ -193,21 +201,6 @@ class TestProximity:
         assert max(vals) - min(vals) < 1e-8
 
 
-STRESS_COORDS = ("1", "z - 2", "z^2 + (1/2)i", "z^3 - 3z + 1", "z^5 + 2z^2 - i")
-STRESS_FORMS = ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
-                (0, 0, 0, 1, 0), (0, 0, 0, 0, 1), (1, 1, 1, 1, 1),
-                (1, 2, 3, 4, 5), (1, -1, 1, -1, 1), (2, 0, 1, 0, 3))
-
-
-def _stress(forms=STRESS_FORMS):
-    """The 5-coordinate stress curve with the given integer forms (by
-    default its 9 forms, which give 111 tuples)."""
-    x = normalize([parse_poly(p) for p in STRESS_COORDS])
-    exact = [tuple(GaussRational(Fraction(c), Fraction(0)) for c in f)
-             for f in forms]
-    return x, general_position_tuples(exact, x.n)
-
-
 def _nodes(r, count=512):
     return r * np.exp(1j * (np.arange(count) + 0.5) * 2 * np.pi / count)
 
@@ -216,18 +209,32 @@ class TestSelectorOracles:
     """Oracle checks of the per-form SelectorContext against per-tuple
     rebuilds of the same quantities."""
 
+    @staticmethod
+    def _per_tuple_minors(n, cfg, d):
+        return np.array([
+            [WedgeForm(n, tuple(cfg.forms[t[i]] for i in ia.elements)
+                       ).coeff_array() for ia in multi_indices(n, d)]
+            for t in cfg.tuples
+        ], dtype=complex)
+
     def test_minors_match_per_tuple_build(self):
         # oracle: one WedgeForm per (tuple, index set), as if nothing were
         # shared between tuples
-        x, cfg = _stress()
+        x, cfg = stress()
         ctx = SelectorContext.from_config(cfg)
         for d in range(1, x.n + 2):
-            want = np.array([
-                [WedgeForm(x.n, tuple(cfg.forms[t[i]] for i in ia.elements)
-                           ).coeff_array() for ia in multi_indices(x.n, d)]
-                for t in cfg.tuples
-            ], dtype=complex)
+            want = self._per_tuple_minors(x.n, cfg, d)
             assert np.array_equal(ctx.minors(d), want)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rational_minors_match_per_tuple_build(self, rng, n):
+        # forms with denominators up to 7: each minor is divided by the
+        # product of its rows' scales, bit for bit as the Fraction route
+        cfg = rand_forms(rng, n, count=n + 3, span=7)
+        ctx = SelectorContext(n, cfg.forms, cfg.tuples)
+        for d in range(1, n + 2):
+            assert np.array_equal(ctx.minors(d),
+                                  self._per_tuple_minors(n, cfg, d))
 
     @staticmethod
     def _brute_select(forms, tuples, xv):
@@ -248,7 +255,7 @@ class TestSelectorOracles:
         # form 6 negates form 5, so every tuple holding form 6 ties exactly
         # with its twin holding form 5 in the same position, which has the
         # lower index
-        x, cfg = _stress(STRESS_FORMS[:6] + ((-1, -1, -1, -1, -1),)
+        x, cfg = stress(STRESS_FORMS[:6] + ((-1, -1, -1, -1, -1),)
                          + STRESS_FORMS[6:])
         ctx = SelectorContext.from_config(cfg)
         xv = np.vstack([p.eval_many(_nodes(r)) for p in x.coords])
@@ -256,7 +263,7 @@ class TestSelectorOracles:
         want_sel, want_max = self._brute_select(cfg.forms, cfg.tuples, xv)
         assert np.array_equal(sel, want_sel)
         assert np.array_equal(smax, want_max)
-        scores = ctx.scores(xv)
+        scores = _scores(ctx, xv)
         index = {t: k for k, t in enumerate(cfg.tuples)}
         twins = [(index[tuple(5 if i == 6 else i for i in t)], k)
                  for k, t in enumerate(cfg.tuples) if 6 in t]
@@ -267,10 +274,48 @@ class TestSelectorOracles:
         assert all(6 not in t for t in chosen)
         assert any(5 in t for t in chosen)
 
+    @pytest.mark.parametrize("kind", ["circle", "twins", "vanishing",
+                                      "nonfinite"])
+    def test_select_is_argmax_of_scores(self, kind):
+        # bit for bit: the selection is np.argmax of the oracle scores (the
+        # first maximum, and the first NaN where there is one) and the max
+        # is the selected score.  "vanishing" columns have entries in
+        # {-1, 0, 1}, so forms vanish and many tuples tie at +inf;
+        # "nonfinite" columns hold entries near the float limit (so norms
+        # and some form values overflow), inf, nan or only zeros, so some
+        # scores are NaN, and not always the first
+        rng = np.random.default_rng(7)
+        if kind == "twins":
+            x, cfg = stress(STRESS_FORMS[:6] + ((-1, -1, -1, -1, -1),)
+                            + STRESS_FORMS[6:])
+        else:
+            x, cfg = stress()
+        ctx = SelectorContext.from_config(cfg)
+        xv = np.vstack([p.eval_many(_nodes(1.8, 64)) for p in x.coords])
+        if kind == "vanishing":
+            xv = rng.integers(-1, 2, size=(5, 200)) + 0j
+        elif kind == "nonfinite":
+            xv = rng.choice([1, -1, 2j, 0, 1e308, -1e308],
+                            size=(5, 400)) + 0j
+            xv[:, :3] = [0, np.inf, np.nan]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            scores = _scores(ctx, xv)
+            sel, smax = ctx.select(xv)
+        want = np.argmax(scores, axis=0)
+        assert np.array_equal(sel, want)
+        assert smax.tobytes() == scores[want, np.arange(len(want))].tobytes()
+        if kind == "vanishing":
+            top = scores == np.inf
+            assert (top.sum(axis=0) > 1).any()
+        if kind == "nonfinite":
+            nan = np.isnan(scores)
+            assert (nan.any(axis=0) & ~nan[0]).any()
+            assert (~nan.any(axis=0) & np.isinf(scores).any(axis=0)).any()
+
     @pytest.mark.parametrize("r", [0.54, 1.8, 6.0])
     def test_mumax_matches_pointwise_mu(self, r):
         # oracle: the scalar mu at one point, maximised over the tuples
-        x, cfg = _stress()
+        x, cfg = stress()
         ctx = SelectorContext.from_config(cfg)
         z = _nodes(r, 8)
         xv = np.vstack([p.eval_many(z) for p in x.coords])
@@ -308,6 +353,92 @@ class TestRadialComponents:
         assert calls == []
         ev.radial(2.0, lambda at: [at.cartan(), at.m(1)])
         assert calls
+
+
+class TestNodeBatch:
+    @pytest.mark.parametrize("r", [0.54, 6.0])
+    def test_hbarpair_matches_gather(self, r):
+        # oracle: every 2 x 2 Pluecker coordinate of y wedge y' gathered at
+        # once, then one log norm
+        x, cfg = stress()
+        ev = Evaluator(x, cfg)
+        for d in range(1, x.n + 1):
+            at = NodeBatch(ev, _nodes(r))
+            G, H = at.wedge(d), at.partner(d)
+            ai, bi = np.triu_indices(len(G), 1)
+            v = G[ai] * H[bi] - G[bi] * H[ai]
+            want = 0.5 * np.log((np.abs(v) ** 2).sum(axis=0))
+            assert np.array_equal(at.hbarpair(d), want)
+
+    def test_hbarpair_single_coordinate_is_minus_inf(self):
+        # X^{n+1} has one Pluecker coordinate, so y wedge y' has none
+        x, cfg = stress()
+        at = NodeBatch(Evaluator(x, cfg), _nodes(1.8))
+        with np.errstate(divide="ignore"):
+            got = at.hbarpair(x.n + 1)
+        assert np.all(got == -np.inf)
+
+    def test_single_row_radial_keeps_no_batch(self):
+        x, cfg = corpus()["conic"]
+        seen = []
+
+        def rows(at):
+            gc.collect()
+            assert all(ref() is None for ref in seen)
+            seen.append(weakref.ref(at))
+            return [at.m(1), at.hbar(2)]
+
+        Evaluator(x, cfg).radial(3.0, rows)
+        gc.collect()
+        assert seen and all(ref() is None for ref in seen)
+
+    def test_radials_share_batches_of_one_radius(self, monkeypatch):
+        x, cfg = stress()
+        calls, means = [], []
+        select = SelectorContext.select
+        level_mean = SelectorContext.level_lambda_mean
+
+        def counted(self, xvals):
+            calls.append(xvals.shape[1])
+            return select(self, xvals)
+
+        def counted_mean(self, d, wedge_vals, sel):
+            means.append((d, wedge_vals.shape[1]))
+            return level_mean(self, d, wedge_vals, sel)
+
+        seen = {1: {}, 2: {}}
+        reused = []
+
+        def components(d, at):
+            return [at.m(d), at.m(d + 1), at.hbar(d)]
+
+        def level(d):
+            def rows(at):
+                key = at.z.tobytes()
+                seen[d][key] = weakref.ref(at)
+                if d == 2 and key in seen[1]:
+                    assert seen[1][key]() is at
+                    reused.append(len(at.z))
+                return components(d, at)
+            return rows
+
+        monkeypatch.setattr(SelectorContext, "select", counted)
+        monkeypatch.setattr(SelectorContext, "level_lambda_mean", counted_mean)
+        shared = Evaluator(x, cfg).radials(1.8, [level(1), level(2)])
+        # one selection per distinct batch and one m(d) per batch and level:
+        # level 2 reuses level 1's batches, their selections and m(2)
+        assert reused
+        assert len(calls) == len(seen[1].keys() | seen[2].keys())
+        assert len(means) == len({(d, k) for e in (1, 2) for k in seen[e]
+                                  for d in (e, e + 1)})
+        gc.collect()
+        assert all(ref() is None for refs in seen.values()
+                   for ref in refs.values())
+        for d, (v, c, n) in zip((1, 2), shared):
+            w, e, m = Evaluator(x, cfg).radial(
+                1.8, lambda at: components(d, at))
+            assert v.tobytes() == w.tobytes()
+            assert np.array_equal(c, e) and n == m
 
 
 class TestMu:
