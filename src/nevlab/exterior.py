@@ -281,26 +281,17 @@ def pluecker_relations_check(X: WedgeVector) -> bool:
     if not (1 <= d <= n):
         raise ValueError("relations check requires 1 <= d <= n")
     lookup = {mi.elements: p for mi, p in X.coords}
-
-    def signed(elements) -> tuple:
-        """(sign, coordinate) with antisymmetric sign; zero on repeats."""
-        if len(set(elements)) != len(elements):
-            return 0, GaussPoly.zero()
-        return merge_sign(elements), lookup[tuple(sorted(elements))]
-
     for S in itertools.combinations(range(n + 1), d - 1):
         for T in itertools.combinations(range(n + 1), d + 1):
-            acc = GaussPoly.zero()
+            # sum_k (-1)^k X_{S t_k} X_{T - t_k}, with X antisymmetric in
+            # its index and zero on a repeated one
+            cs, ps = [], []
             for k, t in enumerate(T):
-                s1, p1 = signed(list(S) + [t])
-                if s1 == 0:
+                if t in S:
                     continue
-                rest = T[:k] + T[k + 1:]
-                p2 = lookup[rest]
-                term = (p1 * p2).scale(GaussRational.of(s1))
-                if k % 2:
-                    term = -term
-                acc = acc + term
-            if not acc.is_zero():
+                cs.append(GaussRational.of((-1) ** k * merge_sign(S + (t,))))
+                ps.append(lookup[tuple(sorted(S + (t,)))]
+                          * lookup[T[:k] + T[k + 1:]])
+            if not linear_combination(cs, ps).is_zero():
                 return False
     return True

@@ -1,14 +1,16 @@
 """Exact univariate polynomial arithmetic over the Gaussian rationals Q(i).
 
 Everything downstream (wedge coordinates, Wronskians, gcd divisors) relies on
-this module being exact: coefficients are pairs of ``fractions.Fraction`` and
-no operation ever rounds.  Floating point enters only at the evaluation
-boundary (``GaussPoly.eval``, ``roots``).
+this module being exact: no operation ever rounds.  Floating point enters only
+at the evaluation boundary (``GaussPoly.eval``, ``roots``).
 
-Products are fraction-free: a polynomial's coefficients are Gaussian-integer
-numerators over one common denominator, and a product is computed on the
-numerators packed into Python integers (Kronecker substitution, z = 2^width),
-so each result coefficient becomes a ``Fraction`` once, at the end.
+A GaussPoly stores one form, (nums, den): the ascending tuple of its
+Gaussian-integer numerators (re, im), Python ints, over one integer den.  The
+form is canonical -- no trailing zero numerator, den > 0 and gcd(den, every
+re, every im) == 1, so zero is ((), 1) -- and equality and hashing follow the
+value.  Every operation works on the integers and normalises its result once.
+GaussRational, a pair of ``Fraction``s, is the scalar type at the API
+boundary: hyperplane forms, parsed constants and the ``GaussPoly.coeffs`` view.
 """
 
 from __future__ import annotations
@@ -96,21 +98,21 @@ class GaussRational:
 GR_ZERO = GaussRational.of(0)
 GR_ONE = GaussRational.of(1)
 GR_I = GaussRational.of(0, 1)
-_F_ZERO = Fraction(0)
+_GR_MINUS_ONE = GaussRational.of(-1)
 
 
 # ---------------------------------------------------------------------------
-# Fraction-free Gaussian-integer kernels
+# Gaussian-integer kernels
 # ---------------------------------------------------------------------------
 #
-# A Gaussian-integer polynomial sum_k (a_k + b_k i) z^k is packed as the pair
-# of integers (sum_k a_k 2^(width*k), sum_k b_k 2^(width*k)): its value at
-# z = 2^width.  Sums and products of packed values are the packed sums and
-# products, and a result unpacks exactly (as signed digits) while every
-# coefficient magnitude stays below 2^(width-1).  A coefficient list of
-# length one packs to its own numerators, whatever the width.  Only this
-# module knows the format: GaussPoly products and linear combinations use it
-# directly, and the determinant kernel in exterior works on PackedRows.
+# Products pack numerators sum_k (a_k + b_k i) z^k into the pair of integers
+# (sum_k a_k 2^(width*k), sum_k b_k 2^(width*k)), their value at z = 2^width
+# (Kronecker substitution).  Sums and products of packed values are the
+# packed sums and products, and a result unpacks exactly (as signed digits)
+# while every coefficient magnitude stays below 2^(width-1).  A coefficient
+# list of length one packs to its own numerators, whatever the width.  Only
+# this module knows either format: the determinant kernel in exterior works
+# on PackedRows.
 
 
 def _lcd_numerators(coeffs: Sequence[GaussRational]) -> tuple:
@@ -136,18 +138,21 @@ def _pack(nums: Sequence[tuple], width: int) -> tuple:
     return re, im
 
 
-def _unpack(value: int, width: int) -> list:
-    """Signed base-2^width digits of value, lowest first, up to the top
-    nonzero one."""
+def _unpack(value: tuple, width: int) -> list:
+    """The (re, im) coefficients packed in value at z = 2^width: each part's
+    signed base-2^width digits, lowest first, up to the top nonzero one."""
     mask, half, full = (1 << width) - 1, 1 << (width - 1), 1 << width
-    digits = []
-    while value:
-        digit = value & mask
-        if digit >= half:
-            digit -= full
-        digits.append(digit)
-        value = (value - digit) >> width
-    return digits
+    parts = []
+    for part in value:
+        digits = []
+        while part:
+            digit = part & mask
+            if digit >= half:
+                digit -= full
+            digits.append(digit)
+            part = (part - digit) >> width
+        parts.append(digits)
+    return list(itertools.zip_longest(*parts, fillvalue=0))
 
 
 def gi_mul(a: tuple, b: tuple) -> tuple:
@@ -155,10 +160,15 @@ def gi_mul(a: tuple, b: tuple) -> tuple:
     return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
+def _times(nums: Sequence[tuple], c: tuple) -> list:
+    """Each Gaussian-integer numerator times the Gaussian integer c."""
+    cr, ci = c
+    return [(a * cr - b * ci, a * ci + b * cr) for a, b in nums]
+
+
 def _rational(re: int, im: int, den: int) -> GaussRational:
     """(re + im i) / den, each part normalised to a Fraction once."""
-    return GaussRational(Fraction(re, den) if re else _F_ZERO,
-                         Fraction(im, den) if im else _F_ZERO)
+    return GaussRational(Fraction(re, den), Fraction(im, den))
 
 
 def _as_gr(value) -> GaussRational:
@@ -169,61 +179,105 @@ def _as_gr(value) -> GaussRational:
     raise TypeError(f"cannot coerce {value!r} to GaussRational")
 
 
-@dataclass(frozen=True)
-class GaussPoly:
-    """Univariate polynomial over Q(i), coefficients ascending in the power of z.
+def _poly(nums: Iterable[tuple], den: int = 1) -> "GaussPoly":
+    """The canonical GaussPoly sum_k nums[k] z^k / den, for den > 0."""
+    nums = list(nums)
+    while nums and nums[-1] == (0, 0):
+        nums.pop()
+    g = math.gcd(den, *itertools.chain.from_iterable(nums))
+    if g != 1:
+        nums = [(a // g, b // g) for a, b in nums]
+    p = object.__new__(GaussPoly)
+    object.__setattr__(p, "nums", tuple(nums))
+    object.__setattr__(p, "den", den // g)
+    return p
 
-    Canonical form: no trailing zero coefficients; the zero polynomial is the
-    empty tuple and reports degree -1 (the degree sentinel).
+
+def _pseudo_divmod(a: Sequence[tuple], b: Sequence[tuple]) -> tuple:
+    """(s, q, r) with s*a = q*b + r over Z[i], deg r < deg b and s a positive
+    integer, for Gaussian-integer coefficients a and b != 0.
+
+    Euclid runs against b' = conj(beta) * b, beta the leading coefficient of
+    b, whose leading coefficient N = |beta|^2 is an integer.  The quotient
+    digit of a top coefficient t is t*f/N, a Gaussian integer once the
+    remainder is scaled by f = N / gcd(N, t), and it is scaled by no more.
+    So q/s and r/s are the quotient and remainder of Euclid over Q(i).
+    """
+    conj = (b[-1][0], -b[-1][1])
+    bc = _times(b, conj)
+    n, db = bc[-1][0], len(b) - 1
+    r, q, s = list(a), [(0, 0)] * (len(a) - db), 1
+    for k in range(len(q) - 1, -1, -1):
+        tr, ti = r[k + db]
+        if not (tr or ti):
+            continue
+        g = math.gcd(n, tr, ti)
+        f = n // g
+        if f != 1:
+            s *= f
+            r = [(x * f, y * f) for x, y in r[:k + db + 1]]
+            q = [(x * f, y * f) for x, y in q]
+        cr, ci = q[k] = tr // g, ti // g
+        for j, (xr, xi) in enumerate(bc):
+            x, y = r[k + j]
+            r[k + j] = (x - cr * xr + ci * xi, y - cr * xi - ci * xr)
+    return s, _times(q, conj), r[:db]
+
+
+@dataclass(frozen=True, init=False)
+class GaussPoly:
+    """Univariate polynomial over Q(i) in the canonical (nums, den) form;
+    the zero polynomial reports degree -1 (the degree sentinel).
+    GaussPoly(coeffs) builds one from GaussRational coefficients ascending
+    in the power of z, and coeffs is the same view back, derived and cached.
     """
 
-    coeffs: tuple
+    nums: tuple
+    den: int
 
-    def __post_init__(self):
-        cs = self.coeffs
-        if cs and not cs[-1]:
-            cs = list(cs)
-            while cs and not cs[-1]:
-                cs.pop()
-            object.__setattr__(self, "coeffs", tuple(cs))
+    def __new__(cls, coeffs: Iterable[GaussRational] = ()):
+        den, nums = _lcd_numerators([_as_gr(c) for c in coeffs])
+        return _poly(nums, den)
 
     @staticmethod
     def of(*coeffs) -> "GaussPoly":
-        return GaussPoly.from_coeffs(_as_gr(c) for c in coeffs)
+        return GaussPoly(coeffs)
 
     @staticmethod
     def from_coeffs(coeffs: Iterable[GaussRational]) -> "GaussPoly":
-        cs = list(coeffs)
-        while cs and not cs[-1]:
-            cs.pop()
-        return GaussPoly(tuple(cs))
+        return GaussPoly(coeffs)
 
     @staticmethod
     def zero() -> "GaussPoly":
-        return GaussPoly(())
+        return _poly(())
 
     @staticmethod
     def one() -> "GaussPoly":
-        return GaussPoly((GR_ONE,))
+        return _poly([(1, 0)])
 
     @staticmethod
     def z() -> "GaussPoly":
-        return GaussPoly((GR_ZERO, GR_ONE))
+        return _poly([(0, 0), (1, 0)])
 
     @staticmethod
     def constant(c) -> "GaussPoly":
-        return GaussPoly.from_coeffs([_as_gr(c)])
+        return GaussPoly([c])
+
+    @cached_property
+    def coeffs(self) -> tuple:
+        """The coefficients as GaussRationals, ascending."""
+        return tuple(_rational(a, b, self.den) for a, b in self.nums)
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.nums) <= 1
 
     def leading(self) -> GaussRational:
         if self.is_zero():
@@ -231,80 +285,41 @@ class GaussPoly:
         return self.coeffs[-1]
 
     def coeff(self, k: int) -> GaussRational:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else GR_ZERO
+        return self.coeffs[k] if 0 <= k < len(self.nums) else GR_ZERO
 
     def __add__(self, other: "GaussPoly") -> "GaussPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return GaussPoly.from_coeffs(
-            self.coeff(k) + other.coeff(k) for k in range(n)
-        )
+        return linear_combination((GR_ONE, GR_ONE), (self, other))
 
     def __sub__(self, other: "GaussPoly") -> "GaussPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return GaussPoly.from_coeffs(
-            self.coeff(k) - other.coeff(k) for k in range(n)
-        )
+        return linear_combination((GR_ONE, _GR_MINUS_ONE), (self, other))
 
     def __neg__(self) -> "GaussPoly":
-        return GaussPoly(tuple(-c for c in self.coeffs))
-
-    @cached_property
-    def _numerators(self) -> tuple:
-        """(den, [(re, im), ...]): the coefficients' Gaussian-integer
-        numerators over their least common denominator."""
-        return _lcd_numerators(self.coeffs)
-
-    @staticmethod
-    def _from_packed(value: tuple, width: int, den: int) -> "GaussPoly":
-        """The polynomial whose numerators over den are packed in value."""
-        re, im = _unpack(value[0], width), _unpack(value[1], width)
-        size = max(len(re), len(im))
-        re += [0] * (size - len(re))
-        im += [0] * (size - len(im))
-        return GaussPoly(tuple(_rational(a, b, den) for a, b in zip(re, im)))
+        return _poly([(-a, -b) for a, b in self.nums], self.den)
 
     def __mul__(self, other: "GaussPoly") -> "GaussPoly":
-        if self.is_zero() or other.is_zero():
-            return GaussPoly.zero()
-        da, a = self._numerators
-        db, b = other._numerators
-        width = (_l1_norm(a) * _l1_norm(b)).bit_length() + 1
-        return GaussPoly._from_packed(
-            gi_mul(_pack(a, width), _pack(b, width)), width, da * db)
+        width = (_l1_norm(self.nums) * _l1_norm(other.nums)).bit_length() + 1
+        value = gi_mul(_pack(self.nums, width), _pack(other.nums, width))
+        return _poly(_unpack(value, width), self.den * other.den)
 
     def scale(self, c: GaussRational) -> "GaussPoly":
-        return linear_combination([_as_gr(c)], [self])
+        den, num = _lcd_numerators([_as_gr(c)])
+        return _poly(_times(self.nums, num[0]), den * self.den)
 
     def __pow__(self, k: int) -> "GaussPoly":
         if k < 0:
             raise ValueError("negative power of a polynomial")
         result = GaussPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
+        for _ in range(k):
+            result = result * self
         return result
 
     def divmod(self, other: "GaussPoly") -> tuple:
         """Exact Euclidean division: self = q*other + r with deg r < deg other."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return GaussPoly.zero(), self
-        quot = [GR_ZERO] * (dq + 1)
-        lead = other.leading()
-        for k in range(dq, -1, -1):
-            top = rem[k + other.degree]
-            if top:
-                c = top / lead
-                quot[k] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] = rem[k + j] - c * b
-        return GaussPoly.from_coeffs(quot), GaussPoly.from_coeffs(rem)
+        s, q, r = _pseudo_divmod(self.nums, other.nums)
+        den = s * self.den
+        return _poly(_times(q, (other.den, 0)), den), _poly(r, den)
 
     def __floordiv__(self, other: "GaussPoly") -> "GaussPoly":
         q, r = self.divmod(other)
@@ -316,27 +331,30 @@ class GaussPoly:
         return self.divmod(other)[1]
 
     def derivative(self) -> "GaussPoly":
-        return GaussPoly.from_coeffs(
-            GaussRational(c.re * k, c.im * k)
-            for k, c in enumerate(self.coeffs) if k > 0
-        )
+        return _poly([(k * a, k * b) for k, (a, b) in enumerate(self.nums)
+                      if k], self.den)
 
     def monic(self) -> "GaussPoly":
         if self.is_zero():
             return self
-        return self.scale(GR_ONE / self.leading())
+        br, bi = self.nums[-1]
+        return _poly(_times(self.nums, (br, -bi)), br * br + bi * bi)
 
     def complex_coeffs(self) -> np.ndarray:
-        """Float image of the coefficients, ascending; [0] for the zero poly."""
+        """Float image of the coefficients, ascending; [0] for the zero poly.
+        Each part is one int/int true division, which is correctly rounded,
+        so it equals complex() of the coefficient: float() of a Fraction
+        divides the same way."""
         if self.is_zero():
             return np.zeros(1, dtype=complex)
-        return np.array([complex(c) for c in self.coeffs], dtype=complex)
+        return np.array([complex(a / self.den, b / self.den)
+                         for a, b in self.nums], dtype=complex)
 
     def eval(self, z: complex) -> complex:
         """Horner evaluation of the float image."""
         acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + complex(c)
+        for a, b in reversed(self.nums):
+            acc = acc * z + complex(a / self.den, b / self.den)
         return acc
 
     def eval_many(self, z: np.ndarray) -> np.ndarray:
@@ -346,64 +364,53 @@ class GaussPoly:
         """Exact order of vanishing at the origin."""
         if self.is_zero():
             raise ValueError("order at zero undefined for the zero polynomial")
-        for k, c in enumerate(self.coeffs):
-            if c:
-                return k
-        raise AssertionError("non-canonical polynomial")
+        return next(k for k, c in enumerate(self.nums) if c != (0, 0))
 
     def shift_down(self, k: int) -> "GaussPoly":
         """Exact division by z^k (requires ord_at_zero >= k)."""
-        if any(self.coeffs[j] for j in range(min(k, len(self.coeffs)))):
+        if any(c != (0, 0) for c in self.nums[:k]):
             raise ValueError("polynomial not divisible by z^k")
-        return GaussPoly(self.coeffs[k:])
+        return _poly(self.nums[k:], self.den)
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
         terms = []
         for k, c in enumerate(self.coeffs):
             if not c:
                 continue
-            if c.im == 0:
-                # parenthesize negatives so str/parse round-trips
-                cs = str(c.re) if c.re >= 0 else f"({c.re})"
-            elif c.re == 0:
-                cs = f"({c.im})i"
-            else:
-                cs = f"({c.re} + ({c.im})i)"
+            cs = str(c)
+            # parenthesize negatives and sums so str/parse round-trips
+            if c.re < 0 if c.im == 0 else c.re != 0:
+                cs = f"({cs})"
             if k == 0:
                 terms.append(cs)
             elif k == 1:
                 terms.append(f"{cs}*z")
             else:
                 terms.append(f"{cs}*z^{k}")
-        return " + ".join(terms)
+        return " + ".join(terms) or "0"
 
 
 def linear_combination(cs: Sequence[GaussRational],
                        ps: Sequence[GaussPoly]) -> GaussPoly:
-    """sum_k cs[k] * ps[k], fraction-free: the polynomials' numerators over
-    one common denominator are packed and summed, and each result
-    coefficient is normalised once."""
-    terms = [(c, p) for c, p in zip(cs, ps) if c and not p.is_zero()]
-    if not terms:
-        return GaussPoly.zero()
-    dc, cn = _lcd_numerators([c for c, _ in terms])
-    parts = [p._numerators for _, p in terms]
-    dp = math.lcm(*(d for d, _ in parts))
-    pn = [[(a * (dp // d), b * (dp // d)) for a, b in ns] for d, ns in parts]
-    bound = sum((abs(a) + abs(b)) * _l1_norm(ns) for (a, b), ns in zip(cn, pn))
-    width = bound.bit_length() + 1
-    re = im = 0
-    for c, ns in zip(cn, pn):
-        pr, pi = gi_mul(c, _pack(ns, width))
-        re, im = re + pr, im + pi
-    return GaussPoly._from_packed((re, im), width, dc * dp)
+    """sum_k cs[k] * ps[k] on the numerators over one common denominator,
+    normalised once."""
+    terms = [(_lcd_numerators([c]), p) for c, p in zip(cs, ps)
+             if c and p.nums]
+    den = math.lcm(*(d * p.den for (d, _), p in terms))
+    re = [0] * max((len(p.nums) for _, p in terms), default=0)
+    im = re[:]
+    for (d, [(cr, ci)]), p in terms:
+        f = den // (d * p.den)
+        cr, ci = cr * f, ci * f
+        for k, (a, b) in enumerate(p.nums):
+            re[k] += a * cr - b * ci
+            im[k] += a * ci + b * cr
+    return _poly(zip(re, im), den)
 
 
 class PackedRows:
-    """A matrix of GaussPoly or GaussRational entries as packed Gaussian
-    integers, for the determinant kernel.
+    """A matrix of rows of GaussPoly or of GaussRational entries as packed
+    Gaussian integers, for the determinant kernel.
 
     Row r is scaled by the common denominator of its entries, so rows holds
     Gaussian integers; all entries are packed at one width, wide enough for
@@ -413,37 +420,33 @@ class PackedRows:
     """
 
     def __init__(self, rows: Sequence[Sequence]):
-        entries = [[e.coeffs if isinstance(e, GaussPoly) else (e,) for e in r]
-                   for r in rows]
-        flats, self.dens, self.scales = [], [], [1]
-        for r in entries:
-            den, flat = _lcd_numerators([c for cs in r for c in cs])
-            flats.append(flat)
+        numerators, self.dens, self.scales = [], [], [1]
+        for r in rows:
+            if isinstance(r[0], GaussPoly):
+                den = math.lcm(*(e.den for e in r))
+                numerators.append([_times(e.nums, (den // e.den, 0))
+                                   for e in r])
+            else:
+                den, flat = _lcd_numerators(r)
+                numerators.append([[c] for c in flat])
             self.dens.append(den)
             self.scales.append(self.scales[-1] * den)
         # the extra bit keeps width >= 2, so the empty minor 1 unpacks too
-        self.width = sum(_l1_norm(f).bit_length() for f in flats) + 2
-        self.rows = []
-        for r, flat in zip(entries, flats):
-            row, start = [], 0
-            for cs in r:
-                row.append(_pack(flat[start:start + len(cs)], self.width))
-                start += len(cs)
-            self.rows.append(row)
+        self.width = sum(_l1_norm([c for ns in r for c in ns]).bit_length()
+                         for r in numerators) + 2
+        self.rows = [[_pack(ns, self.width) for ns in r] for r in numerators]
 
     def poly(self, value: tuple, k: int) -> GaussPoly:
         """The polynomial minor of the first k rows packed in value."""
-        return GaussPoly._from_packed(value, self.width, self.scales[k])
+        return _poly(_unpack(value, self.width), self.scales[k])
 
     def scalar(self, value: tuple, k: int) -> GaussRational:
         """The scalar minor of the first k rows packed in value."""
         return _rational(value[0], value[1], self.scales[k])
 
     def scalar_complex(self, value: tuple, rows: Sequence[int]) -> complex:
-        """complex() of the scalar minor of the given rows packed in value.
-        Each part is one int/int true division, which is correctly rounded,
-        so it equals complex(scalar(...)): float() of a Fraction divides the
-        same way."""
+        """complex() of the scalar minor of the given rows packed in value,
+        one int/int true division per part (see GaussPoly.complex_coeffs)."""
         den = math.prod(self.dens[i] for i in rows)
         return complex(value[0] / den, value[1] / den)
 
@@ -519,20 +522,15 @@ def squarefree_decomposition(p: GaussPoly) -> list:
         return [(p, 1)]
     out = []
     w = p // g
-    y = p.derivative() // g
-    z = y - w.derivative()
-    i = 1
-    while not w.is_constant():
+    z = p.derivative() // g - w.derivative()
+    for i in itertools.count(1):
         gi = poly_gcd(w, z) if not z.is_zero() else w.monic()
         if gi.degree > 0:
             out.append((gi, i))
         w = w // gi
         if w.is_constant():
-            break
-        y = z // gi
-        z = y - w.derivative()
-        i += 1
-    return out
+            return out
+        z = z // gi - w.derivative()
 
 
 def _roots_of_squarefree(f: GaussPoly, tol: float) -> list:

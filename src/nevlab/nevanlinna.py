@@ -20,7 +20,8 @@ from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
-from .curve import CurveLift, DegenerateCurveError, associated, level_divisor
+from .curve import (CurveLift, DegenerateCurveError, associated_family,
+                    level_divisor)
 from .exterior import WedgeForm, WedgeVector, multi_indices, pluecker_values
 from .gauss import Divisor, GaussPoly, PackedRows
 
@@ -419,20 +420,24 @@ class Evaluator:
             self.ctx = config
         else:
             self.ctx = SelectorContext.from_config(config)
-        self._wedges: Dict[int, WedgeVector] = {}
         self._arrays: Dict[tuple, list] = {}
         self._divisors: Dict[int, Divisor] = {}
         self._shared = None  # NodeBatch by node bytes inside radials()
 
     # -- exact/cached data ---------------------------------------------
 
+    @cached_property
+    def _family(self) -> list:
+        """X^0, ..., X^{n+1}, all read from one minor table."""
+        return associated_family(self.x)
+
     def wedge(self, d: int) -> WedgeVector:
-        if d not in self._wedges:
-            X = associated(self.x, d)
-            if X.is_zero():
-                raise DegenerateCurveError(f"curve degenerate at level d={d}")
-            self._wedges[d] = X
-        return self._wedges[d]
+        if not 0 <= d <= self.x.n + 1:
+            raise ValueError(f"associated level d={d} out of range "
+                             f"0..{self.x.n + 1}")
+        if self._family[d].is_zero():
+            raise DegenerateCurveError(f"curve degenerate at level d={d}")
+        return self._family[d]
 
     def _coeffs(self, key) -> list:
         """Coefficient arrays of X^d for key ('w', d), of (X^d)' for ('p', d):

@@ -15,6 +15,7 @@ from nevlab.gauss import (
     PackedRows,
     PolyParseError,
     RootFindingError,
+    linear_combination,
     parse_poly,
     parse_rational,
     poly_gcd,
@@ -139,6 +140,173 @@ class TestFractionFreeProduct:
         assert p.scale(GR_ZERO).is_zero()
         assert parts(p * p) == naive_product(p, p)
         assert p.scale(GR_I) * p.scale(GR_I) == -(p * p)
+
+
+# Per-coefficient Fraction references: each coefficient is a pair
+# (re, im) of Fractions, one Fraction operation at a time.
+
+def _trim(cs):
+    cs = [tuple(c) for c in cs]
+    while cs and cs[-1] == (0, 0):
+        cs.pop()
+    return cs
+
+
+def _gmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _gdiv(a, b):
+    n = b[0] * b[0] + b[1] * b[1]
+    return ((a[0] * b[0] + a[1] * b[1]) / n, (a[1] * b[0] - a[0] * b[1]) / n)
+
+
+def naive_sum(p, q, sign=1):
+    a, b = [(c.re, c.im) for c in p.coeffs], [(c.re, c.im) for c in q.coeffs]
+    zero = (Fraction(0), Fraction(0))
+    a += [zero] * (len(b) - len(a))
+    b += [zero] * (len(a) - len(b))
+    return _trim((x[0] + sign * y[0], x[1] + sign * y[1])
+                 for x, y in zip(a, b))
+
+
+def naive_divmod(a, b):
+    """Euclid over Q(i) on Fraction pairs: (quotient, remainder)."""
+    zero = (Fraction(0), Fraction(0))
+    rem, quot = list(a), [zero] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c = _gdiv(rem[k + len(b) - 1], b[-1])
+        quot[k] = c
+        for j, bj in enumerate(b):
+            t = _gmul(c, bj)
+            rem[k + j] = (rem[k + j][0] - t[0], rem[k + j][1] - t[1])
+    return _trim(quot), _trim(rem)
+
+
+def naive_monic(a):
+    return [_gdiv(c, a[-1]) for c in a]
+
+
+def naive_gcd(a, b):
+    while b:
+        a, b = b, naive_divmod(a, b)[1]
+    return naive_monic(a)
+
+
+def assert_canonical(p):
+    """The one stored form: no trailing zero numerator, den > 0 and no
+    common factor of den and the numerators; the str round trip holds."""
+    assert not p.nums or p.nums[-1] != (0, 0)
+    assert p.den > 0
+    assert math.gcd(p.den, *(x for c in p.nums for x in c)) == 1
+    assert p.nums or p.den == 1
+    assert parse_poly(str(p)) == p
+
+
+class TestFractionFreeOracles:
+    """Every GaussPoly operation on the integer numerators against a
+    per-coefficient Fraction reference (oracle)."""
+
+    @given(big_polys, big_polys)
+    @settings(max_examples=60)
+    def test_add_sub_neg(self, p, q):
+        for got, want in ((p + q, naive_sum(p, q)),
+                          (p - q, naive_sum(p, q, -1)),
+                          (-p, naive_sum(GaussPoly.zero(), p, -1))):
+            assert parts(got) == want
+            assert_canonical(got)
+
+    @given(big_polys)
+    @settings(max_examples=60)
+    def test_derivative(self, p):
+        got = p.derivative()
+        assert parts(got) == _trim((k * c.re, k * c.im)
+                                   for k, c in enumerate(p.coeffs))[1:]
+        assert_canonical(got)
+
+    @given(big_polys, big_polys)
+    @settings(max_examples=60)
+    def test_divmod(self, p, q):
+        if q.is_zero():
+            return
+        quot, rem = p.divmod(q)
+        want = naive_divmod(parts(p), parts(q))
+        assert (parts(quot), parts(rem)) == want
+        assert_canonical(quot)
+        assert_canonical(rem)
+        assert quot * q + rem == p
+
+    @given(big_polys)
+    @settings(max_examples=60)
+    def test_monic(self, p):
+        got = p.monic()
+        assert parts(got) == (naive_monic(parts(p)) if parts(p) else [])
+        assert_canonical(got)
+
+    @given(big_polys, big_polys, st.lists(big_rationals, min_size=1,
+                                          max_size=3))
+    @settings(max_examples=30, deadline=None)
+    def test_gcd(self, p, q, common):
+        h = GaussPoly(common)
+        if p.is_zero() or q.is_zero() or h.is_zero():
+            return
+        a, b = p * h, q * h
+        got = poly_gcd(a, b)
+        assert parts(got) == naive_gcd(parts(a), parts(b))
+        assert_canonical(got)
+        assert (a % got).is_zero() and (b % got).is_zero()
+
+    def test_zero_and_purely_imaginary(self):
+        p = parse_poly("(1/999983)i*z^3 - (2/3)i")
+        q = parse_poly("(7/10)i*z - (1/1000000)i")
+        quot, rem = p.divmod(q)
+        assert (parts(quot), parts(rem)) == naive_divmod(parts(p), parts(q))
+        assert parts(p.monic()) == naive_monic(parts(p))
+        assert (p - p).is_zero() and (p + GaussPoly.zero()) == p
+        assert GaussPoly.zero().derivative().is_zero()
+        zero = GaussPoly.zero()
+        assert zero.divmod(q) == (zero, zero)
+        assert poly_gcd(p * q, q) == q.monic()
+        assert poly_gcd(p, GaussPoly.zero()) == p.monic()
+
+
+    def test_operations_build_no_fraction(self, monkeypatch):
+        p = parse_poly("(1/3 + (2/5)i)*z^4 - (7/2)z^2 + (1/9)i*z + 3")
+        q = parse_poly("(2/7)i*z^2 + (1/4)z - 5/6")
+        c = GaussRational(Fraction(3, 7), Fraction(2))
+        built = []
+        new = Fraction.__new__
+        monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **k:
+                            built.append(a) or new(cls, *a, **k))
+        p + q, p - q, -p, p * q, p.scale(c), p.derivative(), p.divmod(q)
+        p.monic(), poly_gcd(p * q, q * q), linear_combination([c, c], [p, q])
+        assert built == []
+
+
+class TestCanonicalForm:
+    """A value has one stored form, however it is reached."""
+
+    def test_unreduced_lists_against_a_product(self):
+        half = GaussRational.of(Fraction(1, 2))
+        listed = GaussPoly((GaussRational.of(Fraction(3, 6)), half, half))
+        built = parse_poly("1 + z + z^2").scale(GaussRational.of(2)) * \
+            GaussPoly.constant(Fraction(1, 4))
+        assert listed == built and hash(listed) == hash(built)
+        assert listed.nums == built.nums and listed.den == built.den == 2
+        padded = GaussPoly((half, half, half, GR_ZERO, GR_ZERO))
+        assert padded == listed and hash(padded) == hash(listed)
+
+    @given(big_polys, big_polys)
+    @settings(max_examples=60)
+    def test_same_value_two_ways(self, p, q):
+        ways = [p - q + q, (p + p).scale(GaussRational.of(Fraction(1, 2))),
+                GaussPoly(p.coeffs)]
+        if not q.is_zero():
+            ways.append(p * q // q)
+        for other in ways:
+            assert other == p and hash(other) == hash(p)
+            assert_canonical(other)
+        assert_canonical(p)
 
 
 class TestPackedScalar:

@@ -182,10 +182,13 @@ class TestVerifiers:
     @pytest.mark.parametrize("r", [0.54, 1.8])
     def test_prop62_shared_batches_match_single_levels(self, r):
         # all levels of one radius share node batches; each level alone
-        # shares none, and the stacked text must not differ
+        # shares none, and the stacked text must not differ.  At the stress
+        # workload's tol the levels converge on different node counts.
         x, cfg = stress()
-        both = verify_prop62(x, cfg, range(1, x.n + 1), [r])
-        single = [verify_prop62(x, cfg, [d], [r]) for d in range(1, x.n + 1)]
+        both = verify_prop62(x, cfg, range(1, x.n + 1), [r], tol=3e-5)
+        single = [verify_prop62(x, cfg, [d], [r], tol=3e-5)
+                  for d in range(1, x.n + 1)]
+        assert both.all_converged()
         assert both.to_csv() == single[0].to_csv() + "".join(
             s.to_csv().split("\n", 1)[1] for s in single[1:])
 
