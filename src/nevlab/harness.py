@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .curve import CurveLift
-from .exterior import MultiIndex, det_exact, multi_indices
-from .gauss import GaussRational
+from .exterior import MultiIndex, _minor_layers, multi_indices
+from .gauss import GaussRational, PackedRows
 from .nevanlinna import QUAD_TOL, Evaluator, counting
 
 __all__ = [
@@ -54,7 +54,10 @@ class HyperplaneConfig:
 
 def general_position_tuples(forms: Sequence[Sequence[GaussRational]],
                             n: int) -> HyperplaneConfig:
-    """Enumerate all (n+1)-subsets of the forms with nonzero determinant.
+    """Enumerate all (n+1)-subsets of the forms with nonzero determinant,
+    in lexicographic order.  Every determinant is read from layer n+1 of one
+    minor table of the transposed form matrix, whose entries there are the
+    (n+1) x (n+1) minors on every (n+1)-subset of its columns, the forms.
 
     Errors when no such tuple exists; that is equivalent to the forms having
     a common zero in P^n, which makes the whole pipeline inapplicable.
@@ -67,11 +70,9 @@ def general_position_tuples(forms: Sequence[Sequence[GaussRational]],
             raise ValueError(f"form has {len(f)} coefficients, expected {n + 1}")
         if not any(f):
             raise ValueError("zero linear form in configuration")
-    tuples = []
-    for t in itertools.combinations(range(len(forms)), n + 1):
-        mat = [list(forms[i]) for i in t]
-        if det_exact(mat):
-            tuples.append(t)
+    packed = PackedRows(list(zip(*forms)))
+    layer = _minor_layers(packed.rows, len(forms))[n + 1]
+    tuples = [t for t, (re, im) in layer.items() if re or im]
     if not tuples:
         raise ValueError(
             "no general-position tuple: the forms have a common zero"

@@ -6,9 +6,11 @@ sit at half-steps so they never land on theta = 2*pi*k/N.  A node that still
 hits a singularity is offset by a further half-step; if that fails too the
 result is flagged unconverged rather than patched silently.
 
-Every circle average of a curve integrates a row function of one NodeBatch
-of nodes (Evaluator.radial); the rows of one radius share bit-identical
-batches (Evaluator.radials), and the tuple selector works in one pass.
+Every circle average of a curve integrates a row function of NodeBatches
+(Evaluator.radial), one per chunk of at most _NODE_CHUNK nodes, so per-node
+temporaries stay bounded however many nodes the quadrature needs; the rows
+of one radius share bit-identical chunks (Evaluator.radials), and the tuple
+selector works in one pass.
 """
 
 from __future__ import annotations
@@ -47,6 +49,9 @@ __all__ = [
 QUAD_TOL = 1e-6
 QUAD_INITIAL_NODES = 256
 QUAD_NODE_CAP = 2 ** 20
+# Nodes per NodeBatch.  Transient memory grows with the chunk, not with the
+# node count; much smaller chunks cost run time in per-chunk overhead.
+_NODE_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -215,6 +220,10 @@ class SelectorContext:
         self.tuples = [tuple(t) for t in tuples]
         self.form_mat = _form_matrix(self.forms)
         self.tuple_index = np.array(self.tuples, dtype=np.intp)
+        # how many leading forms each tuple shares with the one before it
+        self._shared_lead = [0] + [
+            next((i for i, (a, b) in enumerate(zip(s, t)) if a != b), len(t))
+            for s, t in zip(self.tuples, self.tuples[1:])]
         self._packed = PackedRows(self.forms)
         self._minors: dict = {}
 
@@ -248,18 +257,29 @@ class SelectorContext:
         each node, and that sum, in one pass over the tuples: strict > keeps
         the lowest index on a tie, and the first NaN sum wins, as in
         np.argmax.  Each form's log|L_j(x)| is computed once; a tuple sums
-        its rows in order."""
+        its rows in order, and tuples that share leading forms share those
+        partial sums, so in the lexicographic order of
+        harness.general_position_tuples most tuples cost one addition."""
         scaled = (self.n + 1) * _log_norm(xvals)
         with np.errstate(divide="ignore"):
             logf = np.log(np.abs(self.form_mat @ xvals))
         # a sum is NaN only where the log norm is not finite or a form value
         # is NaN or +inf
         nan_free = np.isfinite(scaled).all() and (logf < np.inf).all()
-        sums = (scaled - logf[t].sum(axis=0) for t in self.tuple_index)
-        best = next(sums)
-        sel = np.zeros(xvals.shape[1], dtype=np.intp)
-        for k, s in enumerate(sums, 1):
-            take = s > best
+        nodes = xvals.shape[1]
+        # partial[j]: the sum of the current tuple's first j form rows
+        partial = np.zeros((self.n + 2, nodes))
+        best, s = np.empty(nodes), np.empty(nodes)
+        take = np.empty(nodes, dtype=bool)
+        sel = np.zeros(nodes, dtype=np.intp)
+        for k, (t, lead) in enumerate(zip(self.tuples, self._shared_lead)):
+            for j in range(lead, self.n + 1):
+                np.add(partial[j], logf[t[j]], out=partial[j + 1])
+            if k == 0:
+                np.subtract(scaled, partial[-1], out=best)
+                continue
+            np.subtract(scaled, partial[-1], out=s)
+            np.greater(s, best, out=take)
             if not nan_free:
                 take |= np.isnan(s) & ~np.isnan(best)
             np.copyto(best, s, where=take)
@@ -314,14 +334,15 @@ class SelectorContext:
 
 
 class NodeBatch:
-    """One batch of quadrature nodes z of an Evaluator.  Each component
-    method returns one value per node; the tuple selection, |X^d|, m(d) and
-    the log norm of X^d wedge (X^d)' are evaluated once per batch, X^d and
-    (X^d)' once until release()."""
+    """One chunk of quadrature nodes z = r e^{i theta} of an Evaluator.
+    Each component method returns one value per node; the tuple selection,
+    |X^d|, m(d) and the log norm of X^d wedge (X^d)' are evaluated once per
+    batch, z, X^d and (X^d)' once until release()."""
 
-    def __init__(self, ev: "Evaluator", z: np.ndarray):
+    def __init__(self, ev: "Evaluator", r: float, theta: np.ndarray):
         self.ev = ev
-        self.z = z
+        self.r = r
+        self.theta = theta
         self._wedge: Dict[int, np.ndarray] = {}
         self._partner: Dict[int, np.ndarray] = {}
         self._hbar: Dict[int, np.ndarray] = {}
@@ -329,9 +350,15 @@ class NodeBatch:
         self._pair_norm: Dict[int, np.ndarray] = {}
 
     def release(self) -> None:
-        """Drop X^d and (X^d)', the bulk of the batch, until needed again."""
+        """Drop z, X^d and (X^d)', the complex arrays of the batch, until
+        needed again; what stays is the per-node component results."""
+        self.__dict__.pop("z", None)
         self._wedge.clear()
         self._partner.clear()
+
+    @cached_property
+    def z(self) -> np.ndarray:
+        return self.r * np.exp(1j * self.theta)
 
     def _ctx(self) -> SelectorContext:
         if self.ev.ctx is None:
@@ -358,7 +385,7 @@ class NodeBatch:
     def hbar(self, d: int) -> np.ndarray:
         """log |X^d|; identically zero at d = 0."""
         if d == 0:
-            return np.zeros(len(self.z))
+            return np.zeros(len(self.theta))
         if d not in self._hbar:
             self._hbar[d] = _log_norm(self.wedge(d))
         return self._hbar[d]
@@ -367,7 +394,7 @@ class NodeBatch:
         """Mean level-d Weil function of the selected tuple; zero at d = 0."""
         ctx = self._ctx()
         if d == 0:
-            return np.zeros(len(self.z))
+            return np.zeros(len(self.theta))
         if d not in self._m:
             self._m[d] = ctx.level_lambda_mean(d, self.wedge(d),
                                                self.selection[0])
@@ -395,7 +422,7 @@ class NodeBatch:
         the order of _log_norm's sum."""
         if d not in self._pair_norm:
             G, H = self.wedge(d), self.partner(d)
-            sq = np.zeros(len(self.z))
+            sq = np.zeros(len(self.theta))
             for a, b in zip(*np.triu_indices(len(G), 1)):
                 sq += np.abs(G[a] * H[b] - G[b] * H[a]) ** 2
             self._pair_norm[d] = 0.5 * np.log(sq)
@@ -422,7 +449,7 @@ class Evaluator:
             self.ctx = SelectorContext.from_config(config)
         self._arrays: Dict[tuple, list] = {}
         self._divisors: Dict[int, Divisor] = {}
-        self._shared = None  # NodeBatch by node bytes inside radials()
+        self._shared = None  # NodeBatch by chunk bytes inside radials()
 
     # -- exact/cached data ---------------------------------------------
 
@@ -464,25 +491,34 @@ class Evaluator:
         rows(at) returns for a NodeBatch at, for example
         ``lambda at: [at.cartan(), at.hbar(1), at.m(1)]``.  Returns
         adaptive_midpoint's (values, converged, nodes), one value and one
-        flag per row in row order.  Outside radials no batch outlives its
-        integrand call."""
+        flag per row in row order.  An integrand call writes the rows of one
+        NodeBatch per chunk of at most _NODE_CHUNK consecutive nodes into
+        one (rows, nodes) array; a chunk holds z, X^d, (X^d)' and the
+        component results of its own nodes only.  Outside radials no batch
+        outlives its chunk."""
 
         def g(theta: np.ndarray) -> np.ndarray:
-            at = self._batch(r, theta)
+            out = None
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                vals = np.vstack(rows(at))
-            at.release()
-            return vals
+                for lo in range(0, len(theta), _NODE_CHUNK):
+                    at = self._batch(r, theta[lo:lo + _NODE_CHUNK])
+                    vals = rows(at)
+                    at.release()
+                    if out is None:
+                        out = np.empty((len(vals), len(theta)))
+                    out[:, lo:lo + _NODE_CHUNK] = vals
+            return out
 
         return adaptive_midpoint(g, tol=self.tol)
 
     def radials(self, r: float, each: Sequence[Callable]) -> list:
         """radial(r, rows) for each rows function in each, in order.  Every
         call keeps its own adaptive_midpoint loop, but the calls share each
-        NodeBatch whose nodes are bit-identical, so the selection, |X^d| and
-        m(d) of a batch are evaluated once for all of them.  A batch keeps
-        only its per-node values between calls, and the shared batches are
-        dropped on return."""
+        NodeBatch whose chunk of nodes is bit-identical, so the selection,
+        |X^d| and m(d) of a chunk are evaluated once for all of them.  A
+        batch keeps only its per-node component results between calls (its
+        z is recomputed from the chunk bytes it is keyed by), and the shared
+        batches are dropped on return."""
         self._shared = {}
         try:
             return [self.radial(r, rows) for rows in each]
@@ -491,10 +527,10 @@ class Evaluator:
 
     def _batch(self, r: float, theta: np.ndarray) -> NodeBatch:
         if self._shared is None:
-            return NodeBatch(self, r * np.exp(1j * theta))
+            return NodeBatch(self, r, theta)
         key = (r, theta.tobytes())
         if key not in self._shared:
-            self._shared[key] = NodeBatch(self, r * np.exp(1j * theta))
+            self._shared[key] = NodeBatch(self, r, np.frombuffer(key[1]))
         return self._shared[key]
 
 

@@ -1,14 +1,17 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from nevlab import nevanlinna
 from nevlab.curve import associated
 from nevlab.exterior import WedgeForm, multi_indices
 from nevlab.gauss import GR_I, GR_ONE, GR_ZERO, Divisor, parse_poly, roots
+from nevlab.harness import distance_one_collection
 from nevlab.nevanlinna import (
     QUAD_TOL,
     Evaluator,
@@ -201,8 +204,12 @@ class TestProximity:
         assert max(vals) - min(vals) < 1e-8
 
 
+def _thetas(count=512):
+    return (np.arange(count) + 0.5) * 2 * np.pi / count
+
+
 def _nodes(r, count=512):
-    return r * np.exp(1j * (np.arange(count) + 0.5) * 2 * np.pi / count)
+    return r * np.exp(1j * _thetas(count))
 
 
 class TestSelectorOracles:
@@ -275,7 +282,7 @@ class TestSelectorOracles:
         assert any(5 in t for t in chosen)
 
     @pytest.mark.parametrize("kind", ["circle", "twins", "vanishing",
-                                      "nonfinite"])
+                                      "nonfinite", "shuffled"])
     def test_select_is_argmax_of_scores(self, kind):
         # bit for bit: the selection is np.argmax of the oracle scores (the
         # first maximum, and the first NaN where there is one) and the max
@@ -283,14 +290,21 @@ class TestSelectorOracles:
         # {-1, 0, 1}, so forms vanish and many tuples tie at +inf;
         # "nonfinite" columns hold entries near the float limit (so norms
         # and some form values overflow), inf, nan or only zeros, so some
-        # scores are NaN, and not always the first
+        # scores are NaN, and not always the first; "shuffled" lists the
+        # twin tuples out of lexicographic order, so consecutive tuples
+        # rarely share leading forms and an exact tie goes to the tuple
+        # listed first
         rng = np.random.default_rng(7)
-        if kind == "twins":
+        if kind in ("twins", "shuffled"):
             x, cfg = stress(STRESS_FORMS[:6] + ((-1, -1, -1, -1, -1),)
                             + STRESS_FORMS[6:])
         else:
             x, cfg = stress()
         ctx = SelectorContext.from_config(cfg)
+        if kind == "shuffled":
+            order = rng.permutation(len(cfg.tuples))
+            ctx = SelectorContext(cfg.n, cfg.forms,
+                                  [cfg.tuples[k] for k in order])
         xv = np.vstack([p.eval_many(_nodes(1.8, 64)) for p in x.coords])
         if kind == "vanishing":
             xv = rng.integers(-1, 2, size=(5, 200)) + 0j
@@ -363,7 +377,7 @@ class TestNodeBatch:
         x, cfg = stress()
         ev = Evaluator(x, cfg)
         for d in range(1, x.n + 1):
-            at = NodeBatch(ev, _nodes(r))
+            at = NodeBatch(ev, r, _thetas())
             G, H = at.wedge(d), at.partner(d)
             ai, bi = np.triu_indices(len(G), 1)
             v = G[ai] * H[bi] - G[bi] * H[ai]
@@ -373,7 +387,7 @@ class TestNodeBatch:
     def test_hbarpair_single_coordinate_is_minus_inf(self):
         # X^{n+1} has one Pluecker coordinate, so y wedge y' has none
         x, cfg = stress()
-        at = NodeBatch(Evaluator(x, cfg), _nodes(1.8))
+        at = NodeBatch(Evaluator(x, cfg), 1.8, _thetas())
         with np.errstate(divide="ignore"):
             got = at.hbarpair(x.n + 1)
         assert np.all(got == -np.inf)
@@ -439,6 +453,56 @@ class TestNodeBatch:
                 1.8, lambda at: components(d, at))
             assert v.tobytes() == w.tobytes()
             assert np.array_equal(c, e) and n == m
+
+
+    @pytest.mark.parametrize("r", [0.54, 6.0])
+    def test_chunk_size_does_not_change_results(self, r, monkeypatch):
+        # every per-node kernel sees one chunk of nodes at a time; values,
+        # flags and node counts are bit-equal at any chunk size (1000 leaves
+        # a ragged last chunk).  At r = 0.54 the rows run to 8,192 nodes,
+        # two default chunks; at r = 6 to 512.
+        x, cfg = stress()
+        positions = distance_one_collection(x.n, 1).positions()
+
+        def run():
+            ev = Evaluator(x, cfg, 3e-5)
+            return [
+                ev.radial(r, lambda at: [at.cartan(), at.m(1), at.hbar(1),
+                                         at.pairlam(1, positions),
+                                         at.hbarpair(1)]),
+                ev.radial(r, lambda at: [at.mumax()]),
+                *ev.radials(r, [lambda at: [at.m(1), at.m(2), at.hbar(2)],
+                                lambda at: [at.m(2), at.m(3), at.hbar(3)]]),
+            ]
+
+        want = run()
+        assert max(n for _, _, n in want) == (8192 if r < 1 else 512)
+        for chunk in (64, 1000):
+            monkeypatch.setattr(nevanlinna, "_NODE_CHUNK", chunk)
+            for (v, c, n), (w, e, m) in zip(run(), want):
+                assert v.tobytes() == w.tobytes()
+                assert np.array_equal(c, e) and n == m
+
+    def test_chunked_radial_memory_is_bounded(self, monkeypatch):
+        # m(4) on stress at r = 0.54 runs to 32,768 nodes.  Chunked, the
+        # traced peak stays below 4 MiB (about 2.2 MiB); as one chunk of
+        # all nodes it goes over (about 12.9 MiB).
+        x, cfg = stress()
+        bound = 4 * 2 ** 20
+
+        def traced_peak():
+            tracemalloc.start()
+            try:
+                _, _, nodes = Evaluator(x, cfg, 3e-5).radial(
+                    0.54, lambda at: [at.m(4)])
+                return nodes, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        nodes, chunked = traced_peak()
+        assert nodes == 32768 and chunked < bound
+        monkeypatch.setattr(nevanlinna, "_NODE_CHUNK", nodes)
+        assert traced_peak()[1] > bound
 
 
 class TestMu:
