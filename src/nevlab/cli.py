@@ -22,16 +22,22 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
-
+# harness stays behind its lazy module object (see the package docstring):
+# check and verify identities never load it, or numpy.
+from . import harness
 from .curve import (
     DegenerateCurveError,
     associated_family,
     leibniz_partner,
     normalize,
 )
-from .exterior import multi_indices, two_row_identity_sign
+from .exterior import (
+    general_position_tuples,
+    multi_indices,
+    two_row_identity_sign,
+)
 from .gauss import (
+    QUAD_TOL,
     GaussPoly,
     GaussRational,
     PolyParseError,
@@ -40,17 +46,6 @@ from .gauss import (
     parse_poly,
     parse_rational,
 )
-from .harness import (
-    HyperplaneConfig,
-    full_sweep,
-    general_position_tuples,
-    mcquillan_monitor,
-    verify_cartan,
-    verify_height_growth,
-    verify_lemma55,
-    verify_prop62,
-)
-from .nevanlinna import QUAD_TOL
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "run", "main"]
 
@@ -78,6 +73,8 @@ class RunConfig:
         return len(self.curve) - 1
 
     def radii(self) -> list:
+        import numpy as np
+
         return list(
             np.logspace(math.log10(self.r_min), math.log10(self.r_max),
                         self.r_points)
@@ -142,6 +139,9 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"in [sweep]: {e}") from e
     if r_min is None or r_max is None or r_points is None:
         raise ConfigError("[sweep] needs r_min, r_max, r_points")
+    for key, value in (("r_min", r_min), ("r_max", r_max), ("tol", tol)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite")
     if r_min <= 0:
         raise ConfigError("r_min must be positive")
     if r_max <= r_min:
@@ -266,9 +266,13 @@ def run(command: str, cfg: RunConfig, r: Optional[float] = None,
         out: Optional[str] = None, tol: Optional[float] = None,
         verify_name: Optional[str] = None) -> int:
     if tol is not None:
+        if not math.isfinite(tol):
+            raise ConfigError("--tol must be finite")
         if tol <= 0:
             raise ConfigError("tol must be positive")
         cfg = replace(cfg, tol=tol)
+    if r is not None and not math.isfinite(r):
+        raise ConfigError("--r must be finite")
     if command == "check":
         return _cmd_check(cfg, out)
 
@@ -278,13 +282,13 @@ def run(command: str, cfg: RunConfig, r: Optional[float] = None,
         if r <= 0:
             raise ConfigError("--r must be positive")
         x, hp = _build(cfg)
-        report = full_sweep(x, hp, [r], tol=cfg.tol)
+        report = harness.full_sweep(x, hp, [r], tol=cfg.tol)
         _emit(report.to_csv(), out)
         return _report_exit(report)
 
     if command == "sweep":
         x, hp = _build(cfg)
-        report = full_sweep(x, hp, cfg.radii(), tol=cfg.tol)
+        report = harness.full_sweep(x, hp, cfg.radii(), tol=cfg.tol)
         _emit(report.to_csv(), out)
         return _report_exit(report)
 
@@ -299,15 +303,16 @@ def run(command: str, cfg: RunConfig, r: Optional[float] = None,
         x, hp = _build(cfg)
         radii = [r] if r is not None else cfg.radii()
         if verify_name == "cartan":
-            report = verify_cartan(x, hp, radii, tol=cfg.tol)
+            report = harness.verify_cartan(x, hp, radii, tol=cfg.tol)
         elif verify_name == "lemma55":
-            report = verify_lemma55(x, hp, None, radii, tol=cfg.tol)
+            report = harness.verify_lemma55(x, hp, None, radii, tol=cfg.tol)
         elif verify_name == "growth":
-            report = verify_height_growth(x, radii, tol=cfg.tol)
+            report = harness.verify_height_growth(x, radii, tol=cfg.tol)
         elif verify_name == "mcquillan":
-            report = mcquillan_monitor(x, hp, radii, tol=cfg.tol)
+            report = harness.mcquillan_monitor(x, hp, radii, tol=cfg.tol)
         else:  # prop62, all levels stacked with a level column
-            report = verify_prop62(x, hp, range(1, x.n + 1), radii, tol=cfg.tol)
+            report = harness.verify_prop62(x, hp, range(1, x.n + 1), radii,
+                                           tol=cfg.tol)
         _emit(report.to_csv(), out)
         return _report_exit(report)
 

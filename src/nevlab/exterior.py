@@ -1,8 +1,11 @@
 """Exterior algebra over V = C^{n+1} with exact polynomial coordinates.
 
 Wedge (Pluecker) coordinates of row matrices, the determinant pairing of a
-wedge of linear forms against a wedge vector, and the two-row determinant
-identity relating neighbouring exterior powers.
+wedge of linear forms against a wedge vector, the two-row determinant
+identity relating neighbouring exterior powers, and hyperplane
+configurations (the general-position tuples of a family of linear forms).
+Exact like gauss: numpy is imported only by the float conversions
+``WedgeForm.coeff_array`` and ``pluecker_values``.
 """
 
 from __future__ import annotations
@@ -10,11 +13,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence, Tuple
 
 from .gauss import GaussPoly, GaussRational, PackedRows, gi_mul, linear_combination
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MultiIndex",
@@ -30,6 +34,8 @@ __all__ = [
     "det_exact",
     "merge_sign",
     "pluecker_values",
+    "HyperplaneConfig",
+    "general_position_tuples",
 ]
 
 
@@ -190,15 +196,57 @@ class WedgeForm:
         return linear_combination(self._pluecker, X.polys())
 
     def coeff_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([complex(c) for c in self._pluecker], dtype=complex)
 
 
 def pluecker_values(packed: PackedRows, S: Sequence[int], n: int) -> np.ndarray:
     """WedgeForm(n, [forms[j] for j in S]).coeff_array() for forms packed
     in packed, read from one minor table of the rows S of packed."""
+    import numpy as np
+
     layer = _minor_layers([packed.rows[j] for j in S], n + 1)[len(S)]
     return np.array([packed.scalar_complex(v, S) for v in layer.values()],
                     dtype=complex)
+
+
+@dataclass(frozen=True)
+class HyperplaneConfig:
+    """A family of linear forms on P^n together with the (n+1)-tuples of
+    indices that are in general position (coefficient matrix invertible)."""
+
+    n: int
+    forms: Tuple[Tuple[GaussRational, ...], ...]
+    tuples: Tuple[Tuple[int, ...], ...]
+
+
+def general_position_tuples(forms: Sequence[Sequence[GaussRational]],
+                            n: int) -> HyperplaneConfig:
+    """Enumerate all (n+1)-subsets of the forms with nonzero determinant,
+    in lexicographic order.  Every determinant is read from layer n+1 of one
+    minor table of the transposed form matrix, whose entries there are the
+    (n+1) x (n+1) minors on every (n+1)-subset of its columns, the forms.
+
+    Errors when no such tuple exists; that is equivalent to the forms having
+    a common zero in P^n, which makes the whole pipeline inapplicable.
+    """
+    forms = tuple(tuple(f) for f in forms)
+    if not forms:
+        raise ValueError("need at least one linear form")
+    for f in forms:
+        if len(f) != n + 1:
+            raise ValueError(f"form has {len(f)} coefficients, expected {n + 1}")
+        if not any(f):
+            raise ValueError("zero linear form in configuration")
+    packed = PackedRows(list(zip(*forms)))
+    layer = _minor_layers(packed.rows, len(forms))[n + 1]
+    tuples = [t for t, (re, im) in layer.items() if re or im]
+    if not tuples:
+        raise ValueError(
+            "no general-position tuple: the forms have a common zero"
+        )
+    return HyperplaneConfig(n=n, forms=forms, tuples=tuple(tuples))
 
 
 def _wedges(rows: Sequence[Sequence[GaussPoly]], n: int, levels) -> list:

@@ -2,7 +2,12 @@
 
 Everything downstream (wedge coordinates, Wronskians, gcd divisors) relies on
 this module being exact: no operation ever rounds.  Floating point enters only
-at the evaluation boundary (``GaussPoly.eval``, ``roots``).
+at the evaluation boundary (``GaussPoly.eval``, ``roots``), and numpy is
+imported only inside the boundary functions that use it
+(``GaussPoly.complex_coeffs`` and ``eval_many``, ``roots``), so commands that
+stay exact never load it.  The float tolerances live here too, the root
+tolerances and the quadrature default ``QUAD_TOL`` (re-exported by
+nevanlinna), so that configuration parsing loads no numeric module.
 
 A GaussPoly stores one form, (nums, den): the ascending tuple of its
 Gaussian-integer numerators (re, im), Python ints, over one integer den.  The
@@ -21,9 +26,10 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "GaussRational",
@@ -38,12 +44,15 @@ __all__ = [
     "roots",
     "ROOT_RESIDUAL_TOL",
     "ROOT_SEPARATION_TOL",
+    "QUAD_TOL",
 ]
 
 # Residual tolerance for numeric roots, relative to coefficient magnitude.
 ROOT_RESIDUAL_TOL = 1e-10
 # Minimum distance between distinct divisor points (and from the origin).
 ROOT_SEPARATION_TOL = 1e-8
+# Default absolute tolerance of the circle quadrature (nevanlinna).
+QUAD_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -345,6 +354,8 @@ class GaussPoly:
         Each part is one int/int true division, which is correctly rounded,
         so it equals complex() of the coefficient: float() of a Fraction
         divides the same way."""
+        import numpy as np
+
         if self.is_zero():
             return np.zeros(1, dtype=complex)
         return np.array([complex(a / self.den, b / self.den)
@@ -358,6 +369,8 @@ class GaussPoly:
         return acc
 
     def eval_many(self, z: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         return np.polynomial.polynomial.polyval(z, self.complex_coeffs())
 
     def ord_at_zero(self) -> int:
@@ -535,6 +548,8 @@ def squarefree_decomposition(p: GaussPoly) -> list:
 
 def _roots_of_squarefree(f: GaussPoly, tol: float) -> list:
     """Numeric simple roots of an exact squarefree polynomial (f(0) != 0)."""
+    import numpy as np
+
     cs = f.complex_coeffs()
     if f.degree < 1:
         return []
@@ -569,6 +584,8 @@ def roots(p: GaussPoly, tol: float = ROOT_RESIDUAL_TOL) -> Divisor:
     Multiplicities come from the squarefree decomposition; each squarefree
     factor is rooted numerically, so every numeric root is simple.
     """
+    import numpy as np
+
     if p.is_zero():
         raise ValueError("roots of the zero polynomial")
     ord0 = p.ord_at_zero()

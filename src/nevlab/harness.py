@@ -1,7 +1,8 @@
-"""Verification harness: hyperplane configurations, index-pair collections,
-the telescoping identity, and the radial inequality checks (Cartan-style
-defect bound, the derived-curve comparison at each level, height growth, and
-the tautological-inequality monitor).
+"""Verification harness: index-pair collections, the telescoping identity,
+and the radial inequality checks (Cartan-style defect bound, the
+derived-curve comparison at each level, height growth, and the
+tautological-inequality monitor).  Hyperplane configurations live in the
+exact layer (exterior) and are re-exported here.
 
 All radial functionals for one report row are integrated on shared quadrature
 nodes, so identities that hold pointwise in theta survive to the reported
@@ -18,8 +19,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .curve import CurveLift
-from .exterior import MultiIndex, _minor_layers, multi_indices
-from .gauss import GaussRational, PackedRows
+from .exterior import (HyperplaneConfig, MultiIndex, general_position_tuples,
+                       multi_indices)
 from .nevanlinna import QUAD_TOL, Evaluator, counting
 
 __all__ = [
@@ -40,44 +41,6 @@ __all__ = [
     "mcquillan_monitor",
     "full_sweep",
 ]
-
-
-@dataclass(frozen=True)
-class HyperplaneConfig:
-    """A family of linear forms on P^n together with the (n+1)-tuples of
-    indices that are in general position (coefficient matrix invertible)."""
-
-    n: int
-    forms: Tuple[Tuple[GaussRational, ...], ...]
-    tuples: Tuple[Tuple[int, ...], ...]
-
-
-def general_position_tuples(forms: Sequence[Sequence[GaussRational]],
-                            n: int) -> HyperplaneConfig:
-    """Enumerate all (n+1)-subsets of the forms with nonzero determinant,
-    in lexicographic order.  Every determinant is read from layer n+1 of one
-    minor table of the transposed form matrix, whose entries there are the
-    (n+1) x (n+1) minors on every (n+1)-subset of its columns, the forms.
-
-    Errors when no such tuple exists; that is equivalent to the forms having
-    a common zero in P^n, which makes the whole pipeline inapplicable.
-    """
-    forms = tuple(tuple(f) for f in forms)
-    if not forms:
-        raise ValueError("need at least one linear form")
-    for f in forms:
-        if len(f) != n + 1:
-            raise ValueError(f"form has {len(f)} coefficients, expected {n + 1}")
-        if not any(f):
-            raise ValueError("zero linear form in configuration")
-    packed = PackedRows(list(zip(*forms)))
-    layer = _minor_layers(packed.rows, len(forms))[n + 1]
-    tuples = [t for t, (re, im) in layer.items() if re or im]
-    if not tuples:
-        raise ValueError(
-            "no general-position tuple: the forms have a common zero"
-        )
-    return HyperplaneConfig(n=n, forms=forms, tuples=tuple(tuples))
 
 
 @dataclass(frozen=True)
@@ -186,6 +149,8 @@ def _validate_radii(radii: Sequence[float]) -> List[float]:
     radii = [float(r) for r in radii]
     if not radii:
         raise ValueError("empty radius grid")
+    if not all(map(math.isfinite, radii)):
+        raise ValueError("radii must be finite")
     if any(r <= 0 for r in radii):
         raise ValueError("radii must be positive")
     if any(b <= a for a, b in zip(radii, radii[1:])):

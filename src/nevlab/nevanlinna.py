@@ -25,7 +25,7 @@ import numpy as np
 from .curve import (CurveLift, DegenerateCurveError, associated_family,
                     level_divisor)
 from .exterior import WedgeForm, WedgeVector, multi_indices, pluecker_values
-from .gauss import Divisor, GaussPoly, PackedRows
+from .gauss import QUAD_TOL, Divisor, GaussPoly, PackedRows
 
 __all__ = [
     "RadialValue",
@@ -46,7 +46,6 @@ __all__ = [
     "pointwise_logderiv_check",
 ]
 
-QUAD_TOL = 1e-6
 QUAD_INITIAL_NODES = 256
 QUAD_NODE_CAP = 2 ** 20
 # Nodes per NodeBatch.  Transient memory grows with the chunk, not with the
@@ -259,7 +258,7 @@ class SelectorContext:
         np.argmax.  Each form's log|L_j(x)| is computed once; a tuple sums
         its rows in order, and tuples that share leading forms share those
         partial sums, so in the lexicographic order of
-        harness.general_position_tuples most tuples cost one addition."""
+        exterior.general_position_tuples most tuples cost one addition."""
         scaled = (self.n + 1) * _log_norm(xvals)
         with np.errstate(divide="ignore"):
             logf = np.log(np.abs(self.form_mat @ xvals))
@@ -434,7 +433,7 @@ class Evaluator:
     NodeBatch components on shared quadrature nodes.
 
     config is a hyperplane configuration (n, forms and general-position
-    tuples, as in harness.HyperplaneConfig) or a prepared SelectorContext,
+    tuples, as in exterior.HyperplaneConfig) or a prepared SelectorContext,
     whose cached minors are then shared; components that select tuples need
     one."""
 

@@ -1,5 +1,10 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -82,3 +87,16 @@ def stress(forms=STRESS_FORMS):
     exact = [tuple(GaussRational(Fraction(c), Fraction(0)) for c in f)
              for f in forms]
     return x, general_position_tuples(exact, x.n)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(script: str, *args: str):
+    """Run script in a new interpreter that imports nevlab from src/, and
+    return the JSON its last stdout line holds."""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])

@@ -4,6 +4,7 @@ import warnings
 import pytest
 
 import nevlab.curve
+import nevlab.harness
 import nevlab.nevanlinna
 from nevlab.cli import (
     ConfigError,
@@ -58,6 +59,9 @@ class TestConfigParsing:
             ("r_min = -3", "r_min"),
             ("r_points = 1", "r_points"),
             ("tol = 0", "tol"),
+            ("tol = nan", "tol"),
+            ("r_min = nan", "r_min"),
+            ("r_max = inf", "r_max"),
         ],
     )
     def test_sweep_validation(self, mutation, message):
@@ -204,6 +208,28 @@ class TestMain:
         assert main(["verify", "growth", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err == "nevlab: error: root iteration failed to converge\n"
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("argv, flag", [
+        (["check", "--tol", "nan"], "--tol"),
+        (["verify", "cartan", "--r", "nan"], "--r"),
+        (["verify", "growth", "--r", "inf"], "--r"),
+    ], ids=["check-tol-nan", "cartan-r-nan", "growth-r-inf"])
+    def test_command_line_number_is_exit_one(self, tmp_path, capsys, argv,
+                                             flag):
+        path = tmp_path / "cfg.ini"
+        path.write_text(GOOD, encoding="utf-8")
+        assert main(argv + ["--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"nevlab: error: {flag} must be finite\n"
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_harness_rejects_radius(self, cfg, r):
+        x = nevlab.curve.normalize(list(cfg.curve))
+        with pytest.raises(ValueError, match="finite"):
+            nevlab.harness.verify_height_growth(x, [2.0, r])
 
 
 HUGE_RADIUS = GOOD.replace("coords = 1; z; z^2", "coords = 1; z^40; z^80 + 1")

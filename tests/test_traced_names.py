@@ -8,7 +8,11 @@ from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+from conftest import run_fresh
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+SHIPPED = ROOT / "scripts" / "configs" / "twisted_cubic.ini"
 
 
 def _traced():
@@ -28,3 +32,27 @@ def test_traced_name_resolves(module, attr):
     else:
         target = getattr(mod, attr, None)
     assert callable(target)
+
+
+def test_tracer_finds_lazily_loaded_modules(tmp_path):
+    """The tracer looks every traced module up in sys.modules right after
+    ``import nevlab.cli``, before any command has loaded the numeric layer;
+    its spans must still be recorded there (the name lookup above would not
+    notice a module missing from sys.modules)."""
+    script = f"""
+import importlib.util, json, sys
+import nevlab.cli
+spec = importlib.util.spec_from_file_location("perfbench_tracer", {str(TRACER)!r})
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+tracer = module.Tracer()
+tracer.install()
+code = nevlab.cli.main(["verify", "growth", "--r", "3", "--config", sys.argv[1],
+                        "--out", sys.argv[2]])
+print(json.dumps({{"code": code, "spans": sorted({{s[0] for s in tracer.spans}})}}))
+"""
+    result = run_fresh(script, str(SHIPPED), str(tmp_path / "out.csv"))
+    assert result["code"] == 0
+    assert {"nevanlinna.adaptive_midpoint",
+            "harness.general_position_tuples",
+            "harness.verify_height_growth"} <= set(result["spans"])
