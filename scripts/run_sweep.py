@@ -33,11 +33,11 @@ from nevlab.harness import (  # noqa: E402
 def summarize(name, rows, normalize_by_log=False):
     margins = []
     for row in rows:
-        m = row.margin
+        m = row["margin"]
         if normalize_by_log:
-            m = m / max(1.0, math.log(row.r))
+            m = m / max(1.0, math.log(row["r"]))
         margins.append(m)
-    conv = sum(row.converged for row in rows)
+    conv = sum(row["converged"] for row in rows)
     print(f"{name:<28} min margin {min(margins):+10.4f}   "
           f"max {max(margins):+10.4f}   converged {conv}/{len(rows)}")
 
@@ -65,9 +65,9 @@ def main():
               verify_lemma55(x, hp, None, radii, tol=tol).rows)
     prop62 = verify_prop62(x, hp, range(1, x.n + 1), radii, tol=tol)
     for d in range(1, x.n + 1):
-        rows = [row for row in prop62.rows if row.values["d"] == d]
+        rows = [row for row in prop62.rows if row["d"] == d]
         summarize(f"second difference d={d}", rows)
-        gap = max(row.values["route_gap"] for row in rows)
+        gap = max(row["route_gap"] for row in rows)
         print(f"{'':<28} route agreement gap {gap:.3e}")
     summarize("height growth", verify_height_growth(x, radii, tol=tol).rows)
     summarize("tautological monitor",

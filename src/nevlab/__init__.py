@@ -83,7 +83,6 @@ _NUMERIC = {
     ), nevanlinna),
     **dict.fromkeys((
         "Evaluator",
-        "MarginReport",
         "PairCollection",
         "SweepReport",
         "balanced_check",

@@ -220,10 +220,6 @@ def _cmd_check(cfg: RunConfig, out: Optional[str]) -> int:
     return code
 
 
-def _report_exit(report) -> int:
-    return 0 if report.all_converged() else 2
-
-
 def _cmd_identities(cfg: RunConfig, out: Optional[str]) -> int:
     """Exact identity battery on the configured curve: the derivative of each
     derived-curve coordinate vector against its closed form, and the two-row
@@ -275,48 +271,42 @@ def run(command: str, cfg: RunConfig, r: Optional[float] = None,
         raise ConfigError("--r must be finite")
     if command == "check":
         return _cmd_check(cfg, out)
-
     if command == "compute":
         if r is None:
             raise ConfigError("compute needs --r")
         if r <= 0:
             raise ConfigError("--r must be positive")
-        x, hp = _build(cfg)
-        report = harness.full_sweep(x, hp, [r], tol=cfg.tol)
-        _emit(report.to_csv(), out)
-        return _report_exit(report)
-
-    if command == "sweep":
-        x, hp = _build(cfg)
-        report = harness.full_sweep(x, hp, cfg.radii(), tol=cfg.tol)
-        _emit(report.to_csv(), out)
-        return _report_exit(report)
-
-    if command == "verify":
+    elif command == "verify":
         if verify_name not in VERIFY_NAMES:
             raise ConfigError(
                 f"unknown verify target {verify_name!r}; "
                 f"choose from {', '.join(VERIFY_NAMES)}"
             )
         if verify_name == "identities":
+            for flag, value in (("--r", r), ("--tol", tol)):
+                if value is not None:
+                    raise ConfigError(f"verify identities takes no {flag}")
             return _cmd_identities(cfg, out)
-        x, hp = _build(cfg)
-        radii = [r] if r is not None else cfg.radii()
-        if verify_name == "cartan":
-            report = harness.verify_cartan(x, hp, radii, tol=cfg.tol)
-        elif verify_name == "lemma55":
-            report = harness.verify_lemma55(x, hp, None, radii, tol=cfg.tol)
-        elif verify_name == "growth":
-            report = harness.verify_height_growth(x, radii, tol=cfg.tol)
-        elif verify_name == "mcquillan":
-            report = harness.mcquillan_monitor(x, hp, radii, tol=cfg.tol)
-        else:  # prop62, all levels stacked with a level column
-            report = harness.verify_prop62(x, hp, range(1, x.n + 1), radii,
-                                           tol=cfg.tol)
-        _emit(report.to_csv(), out)
-        return _report_exit(report)
+    elif command != "sweep":
+        raise ConfigError(f"unknown command {command!r}")
 
-    raise ConfigError(f"unknown command {command!r}")
+    x, hp = _build(cfg)
+    radii = [r] if r is not None else cfg.radii()
+    if command != "verify":
+        report = harness.full_sweep(x, hp, radii, tol=cfg.tol)
+    elif verify_name == "cartan":
+        report = harness.verify_cartan(x, hp, radii, tol=cfg.tol)
+    elif verify_name == "lemma55":
+        report = harness.verify_lemma55(x, hp, None, radii, tol=cfg.tol)
+    elif verify_name == "growth":
+        report = harness.verify_height_growth(x, radii, tol=cfg.tol)
+    elif verify_name == "mcquillan":
+        report = harness.mcquillan_monitor(x, hp, radii, tol=cfg.tol)
+    else:  # prop62, all levels stacked with a level column
+        report = harness.verify_prop62(x, hp, range(1, x.n + 1), radii,
+                                       tol=cfg.tol)
+    _emit(report.to_csv(), out)
+    return 0 if report.all_converged() else 2
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

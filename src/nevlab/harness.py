@@ -15,7 +15,7 @@ import functools
 import io
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .curve import CurveLift
@@ -31,7 +31,6 @@ __all__ = [
     "PairCollection",
     "distance_one_collection",
     "telescoping_identity",
-    "MarginReport",
     "SweepReport",
     "Evaluator",
     "verify_cartan",
@@ -104,45 +103,36 @@ def telescoping_identity(a: Sequence) -> Tuple[object, object]:
 
 
 @dataclass
-class MarginReport:
-    """One radius of a verification: margin = rhs - lhs, so the inequality
-    under test reads margin >= -slack."""
-
-    r: float
-    lhs: float
-    rhs: float
-    margin: float
-    converged: bool
-    values: Dict[str, float] = field(default_factory=dict)
-
-
-@dataclass
 class SweepReport:
-    columns: Tuple[str, ...]
-    rows: List[MarginReport]
+    """The rows of one radial report.  Each row is a dict from column name to
+    value in column order, so ``columns`` is the key order of every row."""
 
-    def _cell(self, row: MarginReport, col: str):
-        if col == "r":
-            return row.r
-        if col in ("lhs", "rhs", "margin"):
-            return getattr(row, col)
-        if col == "converged":
-            return int(row.converged)
-        return row.values[col]
+    columns: Tuple[str, ...]
+    rows: List[Dict[str, float]]
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write(",".join(self.columns) + "\n")
         for row in self.rows:
-            cells = []
-            for col in self.columns:
-                v = self._cell(row, col)
-                cells.append(str(v) if isinstance(v, int) else f"{v:.12g}")
-            buf.write(",".join(cells) + "\n")
+            buf.write(",".join(str(v) if isinstance(v, int) else f"{v:.12g}"
+                               for v in row.values()) + "\n")
         return buf.getvalue()
 
     def all_converged(self) -> bool:
-        return all(row.converged for row in self.rows)
+        return all(row["converged"] for row in self.rows)
+
+
+def _report(rows: List[Dict[str, float]]) -> SweepReport:
+    return SweepReport(columns=tuple(rows[0]), rows=rows)
+
+
+def _row(lead: Dict[str, float], lhs, rhs, extra: Dict[str, float],
+         conv) -> Dict[str, float]:
+    """One report row in column order: the lead cells, lhs, rhs,
+    margin = rhs - lhs (the inequality under test reads margin >= -slack),
+    the extra cells, and converged as 0 or 1."""
+    return {**lead, "lhs": lhs, "rhs": rhs, "margin": rhs - lhs, **extra,
+            "converged": int(conv.all())}
 
 
 def _validate_radii(radii: Sequence[float]) -> List[float]:
@@ -158,10 +148,6 @@ def _validate_radii(radii: Sequence[float]) -> List[float]:
     return radii
 
 
-def _margin_rows(radii, builder) -> List[MarginReport]:
-    return [builder(r) for r in _validate_radii(radii)]
-
-
 def verify_cartan(x: CurveLift, config: HyperplaneConfig,
                   radii: Sequence[float], tol: float = QUAD_TOL) -> SweepReport:
     """Defect-relation check: integral of the largest tuple Weil sum against
@@ -172,27 +158,16 @@ def verify_cartan(x: CurveLift, config: HyperplaneConfig,
     n_w = ev.level_divisor(n + 1)
     n_1 = ev.level_divisor(1)
 
-    def build(r):
+    def row(r):
         (lhs, hbar1, m1), conv, _ = ev.radial(
             r, lambda at: [at.cartan(), at.hbar(1), at.m(1)])
         t1 = hbar1 - counting(n_1, r)
         nw = counting(n_w, r)
-        rhs = (n + 1) * t1 - nw
-        return MarginReport(
-            r=r, lhs=lhs, rhs=rhs, margin=rhs - lhs, converged=conv.all(),
-            values={
-                "T_1": t1,
-                "N_W": nw,
-                "m_1": m1,
-                "sum_check": (n + 1) * m1,
-            },
-        )
+        return _row({"r": r}, lhs, (n + 1) * t1 - nw,
+                    {"T_1": t1, "N_W": nw, "m_1": m1,
+                     "sum_check": (n + 1) * m1}, conv)
 
-    return SweepReport(
-        columns=("r", "lhs", "rhs", "margin", "T_1", "N_W", "m_1",
-                 "sum_check", "converged"),
-        rows=_margin_rows(radii, build),
-    )
+    return _report([row(r) for r in _validate_radii(radii)])
 
 
 def verify_lemma55(x: CurveLift, config: HyperplaneConfig,
@@ -215,27 +190,15 @@ def verify_lemma55(x: CurveLift, config: HyperplaneConfig,
                for a, b in positions):
             raise ValueError("pair indices out of range")
 
-    def build(r):
+    def row(r):
         (m1, m_c, hbar1, hbar_pair), conv, _ = ev.radial(
             r, lambda at: [at.m(1), at.pairlam(1, positions), at.hbar(1),
                            at.hbarpair(1)])
-        lhs = 2 * m1 - m_c
-        rhs = 2 * hbar1 - hbar_pair
-        return MarginReport(
-            r=r, lhs=lhs, rhs=rhs, margin=rhs - lhs, converged=conv.all(),
-            values={
-                "m_1": m1,
-                "m_C": m_c,
-                "hbar_1": hbar1,
-                "hbar_pair": hbar_pair,
-            },
-        )
+        return _row({"r": r}, 2 * m1 - m_c, 2 * hbar1 - hbar_pair,
+                    {"m_1": m1, "m_C": m_c, "hbar_1": hbar1,
+                     "hbar_pair": hbar_pair}, conv)
 
-    return SweepReport(
-        columns=("r", "lhs", "rhs", "margin", "m_1", "m_C", "hbar_1",
-                 "hbar_pair", "converged"),
-        rows=_margin_rows(radii, build),
-    )
+    return _report([row(r) for r in _validate_radii(radii)])
 
 
 def verify_prop62(x: CurveLift, config: HyperplaneConfig,
@@ -249,6 +212,8 @@ def verify_prop62(x: CurveLift, config: HyperplaneConfig,
     levels of one radius share their node batches (Evaluator.radials); the
     rows are stacked level by level behind a leading d column."""
     levels = list(levels)
+    if not levels:
+        raise ValueError("empty level list")
     for d in levels:
         if not (1 <= d <= x.n):
             raise ValueError(f"level d={d} out of range 1..{x.n}")
@@ -270,31 +235,20 @@ def verify_prop62(x: CurveLift, config: HyperplaneConfig,
     each = [functools.partial(level_row, d) for d in levels]
     results = {r: dict(zip(levels, ev.radials(r, each))) for r in radii}
 
-    def build(d, r):
+    def row(d, r):
         vals, conv, _ = results[r][d]
         m, h, (m_c, hbar_pair) = vals[0:3], vals[3:6], vals[6:]
         lhs1 = -m[0] + 2 * m[1] - m[2]
         rhs1 = -h[0] + 2 * h[1] - h[2]
         lhs2 = 2 * m[1] - m_c
         rhs2 = 2 * h[1] - hbar_pair
-        return MarginReport(
-            r=r, lhs=lhs1, rhs=rhs1, margin=rhs1 - lhs1, converged=conv.all(),
-            values={
-                "d": d,
-                "lhs_pair": lhs2,
-                "rhs_pair": rhs2,
-                "margin_pair": rhs2 - lhs2,
-                "route_gap": abs((rhs1 - lhs1) - (rhs2 - lhs2)),
-                "m_C": m_c,
-                "hbar_pair": hbar_pair,
-            },
-        )
+        return _row({"d": d, "r": r}, lhs1, rhs1,
+                    {"lhs_pair": lhs2, "rhs_pair": rhs2,
+                     "margin_pair": rhs2 - lhs2,
+                     "route_gap": abs((rhs1 - lhs1) - (rhs2 - lhs2)),
+                     "m_C": m_c, "hbar_pair": hbar_pair}, conv)
 
-    return SweepReport(
-        columns=("d", "r", "lhs", "rhs", "margin", "lhs_pair", "rhs_pair",
-                 "margin_pair", "route_gap", "m_C", "hbar_pair", "converged"),
-        rows=[build(d, r) for d in levels for r in radii],
-    )
+    return _report([row(d, r) for d in levels for r in radii])
 
 
 def verify_height_growth(x: CurveLift, radii: Sequence[float],
@@ -305,20 +259,15 @@ def verify_height_growth(x: CurveLift, radii: Sequence[float],
     levels = list(range(1, x.n + 2))
     divisors = {d: ev.level_divisor(d) for d in levels}
 
-    def build(r):
+    def row(r):
         vals, conv, _ = ev.radial(r, lambda at: [at.hbar(d) for d in levels])
         t = {d: h - counting(divisors[d], r) for d, h in zip(levels, vals)}
         excess = {d: t[d] - 2 ** (d - 1) * t[1] for d in levels}
-        worst = max(excess.values())
-        values = {f"T_{d}": t[d] for d in levels}
-        values.update({f"excess_{d}": excess[d] for d in levels})
-        return MarginReport(r=r, lhs=worst, rhs=slack, margin=slack - worst,
-                            converged=conv.all(), values=values)
+        return _row({"r": r}, max(excess.values()), slack,
+                    {**{f"T_{d}": t[d] for d in levels},
+                     **{f"excess_{d}": excess[d] for d in levels}}, conv)
 
-    cols = (["r", "lhs", "rhs", "margin"]
-            + [f"T_{d}" for d in levels]
-            + [f"excess_{d}" for d in levels] + ["converged"])
-    return SweepReport(columns=tuple(cols), rows=_margin_rows(radii, build))
+    return _report([row(r) for r in _validate_radii(radii)])
 
 
 def mcquillan_monitor(x: CurveLift, config: HyperplaneConfig,
@@ -333,24 +282,18 @@ def mcquillan_monitor(x: CurveLift, config: HyperplaneConfig,
     n_1 = ev.level_divisor(1)
     n_ram = ev.level_divisor(2)
 
-    def build(r):
+    def row(r):
         (hbar1, hbar2, mu_int), conv, _ = ev.radial(
             r, lambda at: [at.hbar(1), at.hbar(2), at.mumax()])
         t1 = hbar1 - counting(n_1, r)
         nram = counting(n_ram, r)
         t2 = hbar2 - nram
         m = (t2 - 2 * t1) + mu_int + nram
-        return MarginReport(
-            r=r, lhs=m, rhs=0.0, margin=-m, converged=conv.all(),
-            values={"T_1": t1, "T_2": t2, "mu_int": mu_int, "N_Ram": nram,
-                    "normalized": m / max(1.0, math.log(r))},
-        )
+        return _row({"r": r}, m, 0.0,
+                    {"T_1": t1, "T_2": t2, "mu_int": mu_int, "N_Ram": nram,
+                     "normalized": m / max(1.0, math.log(r))}, conv)
 
-    return SweepReport(
-        columns=("r", "lhs", "rhs", "margin", "T_1", "T_2", "mu_int",
-                 "N_Ram", "normalized", "converged"),
-        rows=_margin_rows(radii, build),
-    )
+    return _report([row(r) for r in _validate_radii(radii)])
 
 
 def full_sweep(x: CurveLift, config: HyperplaneConfig,
@@ -362,23 +305,17 @@ def full_sweep(x: CurveLift, config: HyperplaneConfig,
     levels = list(range(1, n + 2))
     divisors = {d: ev.level_divisor(d) for d in levels}
 
-    def build(r):
+    def row(r):
         vals, conv, _ = ev.radial(r, lambda at: [at.hbar(d) for d in levels]
                                   + [at.m(d) for d in levels] + [at.cartan()])
         hbar, m, lhs = vals[:n + 1], vals[n + 1:-1], vals[-1]
-        t = {d: h - counting(divisors[d], r) for d, h in zip(levels, hbar)}
+        t = {f"T_{d}": h - counting(divisors[d], r)
+             for d, h in zip(levels, hbar)}
         nw = counting(divisors[n + 1], r)
         nram = counting(divisors[2], r) if n >= 1 else 0.0
-        rhs = (n + 1) * t[1] - nw
-        values = {f"T_{d}": t[d] for d in levels}
-        values["m_0"] = 0.0
-        values.update({f"m_{d}": v for d, v in zip(levels, m)})
-        values["N_W"] = nw
-        values["N_Ram"] = nram
-        return MarginReport(r=r, lhs=lhs, rhs=rhs, margin=rhs - lhs,
-                            converged=conv.all(), values=values)
+        return _row({"r": r, **t, "m_0": 0.0,
+                     **{f"m_{d}": v for d, v in zip(levels, m)},
+                     "N_W": nw, "N_Ram": nram},
+                    lhs, (n + 1) * t["T_1"] - nw, {}, conv)
 
-    cols = (["r"] + [f"T_{d}" for d in levels]
-            + [f"m_{d}" for d in range(0, n + 2)]
-            + ["N_W", "N_Ram", "lhs", "rhs", "margin", "converged"])
-    return SweepReport(columns=tuple(cols), rows=_margin_rows(radii, build))
+    return _report([row(r) for r in _validate_radii(radii)])

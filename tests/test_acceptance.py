@@ -187,9 +187,9 @@ def test_criterion_06_cartan_margin(cartan_reports):
     ok = True
     for name, rep in cartan_reports.items():
         for row in rep.rows:
-            if row.converged:
-                worst = min(worst, row.margin)
-                if row.margin < -0.1:
+            if row["converged"]:
+                worst = min(worst, row["margin"])
+                if row["margin"] < -0.1:
                     ok = False
     elapsed = time.monotonic() - start
     _report(6, "defect-relation margin", ok,
@@ -203,11 +203,11 @@ def test_criterion_07_level_comparison(curves):
         rep = verify_prop62(x, cfg, range(1, x.n + 1), GRID30,
                             tol=QUADRATURE_TOL)
         for row in rep.rows:
-            if not row.converged:
+            if not row["converged"]:
                 continue
-            norm = (row.lhs - row.rhs) / max(1.0, math.log(row.r))
+            norm = (row["lhs"] - row["rhs"]) / max(1.0, math.log(row["r"]))
             worst_norm = max(worst_norm, norm)
-            worst_gap = max(worst_gap, row.values["route_gap"])
+            worst_gap = max(worst_gap, row["route_gap"])
     ok = worst_norm <= 0.1 and worst_gap <= 10 * QUADRATURE_TOL
     _report(7, "level comparison margin and route agreement", ok,
             f"[sup norm {worst_norm:.3f}, route gap {worst_gap:.2e}]")
@@ -219,9 +219,9 @@ def test_criterion_08_monitor(curves):
     for name, (x, cfg) in curves.items():
         rep = mcquillan_monitor(x, cfg, GRID30, tol=QUADRATURE_TOL)
         for row in rep.rows:
-            if not row.converged:
+            if not row["converged"]:
                 continue
-            norm = row.lhs / max(1.0, math.log(row.r))
+            norm = row["lhs"] / max(1.0, math.log(row["r"]))
             worst = max(worst, norm)
             if norm > 0.1:
                 ok = False
@@ -246,8 +246,8 @@ def test_criterion_09_height_growth(curves):
     for name, (x, cfg) in curves.items():
         rep = verify_height_growth(x, GRID30, slack=2.0, tol=QUADRATURE_TOL)
         for row in rep.rows:
-            worst = max(worst, row.lhs)
-            if row.lhs > 2.0:
+            worst = max(worst, row["lhs"])
+            if row["lhs"] > 2.0:
                 ok = False
     _report(9, "derived height growth bound", ok, f"[max excess {worst:.3f}]")
 

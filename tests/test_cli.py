@@ -1,5 +1,6 @@
 import math
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +30,10 @@ r_max = 50
 r_points = 3
 tol = 1e-6
 """
+
+
+TWISTED_CUBIC = (Path(__file__).resolve().parents[1] / "scripts" / "configs"
+                 / "twisted_cubic.ini")
 
 
 @pytest.fixture
@@ -184,6 +189,17 @@ class TestMain:
         assert exc.value.code == 2
         assert "--r" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--r", "--tol"])
+    def test_identities_refuses_radius_and_tol(self, tmp_path, capsys, flag):
+        path = tmp_path / "cfg.ini"
+        path.write_text(GOOD, encoding="utf-8")
+        assert main(["verify", "identities", flag, "5",
+                     "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"nevlab: error: verify identities takes no {flag}\n")
+
     def test_missing_config_file(self, capsys):
         assert main(["check", "--config", "/does/not/exist.ini"]) == 1
         assert "error" in capsys.readouterr().err
@@ -208,6 +224,35 @@ class TestMain:
         assert main(["verify", "growth", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err == "nevlab: error: root iteration failed to converge\n"
+
+
+class TestCsvHeader:
+    """Each report row is a dict in column order, so the header rests on
+    the order in which the builders write their cells."""
+
+    @pytest.mark.parametrize("argv, columns", [
+        (["compute"], "r T_1 T_2 T_3 m_0 m_1 m_2 m_3 N_W N_Ram lhs rhs "
+                      "margin converged"),
+        (["verify", "cartan"], "r lhs rhs margin T_1 N_W m_1 sum_check "
+                               "converged"),
+        (["verify", "lemma55"], "r lhs rhs margin m_1 m_C hbar_1 hbar_pair "
+                                "converged"),
+        (["verify", "prop62"], "d r lhs rhs margin lhs_pair rhs_pair "
+                               "margin_pair route_gap m_C hbar_pair "
+                               "converged"),
+        (["verify", "growth"], "r lhs rhs margin T_1 T_2 T_3 excess_1 "
+                               "excess_2 excess_3 converged"),
+        (["verify", "mcquillan"], "r lhs rhs margin T_1 T_2 mu_int N_Ram "
+                                  "normalized converged"),
+    ], ids=lambda v: "-".join(v) if isinstance(v, list) else "")
+    def test_shipped_twisted_cubic(self, tmp_path, argv, columns):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--r", "10", "--config", str(TWISTED_CUBIC),
+                            "--out", str(out)]) == 0
+        header, *rows = out.read_text(encoding="utf-8").splitlines()
+        assert header.split(",") == columns.split()
+        assert rows and all(len(row.split(",")) == len(columns.split())
+                            for row in rows)
 
 
 class TestNonFinite:

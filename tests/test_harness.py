@@ -186,8 +186,8 @@ class TestVerifiers:
         x, cfg = corpus()["line"]
         rep = verify_cartan(x, cfg, [3.0, 12.0])
         for row in rep.rows:
-            assert row.converged
-            assert row.lhs == pytest.approx(row.values["sum_check"], abs=1e-9)
+            assert row["converged"]
+            assert row["lhs"] == pytest.approx(row["sum_check"], abs=1e-9)
 
     def test_cartan_radii_must_increase(self):
         x, cfg = corpus()["line"]
@@ -199,7 +199,7 @@ class TestVerifiers:
         for d in (1, 2):
             rep = verify_prop62(x, cfg, [d], [2.5, 9.0])
             for row in rep.rows:
-                assert row.values["route_gap"] < 1e-9
+                assert row["route_gap"] < 1e-9
 
     def test_prop62_levels_stack_single_level_rows(self):
         x, cfg = corpus()["conic"]
@@ -230,10 +230,15 @@ class TestVerifiers:
         with pytest.raises(ValueError):
             verify_prop62(x, cfg, [2], [2.0, 4.0])
 
+    def test_prop62_empty_levels_rejected(self):
+        x, cfg = corpus()["line"]
+        with pytest.raises(ValueError, match="empty level list"):
+            verify_prop62(x, cfg, [], [2.0, 4.0])
+
     def test_lemma55_margin_and_custom_pairs(self):
         x, cfg = corpus()["line"]
         rep = verify_lemma55(x, cfg, [(0, 1)], [4.0])
-        assert rep.rows[0].converged
+        assert rep.rows[0]["converged"]
 
     def test_lemma55_unbalanced_rejected(self):
         x, cfg = corpus()["conic"]
@@ -250,12 +255,12 @@ class TestVerifiers:
         rep = verify_height_growth(x, [3.0, 30.0], slack=2.0)
         for row in rep.rows:
             for d in (1, 2, 3):
-                assert f"T_{d}" in row.values
+                assert f"T_{d}" in row
 
     def test_monitor_uses_gcd_ramification(self):
         x, cfg = corpus()["ramified"]
         rep = mcquillan_monitor(x, cfg, [10.0])
-        assert rep.rows[0].values["N_Ram"] == pytest.approx(
+        assert rep.rows[0]["N_Ram"] == pytest.approx(
             math.log(10), abs=1e-14)
 
 
@@ -324,10 +329,10 @@ class TestMidpointReferences:
         x, cfg = corpus()["conic"]
         r = 4.77066460895
         row = verify_lemma55(x, cfg, None, [r]).rows[0]
-        if not row.converged:
+        if not row["converged"]:
             pytest.fail("the row is expected to be flagged converged")
         want = self._arcwise_m_c(x, cfg, r)
-        assert abs(row.values["m_C"] - want) < QUAD_TOL
+        assert abs(row["m_C"] - want) < QUAD_TOL
 
 
 class TestSweepReport:
@@ -352,4 +357,4 @@ class TestSweepReport:
     def test_all_converged(self):
         x, cfg = corpus()["line"]
         rep = full_sweep(x, cfg, [2.0])
-        assert rep.all_converged() == rep.rows[0].converged
+        assert rep.all_converged() == rep.rows[0]["converged"]

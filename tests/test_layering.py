@@ -28,7 +28,7 @@ PUBLIC = {
                    "counting", "height_T", "height_bar", "mu",
                    "pointwise_logderiv_check", "proximity_hyperplane",
                    "proximity_m", "weil"],
-    "harness": ["Evaluator", "MarginReport", "PairCollection", "SweepReport",
+    "harness": ["Evaluator", "PairCollection", "SweepReport",
                 "balanced_check", "distance_one_collection", "full_sweep",
                 "mcquillan_monitor", "telescoping_identity", "verify_cartan",
                 "verify_height_growth", "verify_lemma55", "verify_prop62"],

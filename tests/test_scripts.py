@@ -1,0 +1,31 @@
+"""scripts/run_sweep.py runs every verification on one config and prints a
+summary line per check; no other test runs it."""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "scripts" / "configs"
+
+
+@pytest.mark.parametrize("name, n", [("ramified_line", 1),
+                                     ("twisted_cubic", 2)])
+def test_run_sweep(name, n):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_sweep.py"),
+         str(CONFIGS / f"{name}.ini")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    checks = (["defect relation", "pair comparison (level 1)"]
+              + [f"second difference d={d}" for d in range(1, n + 1)]
+              + ["height growth", "tautological monitor"])
+    summary = [line for line in proc.stdout.splitlines()
+               if "converged" in line]
+    assert [line[:28].rstrip() for line in summary] == checks
+    for line in summary:
+        k, total = re.search(r"converged (\d+)/(\d+)$", line).groups()
+        assert k == total
