@@ -18,10 +18,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from nevlab.cli import parse_config  # noqa: E402
-from nevlab.curve import normalize  # noqa: E402
+from nevlab.cli import build, parse_config, with_tol  # noqa: E402
 from nevlab.harness import (  # noqa: E402
-    general_position_tuples,
     mcquillan_monitor,
     verify_cartan,
     verify_height_growth,
@@ -48,13 +46,13 @@ def main():
     ap.add_argument("--tol", type=float, default=None)
     args = ap.parse_args()
 
-    cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
-    tol = args.tol if args.tol is not None else cfg.tol
-    x = normalize(list(cfg.curve))
-    if not x.is_nondegenerate():
-        sys.exit("error: curve image lies in a hyperplane "
-                 "(Wronskian vanishes identically)")
-    hp = general_position_tuples(cfg.hyperplanes, cfg.n)
+    try:
+        cfg = with_tol(parse_config(Path(args.config).read_text(
+            encoding="utf-8")), args.tol)
+        x, hp = build(cfg)
+    except ValueError as e:
+        sys.exit(f"error: {e}")
+    tol = cfg.tol
     radii = cfg.radii()
     print(f"curve n={cfg.n}, {len(hp.forms)} forms, "
           f"{len(hp.tuples)} tuples, {len(radii)} radii in "

@@ -33,12 +33,16 @@ from .gauss import (
 from .exterior import (
     HyperplaneConfig,
     MultiIndex,
+    PairCollection,
     WedgeForm,
     WedgeVector,
+    balanced_check,
+    distance_one_collection,
     general_position_tuples,
     multi_indices,
     pair,
     pluecker_relations_check,
+    telescoping_identity,
     two_row_identity_sign,
     wedge_rows,
 )
@@ -71,7 +75,6 @@ _NUMERIC = {
     **dict.fromkeys((
         "RadialValue",
         "SelectorContext",
-        "circle_integral",
         "counting",
         "height_T",
         "height_bar",
@@ -83,13 +86,9 @@ _NUMERIC = {
     ), nevanlinna),
     **dict.fromkeys((
         "Evaluator",
-        "PairCollection",
         "SweepReport",
-        "balanced_check",
-        "distance_one_collection",
         "full_sweep",
         "mcquillan_monitor",
-        "telescoping_identity",
         "verify_cartan",
         "verify_height_growth",
         "verify_lemma55",

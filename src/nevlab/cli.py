@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import io
-import itertools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -32,8 +31,8 @@ from .curve import (
     normalize,
 )
 from .exterior import (
+    distance_one_collection,
     general_position_tuples,
-    multi_indices,
     two_row_identity_sign,
 )
 from .gauss import (
@@ -47,7 +46,8 @@ from .gauss import (
     parse_rational,
 )
 
-__all__ = ["RunConfig", "parse_config", "serialize_config", "run", "main"]
+__all__ = ["RunConfig", "parse_config", "serialize_config", "with_tol", "build",
+           "run", "main"]
 
 VERIFY_NAMES = ("cartan", "lemma55", "prop62", "growth", "mcquillan", "identities")
 
@@ -175,7 +175,19 @@ def serialize_config(cfg: RunConfig) -> str:
     return "\n".join(lines)
 
 
-def _build(cfg: RunConfig):
+def with_tol(cfg: RunConfig, tol: Optional[float]) -> RunConfig:
+    """cfg with a --tol override (finite and positive) applied, if any."""
+    if tol is None:
+        return cfg
+    if not math.isfinite(tol):
+        raise ConfigError("--tol must be finite")
+    if tol <= 0:
+        raise ConfigError("tol must be positive")
+    return replace(cfg, tol=tol)
+
+
+def build(cfg: RunConfig):
+    """The primitive, nondegenerate lift and the hyperplane configuration."""
     x = normalize(list(cfg.curve))
     if not x.is_nondegenerate():
         raise DegenerateCurveError(
@@ -224,7 +236,7 @@ def _cmd_identities(cfg: RunConfig, out: Optional[str]) -> int:
     """Exact identity battery on the configured curve: the derivative of each
     derived-curve coordinate vector against its closed form, and the two-row
     minor identity for every distance-one pair at every level."""
-    x, hp = _build(cfg)
+    x, hp = build(cfg)
     n = x.n
     derivative_rows, two_row_rows = [], []
     failures = 0
@@ -237,10 +249,7 @@ def _cmd_identities(cfg: RunConfig, out: Optional[str]) -> int:
             failures += not ok
             derivative_rows.append(f"derivative,{d},{ia.elements},{int(ok)}")
         lower, upper = wedges[d - 1], wedges[d + 1]
-        idx = multi_indices(n, d)
-        for ia, jb in itertools.combinations(idx, 2):
-            if len(set(ia.elements) ^ set(jb.elements)) != 2:
-                continue
+        for ia, jb in distance_one_collection(n, d).pairs:
             inter = tuple(sorted(set(ia.elements) & set(jb.elements)))
             union = tuple(sorted(set(ia.elements) | set(jb.elements)))
             sign = two_row_identity_sign(ia, jb)
@@ -261,12 +270,7 @@ def _cmd_identities(cfg: RunConfig, out: Optional[str]) -> int:
 def run(command: str, cfg: RunConfig, r: Optional[float] = None,
         out: Optional[str] = None, tol: Optional[float] = None,
         verify_name: Optional[str] = None) -> int:
-    if tol is not None:
-        if not math.isfinite(tol):
-            raise ConfigError("--tol must be finite")
-        if tol <= 0:
-            raise ConfigError("tol must be positive")
-        cfg = replace(cfg, tol=tol)
+    cfg = with_tol(cfg, tol)
     if r is not None and not math.isfinite(r):
         raise ConfigError("--r must be finite")
     if command == "check":
@@ -290,7 +294,7 @@ def run(command: str, cfg: RunConfig, r: Optional[float] = None,
     elif command != "sweep":
         raise ConfigError(f"unknown command {command!r}")
 
-    x, hp = _build(cfg)
+    x, hp = build(cfg)
     radii = [r] if r is not None else cfg.radii()
     if command != "verify":
         report = harness.full_sweep(x, hp, radii, tol=cfg.tol)

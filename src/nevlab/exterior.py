@@ -3,8 +3,9 @@
 Wedge (Pluecker) coordinates of row matrices, the determinant pairing of a
 wedge of linear forms against a wedge vector, the two-row determinant
 identity relating neighbouring exterior powers, and hyperplane
-configurations (the general-position tuples of a family of linear forms).
-Exact like gauss: numpy is imported only by the float conversions
+configurations (the general-position tuples of a family of linear forms),
+the distance-one pair collections of index sets and the telescoping
+identity.  Exact like gauss: numpy is imported only by the float conversions
 ``WedgeForm.coeff_array`` and ``pluecker_values``.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from .gauss import GaussPoly, GaussRational, PackedRows, gi_mul, linear_combination
 
@@ -36,6 +37,11 @@ __all__ = [
     "pluecker_values",
     "HyperplaneConfig",
     "general_position_tuples",
+    "BalancedResult",
+    "balanced_check",
+    "PairCollection",
+    "distance_one_collection",
+    "telescoping_identity",
 ]
 
 
@@ -247,6 +253,66 @@ def general_position_tuples(forms: Sequence[Sequence[GaussRational]],
             "no general-position tuple: the forms have a common zero"
         )
     return HyperplaneConfig(n=n, forms=forms, tuples=tuple(tuples))
+
+
+@dataclass(frozen=True)
+class BalancedResult:
+    balanced: bool
+    counts: Tuple[Tuple[object, int], ...]
+    empty: bool
+
+
+def balanced_check(pairs: Sequence[Tuple[object, object]]) -> BalancedResult:
+    """Whether every member index set occurs in the same number of pairs."""
+    counts: Dict[object, int] = {}
+    for a, b in pairs:
+        counts[a] = counts.get(a, 0) + 1
+        counts[b] = counts.get(b, 0) + 1
+    if not counts:
+        return BalancedResult(balanced=False, counts=(), empty=True)
+    freqs = set(counts.values())
+    return BalancedResult(
+        balanced=len(freqs) == 1,
+        counts=tuple(sorted(counts.items(), key=str)),
+        empty=False,
+    )
+
+
+@dataclass(frozen=True)
+class PairCollection:
+    """Unordered pairs of size-d index sets in {0..n} at distance one
+    (symmetric difference of size two)."""
+
+    n: int
+    degree: int
+    pairs: Tuple[Tuple[MultiIndex, MultiIndex], ...]
+
+    def positions(self) -> List[Tuple[int, int]]:
+        """Each pair as positions in the lexicographic multi-index order."""
+        where = {ia: k for k, ia in enumerate(multi_indices(self.n, self.degree))}
+        return [(where[a], where[b]) for a, b in self.pairs]
+
+
+def distance_one_collection(n: int, d: int) -> PairCollection:
+    idx = multi_indices(n, d)
+    pairs = []
+    for a, b in itertools.combinations(idx, 2):
+        if len(set(a.elements) ^ set(b.elements)) == 2:
+            pairs.append((a, b))
+    return PairCollection(n=n, degree=d, pairs=tuple(pairs))
+
+
+def telescoping_identity(a: Sequence) -> Tuple[object, object]:
+    """lhs = sum_{d=1}^{n} (n+1-d) * (-a_{d-1} + 2 a_d - a_{d+1}) against
+    rhs = -n a_0 + (n+1) a_1 - a_{n+1}, for a sequence a_0 .. a_{n+1}."""
+    if len(a) < 2:
+        raise ValueError("telescoping identity needs a_0 .. a_{n+1}, n >= 0")
+    n = len(a) - 2
+    lhs = a[0] - a[0]
+    for d in range(1, n + 1):
+        lhs = lhs + (n + 1 - d) * (-a[d - 1] + 2 * a[d] - a[d + 1])
+    rhs = -n * a[0] + (n + 1) * a[1] - a[n + 1]
+    return lhs, rhs
 
 
 def _wedges(rows: Sequence[Sequence[GaussPoly]], n: int, levels) -> list:

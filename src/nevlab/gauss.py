@@ -249,14 +249,6 @@ class GaussPoly:
         return _poly(nums, den)
 
     @staticmethod
-    def of(*coeffs) -> "GaussPoly":
-        return GaussPoly(coeffs)
-
-    @staticmethod
-    def from_coeffs(coeffs: Iterable[GaussRational]) -> "GaussPoly":
-        return GaussPoly(coeffs)
-
-    @staticmethod
     def zero() -> "GaussPoly":
         return _poly(())
 
@@ -287,11 +279,6 @@ class GaussPoly:
 
     def is_constant(self) -> bool:
         return len(self.nums) <= 1
-
-    def leading(self) -> GaussRational:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     def coeff(self, k: int) -> GaussRational:
         return self.coeffs[k] if 0 <= k < len(self.nums) else GR_ZERO

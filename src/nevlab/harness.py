@@ -1,8 +1,8 @@
-"""Verification harness: index-pair collections, the telescoping identity,
-and the radial inequality checks (Cartan-style defect bound, the
-derived-curve comparison at each level, height growth, and the
-tautological-inequality monitor).  Hyperplane configurations live in the
-exact layer (exterior) and are re-exported here.
+"""Verification harness: the radial inequality checks (Cartan-style defect
+bound, the derived-curve comparison at each level, height growth, and the
+tautological-inequality monitor).  Hyperplane configurations, index-pair
+collections and the telescoping identity live in the exact layer (exterior)
+and are re-exported here.
 
 All radial functionals for one report row are integrated on shared quadrature
 nodes, so identities that hold pointwise in theta survive to the reported
@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import functools
 import io
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .curve import CurveLift
-from .exterior import (HyperplaneConfig, MultiIndex, general_position_tuples,
-                       multi_indices)
+from .exterior import (BalancedResult, HyperplaneConfig, PairCollection,
+                       balanced_check, distance_one_collection,
+                       general_position_tuples, telescoping_identity)
 from .nevanlinna import QUAD_TOL, Evaluator, counting
 
 __all__ = [
@@ -40,66 +40,6 @@ __all__ = [
     "mcquillan_monitor",
     "full_sweep",
 ]
-
-
-@dataclass(frozen=True)
-class BalancedResult:
-    balanced: bool
-    counts: Tuple[Tuple[object, int], ...]
-    empty: bool
-
-
-def balanced_check(pairs: Sequence[Tuple[object, object]]) -> BalancedResult:
-    """Whether every member index set occurs in the same number of pairs."""
-    counts: Dict[object, int] = {}
-    for a, b in pairs:
-        counts[a] = counts.get(a, 0) + 1
-        counts[b] = counts.get(b, 0) + 1
-    if not counts:
-        return BalancedResult(balanced=False, counts=(), empty=True)
-    freqs = set(counts.values())
-    return BalancedResult(
-        balanced=len(freqs) == 1,
-        counts=tuple(sorted(counts.items(), key=str)),
-        empty=False,
-    )
-
-
-@dataclass(frozen=True)
-class PairCollection:
-    """Unordered pairs of size-d index sets in {0..n} at distance one
-    (symmetric difference of size two)."""
-
-    n: int
-    degree: int
-    pairs: Tuple[Tuple[MultiIndex, MultiIndex], ...]
-
-    def positions(self) -> List[Tuple[int, int]]:
-        """Each pair as positions in the lexicographic multi-index order."""
-        where = {ia: k for k, ia in enumerate(multi_indices(self.n, self.degree))}
-        return [(where[a], where[b]) for a, b in self.pairs]
-
-
-def distance_one_collection(n: int, d: int) -> PairCollection:
-    idx = multi_indices(n, d)
-    pairs = []
-    for a, b in itertools.combinations(idx, 2):
-        if len(set(a.elements) ^ set(b.elements)) == 2:
-            pairs.append((a, b))
-    return PairCollection(n=n, degree=d, pairs=tuple(pairs))
-
-
-def telescoping_identity(a: Sequence) -> Tuple[object, object]:
-    """lhs = sum_{d=1}^{n} (n+1-d) * (-a_{d-1} + 2 a_d - a_{d+1}) against
-    rhs = -n a_0 + (n+1) a_1 - a_{n+1}, for a sequence a_0 .. a_{n+1}."""
-    if len(a) < 2:
-        raise ValueError("telescoping identity needs a_0 .. a_{n+1}, n >= 0")
-    n = len(a) - 2
-    lhs = a[0] - a[0]
-    for d in range(1, n + 1):
-        lhs = lhs + (n + 1 - d) * (-a[d - 1] + 2 * a[d] - a[d + 1])
-    rhs = -n * a[0] + (n + 1) * a[1] - a[n + 1]
-    return lhs, rhs
 
 
 @dataclass

@@ -6,11 +6,11 @@ sit at half-steps so they never land on theta = 2*pi*k/N.  A node that still
 hits a singularity is offset by a further half-step; if that fails too the
 result is flagged unconverged rather than patched silently.
 
-Every circle average of a curve integrates a row function of NodeBatches
-(Evaluator.radial), one per chunk of at most _NODE_CHUNK nodes, so per-node
-temporaries stay bounded however many nodes the quadrature needs; the rows
-of one radius share bit-identical chunks (Evaluator.radials), and the tuple
-selector works in one pass.
+Every circle average, height_bar and proximity_hyperplane included, is a
+row of NodeBatch components integrated by Evaluator.radial, the one caller
+of adaptive_midpoint, one chunk of at most _NODE_CHUNK nodes at a time, so
+per-node temporaries stay bounded however many nodes the quadrature needs;
+the rows of one radius share bit-identical chunks (Evaluator.radials).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "QUAD_INITIAL_NODES",
     "QUAD_NODE_CAP",
     "counting",
-    "circle_integral",
     "adaptive_midpoint",
     "height_bar",
     "height_T",
@@ -119,25 +118,6 @@ def adaptive_midpoint(
         n *= 2
 
 
-def circle_integral(
-    g: Callable[[np.ndarray], np.ndarray],
-    tol: float = QUAD_TOL,
-    r: float = 1.0,
-) -> RadialValue:
-    """Circle average of a scalar integrand g(theta); g maps an array of
-    nodes to an array of values of the same shape."""
-
-    def gv(nodes: np.ndarray) -> np.ndarray:
-        out = np.asarray(g(nodes), dtype=float)
-        if out.shape != nodes.shape:
-            raise ValueError("integrand must return one value per node")
-        return out.reshape(1, -1)
-
-    values, converged, nodes = adaptive_midpoint(gv, tol=tol)
-    return RadialValue(r=r, value=float(values[0]), quadrature_nodes=nodes,
-                       converged=bool(converged[0]))
-
-
 def _coeff_arrays(polys: Sequence[GaussPoly]) -> list:
     return [p.complex_coeffs() for p in polys]
 
@@ -157,23 +137,16 @@ def _form_matrix(forms) -> np.ndarray:
 
 def height_bar(X, r: float, tol: float = QUAD_TOL) -> RadialValue:
     """Circle average of log |X(r e^{i theta})| (Euclidean norm of the
-    Pluecker coordinates).  X may be a WedgeVector or a bare GaussPoly."""
+    Pluecker coordinates).  X may be a WedgeVector or a bare GaussPoly; its
+    coordinates are integrated as a lift, a GaussPoly as a lift in P^0."""
     if r <= 0:
         raise ValueError("height_bar needs r > 0")
-    if isinstance(X, GaussPoly):
-        if X.is_zero():
-            raise ValueError("height of the zero polynomial")
-        arrays = _coeff_arrays([X])
-    elif X.is_zero():
-        raise ValueError("height of the zero wedge")
-    else:
-        arrays = _coeff_arrays(X.polys())
-
-    def g(theta: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", over="ignore"):
-            return _log_norm(_eval_stack(arrays, r * np.exp(1j * theta)))
-
-    return circle_integral(g, tol, r)
+    if X.is_zero():
+        kind = "polynomial" if isinstance(X, GaussPoly) else "wedge"
+        raise ValueError(f"height of the zero {kind}")
+    polys = [X] if isinstance(X, GaussPoly) else X.polys()
+    lift = CurveLift(n=len(polys) - 1, coords=tuple(polys))
+    return _radial_value(Evaluator(lift, None, tol), r, lambda at: at.hbar(1))
 
 
 def height_T(x: CurveLift, d: int, r: float, tol: float = QUAD_TOL) -> float:
@@ -183,8 +156,7 @@ def height_T(x: CurveLift, d: int, r: float, tol: float = QUAD_TOL) -> float:
         return 0.0
     ev = Evaluator(x, None, tol)
     n_d = counting(ev.level_divisor(d), r)  # rejects r <= 0 before quadrature
-    (hbar,), _, _ = ev.radial(r, lambda at: [at.hbar(d)])
-    return hbar - n_d
+    return _radial_value(ev, r, lambda at: at.hbar(d)).value - n_d
 
 
 def weil(F: WedgeForm, v) -> float:
@@ -468,10 +440,11 @@ class Evaluator:
     def _coeffs(self, key) -> list:
         """Coefficient arrays of X^d for key ('w', d), of (X^d)' for ('p', d):
         the coordinatewise derivative, which the product rule makes the wedge
-        x ^ x' ^ ... ^ x^{(d-2)} ^ x^{(d)} (see leibniz_partner)."""
+        x ^ x' ^ ... ^ x^{(d-2)} ^ x^{(d)} (see leibniz_partner).  X^1 is x
+        itself, so level 1 builds no derived level."""
         if key not in self._arrays:
             kind, d = key
-            polys = self.wedge(d).polys()
+            polys = list(self.x.coords) if d == 1 else self.wedge(d).polys()
             if kind == "p":
                 polys = [p.derivative() for p in polys]
             self._arrays[key] = _coeff_arrays(polys)
@@ -533,6 +506,15 @@ class Evaluator:
         return self._shared[key]
 
 
+def _radial_value(ev: Evaluator, r: float,
+                  row: Callable[[NodeBatch], np.ndarray]) -> RadialValue:
+    """The circle average at radius r of one NodeBatch component row, for
+    example ``lambda at: at.hbar(1)``, through Evaluator.radial."""
+    (value,), converged, nodes = ev.radial(r, lambda at: [row(at)])
+    return RadialValue(r=r, value=float(value), quadrature_nodes=nodes,
+                       converged=bool(converged[0]))
+
+
 def proximity_m(x: CurveLift, d: int, L, r: float,
                 tol: float = QUAD_TOL) -> RadialValue:
     """m_{d,f}(L, r): circle average of the mean over all size-d subsets I of
@@ -543,24 +525,16 @@ def proximity_m(x: CurveLift, d: int, L, r: float,
         raise ValueError("proximity needs r > 0")
     if d == 0:
         return RadialValue(r=r, value=0.0, quadrature_nodes=0, converged=True)
-    (value,), converged, nodes = Evaluator(x, L, tol).radial(
-        r, lambda at: [at.m(d)])
-    return RadialValue(r=r, value=float(value), quadrature_nodes=nodes,
-                       converged=bool(converged.all()))
+    return _radial_value(Evaluator(x, L, tol), r, lambda at: at.m(d))
 
 
 def proximity_hyperplane(x: CurveLift, form, r: float,
                          tol: float = QUAD_TOL) -> RadialValue:
     """Classical single-hyperplane proximity m_f(H, r) for a linear form."""
-    arrays = _coeff_arrays(x.coords)
     coeffs = _form_matrix([form])[0]
-
-    def g(theta: np.ndarray) -> np.ndarray:
-        xv = _eval_stack(arrays, r * np.exp(1j * theta))
-        with np.errstate(divide="ignore", over="ignore"):
-            return _log_norm(xv) - np.log(np.abs(coeffs @ xv))
-
-    return circle_integral(g, tol, r)
+    return _radial_value(
+        Evaluator(x, None, tol), r,
+        lambda at: at.hbar(1) - np.log(np.abs(coeffs @ at.wedge(1))))
 
 
 def _chart_sums(y: np.ndarray, yd: np.ndarray):

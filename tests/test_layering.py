@@ -24,8 +24,8 @@ PUBLIC = {
     "curve": ["CurveLift", "DegenerateCurveError", "associated",
               "associated_family", "leibniz_partner", "normalize",
               "ramification_divisor", "wronskian"],
-    "nevanlinna": ["RadialValue", "SelectorContext", "circle_integral",
-                   "counting", "height_T", "height_bar", "mu",
+    "nevanlinna": ["RadialValue", "SelectorContext", "counting",
+                   "height_T", "height_bar", "mu",
                    "pointwise_logderiv_check", "proximity_hyperplane",
                    "proximity_m", "weil"],
     "harness": ["Evaluator", "PairCollection", "SweepReport",

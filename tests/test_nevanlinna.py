@@ -8,9 +8,10 @@ import pytest
 from scipy.integrate import quad
 
 from nevlab import nevanlinna
-from nevlab.curve import associated
+from nevlab.curve import associated, associated_family
 from nevlab.exterior import WedgeForm, multi_indices
-from nevlab.gauss import GR_I, GR_ONE, GR_ZERO, Divisor, parse_poly, roots
+from nevlab.gauss import (GR_I, GR_ONE, GR_ZERO, Divisor, GaussPoly,
+                          parse_poly, roots)
 from nevlab.harness import distance_one_collection
 from nevlab.nevanlinna import (
     QUAD_TOL,
@@ -19,7 +20,6 @@ from nevlab.nevanlinna import (
     RadialValue,
     SelectorContext,
     adaptive_midpoint,
-    circle_integral,
     counting,
     height_T,
     height_bar,
@@ -62,20 +62,15 @@ class TestCounting:
 
 
 class TestQuadrature:
-    def test_integrand_shape_is_checked(self):
-        with pytest.raises(ValueError, match="one value per node"):
-            circle_integral(lambda t: 1.0)
-        with pytest.raises(ValueError, match="one value per node"):
-            circle_integral(lambda t: np.vstack([t, t]))
-
     def test_matches_scipy_on_smooth_integrand(self):
         def g(t):
             return np.exp(np.cos(t)) * np.cos(np.sin(t))
 
-        rv = circle_integral(g, tol=1e-9)
+        (value,), (converged,), _ = adaptive_midpoint(
+            lambda t: g(t)[None], tol=1e-9)
         want, _ = quad(g, 0, 2 * math.pi)
-        assert rv.converged
-        assert rv.value == pytest.approx(want / (2 * math.pi), abs=1e-9)
+        assert converged
+        assert value == pytest.approx(want / (2 * math.pi), abs=1e-9)
 
     def test_log_singularity_on_circle(self):
         # mean of log|e^{it} - 1| over the circle is 0 (Jensen); the
@@ -83,9 +78,10 @@ class TestQuadrature:
         def g(t):
             return np.log(np.abs(np.exp(1j * t) - 1))
 
-        rv = circle_integral(g, tol=1e-6)
-        assert rv.converged
-        assert rv.value == pytest.approx(0.0, abs=1e-5)
+        (value,), (converged,), _ = adaptive_midpoint(
+            lambda t: g(t)[None], tol=1e-6)
+        assert converged
+        assert value == pytest.approx(0.0, abs=1e-5)
 
     def test_singular_node_offset(self):
         # integrand infinite exactly at the first midpoint node of every
@@ -202,6 +198,89 @@ class TestProximity:
             m = proximity_hyperplane(x, form, r).value
             vals.append(m + counting(div, r) - height_T(x, 1, r))
         assert max(vals) - min(vals) < 1e-8
+
+
+def _integrand_oracle(g, r, tol=QUAD_TOL) -> RadialValue:
+    """Oracle for the single-row functionals: a hand-built scalar integrand
+    g(theta), evaluated on all nodes at once, passed straight to
+    adaptive_midpoint instead of through Evaluator.radial."""
+    values, converged, nodes = adaptive_midpoint(lambda t: g(t)[None], tol)
+    return RadialValue(r=r, value=float(values[0]), quadrature_nodes=nodes,
+                       converged=bool(converged[0]))
+
+
+def _stack(polys, z):
+    return np.vstack([np.polynomial.polynomial.polyval(z, p.complex_coeffs())
+                      for p in polys])
+
+
+def _height_bar_oracle(X, r):
+    polys = [X] if isinstance(X, GaussPoly) else X.polys()
+
+    def g(theta):
+        with np.errstate(divide="ignore", over="ignore"):
+            v = _stack(polys, r * np.exp(1j * theta))
+            return 0.5 * np.log((np.abs(v) ** 2).sum(axis=0))
+
+    return _integrand_oracle(g, r)
+
+
+def _proximity_hyperplane_oracle(x, form, r):
+    coeffs = np.array([complex(c) for c in form])
+
+    def g(theta):
+        with np.errstate(divide="ignore", over="ignore"):
+            v = _stack(x.coords, r * np.exp(1j * theta))
+            return (0.5 * np.log((np.abs(v) ** 2).sum(axis=0))
+                    - np.log(np.abs(coeffs @ v)))
+
+    return _integrand_oracle(g, r)
+
+
+def _oracle_cases():
+    """(x, forms, radii) for the corpus curves and for the stress curve,
+    whose r = 1.997 lies near the root 2 of its coordinate z - 2 and of its
+    second form, so those integrals need 8192 nodes, two node chunks."""
+    cases = [(x, cfg.forms, (0.5, 2.0, 7.0)) for x, cfg in corpus().values()]
+    x, cfg = stress()
+    return cases + [(x, cfg.forms, (0.54, 1.8, 1.997, 6.0))]
+
+
+class TestSingleRowOracles:
+    def test_height_bar_matches_integrand_oracle(self):
+        nodes = []
+        for x, _, radii in _oracle_cases():
+            family = [X for X in associated_family(x) if not X.is_zero()]
+            for X in family + [p for p in x.coords if not p.is_zero()]:
+                for r in radii:
+                    got = height_bar(X, r)
+                    assert got == _height_bar_oracle(X, r)
+                    nodes.append(got.quadrature_nodes)
+        assert max(nodes) > 4096
+
+    def test_proximity_hyperplane_matches_integrand_oracle(self):
+        nodes = []
+        for x, forms, radii in _oracle_cases():
+            for form in forms:
+                for r in radii:
+                    got = proximity_hyperplane(x, form, r)
+                    assert got == _proximity_hyperplane_oracle(x, form, r)
+                    nodes.append(got.quadrature_nodes)
+        assert max(nodes) > 4096
+
+    def test_level_one_row_builds_no_derived_level(self, monkeypatch):
+        x, cfg = stress()
+        X2 = associated_family(x)[2]
+
+        def refuse(lift):
+            raise AssertionError("derived levels built")
+
+        monkeypatch.setattr(nevanlinna, "associated_family", refuse)
+        height_bar(X2, 2.0)
+        proximity_hyperplane(x, cfg.forms[0], 2.0)
+        Evaluator(x, cfg).radial(2.0, lambda at: [at.hbar(1), at.cartan()])
+        with pytest.raises(AssertionError, match="derived levels built"):
+            Evaluator(x).radial(2.0, lambda at: [at.hbar(2)])
 
 
 def _thetas(count=512):

@@ -29,3 +29,19 @@ def test_run_sweep(name, n):
     for line in summary:
         k, total = re.search(r"converged (\d+)/(\d+)$", line).groups()
         assert k == total
+
+
+@pytest.mark.parametrize("tol, message", [
+    ("nan", "--tol must be finite"),
+    ("0", "tol must be positive"),
+    ("-1", "tol must be positive"),
+])
+def test_run_sweep_rejects_bad_tol(tol, message):
+    # the CLI's own tolerance check, before any quadrature
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_sweep.py"),
+         str(CONFIGS / "ramified_line.ini"), "--tol", tol],
+        capture_output=True, text=True, timeout=30)
+    assert proc.returncode != 0
+    assert proc.stderr == f"error: {message}\n"
+    assert proc.stdout == ""
