@@ -50,7 +50,7 @@ def main():
         cfg = with_tol(parse_config(Path(args.config).read_text(
             encoding="utf-8")), args.tol)
         x, hp = build(cfg)
-    except ValueError as e:
+    except (OSError, ValueError) as e:
         sys.exit(f"error: {e}")
     tol = cfg.tol
     radii = cfg.radii()

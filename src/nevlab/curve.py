@@ -114,10 +114,10 @@ def associated_family(x: CurveLift) -> list:
     return wedge_layers(x.derivative_rows(x.n + 1), x.n)
 
 
-def level_divisor(X: WedgeVector) -> Divisor:
-    """Divisor of the exact gcd of the Pluecker coordinates of a nonzero
-    derived curve X^d (for d = 2, the ramification divisor)."""
-    g = coordinate_gcd(X.polys())
+def level_divisor(polys: Sequence[GaussPoly]) -> Divisor:
+    """Divisor of the exact gcd of the Pluecker coordinate polynomials of a
+    nonzero derived curve X^d (for d = 2, the ramification divisor)."""
+    g = coordinate_gcd(polys)
     return Divisor.empty() if g.is_constant() else roots(g)
 
 
@@ -128,4 +128,4 @@ def ramification_divisor(x: CurveLift) -> Divisor:
         raise DegenerateCurveError(
             "constant curve: x ^ x' vanishes identically, no ramification divisor"
         )
-    return level_divisor(w)
+    return level_divisor(w.polys())

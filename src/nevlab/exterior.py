@@ -61,10 +61,6 @@ class MultiIndex:
         ):
             raise ValueError("multi-index element out of range")
 
-    @staticmethod
-    def of(elements, n: int) -> "MultiIndex":
-        return MultiIndex(tuple(elements), n)
-
     def __len__(self) -> int:
         return len(self.elements)
 

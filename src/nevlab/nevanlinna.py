@@ -2,9 +2,9 @@
 Weil functions, proximity averages, and the log-derivative comparison.
 
 Quadrature is a composite midpoint rule with node doubling; midpoint nodes
-sit at half-steps so they never land on theta = 2*pi*k/N.  A node that still
-hits a singularity is offset by a further half-step; if that fails too the
-result is flagged unconverged rather than patched silently.
+sit at half-steps so they never land on theta = 2*pi*k/N.  A row with a
+non-finite value is flagged unconverged and ends the doubling, since more
+nodes do not remove a singular value or a float overflow.
 
 Every circle average, height_bar and proximity_hyperplane included, is a
 row of NodeBatch components integrated by Evaluator.radial, the one caller
@@ -24,7 +24,7 @@ import numpy as np
 
 from .curve import (CurveLift, DegenerateCurveError, associated_family,
                     level_divisor)
-from .exterior import WedgeForm, WedgeVector, multi_indices, pluecker_values
+from .exterior import WedgeForm, multi_indices, pluecker_values
 from .gauss import QUAD_TOL, Divisor, GaussPoly, PackedRows
 
 __all__ = [
@@ -74,20 +74,6 @@ def counting(D: Divisor, r: float) -> float:
     return total
 
 
-def _sample(g, nodes: np.ndarray, h: float):
-    """Evaluate a vector integrand; offset singular nodes by a half-step."""
-    vals = np.atleast_2d(np.asarray(g(nodes), dtype=float))
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        cols = np.unique(np.nonzero(bad)[1])
-        retry = np.atleast_2d(np.asarray(g(nodes[cols] + h / 2), dtype=float))
-        patch = vals[:, cols]
-        finite_retry = np.isfinite(retry)
-        vals[:, cols] = np.where(finite_retry & ~np.isfinite(patch), retry, patch)
-    clean = np.isfinite(vals).all(axis=1)
-    return vals, clean
-
-
 def adaptive_midpoint(
     g: Callable[[np.ndarray], np.ndarray],
     tol: float = QUAD_TOL,
@@ -97,25 +83,23 @@ def adaptive_midpoint(
     """Midpoint circle averages (1/2pi integral) of a vector integrand.
 
     g maps an array of theta nodes to an array of shape (k, len(nodes)).
-    Returns (values, converged, nodes_used) with per-component flags.
+    Returns (values, converged, nodes_used) with per-component flags.  A
+    non-finite value counts as 0 in its row's mean, flags the row
+    unconverged and ends the doubling.
     """
-    prev = None
-    n = initial
+    prev, n = math.nan, initial  # no estimate yet: nothing converges
     while True:
-        h = 2 * math.pi / n
-        nodes = (np.arange(n) + 0.5) * h
-        vals, clean = _sample(g, nodes, h)
-        if not np.isfinite(vals).all():
-            vals = np.where(np.isfinite(vals), vals, 0.0)
+        nodes = (np.arange(n) + 0.5) * (2 * math.pi / n)
+        vals = np.atleast_2d(np.asarray(g(nodes), dtype=float))
+        finite = np.isfinite(vals)
+        clean = finite.all(axis=1)
+        if not clean.all():
+            vals = np.where(finite, vals, 0.0)
         est = vals.mean(axis=1)
-        if prev is not None and len(prev) == len(est):
-            converged = (np.abs(est - prev) < tol) & clean
-            if converged.all() or 2 * n > cap:
-                return est, converged, n
-        elif 2 * n > cap:
-            return est, clean & False, n
-        prev = est
-        n *= 2
+        converged = (np.abs(est - prev) < tol) & clean
+        if converged.all() or not clean.all() or 2 * n > cap:
+            return est, converged, n
+        prev, n = est, 2 * n
 
 
 def _coeff_arrays(polys: Sequence[GaussPoly]) -> list:
@@ -429,22 +413,25 @@ class Evaluator:
         """X^0, ..., X^{n+1}, all read from one minor table."""
         return associated_family(self.x)
 
-    def wedge(self, d: int) -> WedgeVector:
+    def level_polys(self, d: int) -> list:
+        """The Pluecker coordinate polynomials of X^d.  X^1 is x itself, so
+        level 1 builds no derived level."""
+        if d == 1:
+            return list(self.x.coords)
         if not 0 <= d <= self.x.n + 1:
             raise ValueError(f"associated level d={d} out of range "
                              f"0..{self.x.n + 1}")
         if self._family[d].is_zero():
             raise DegenerateCurveError(f"curve degenerate at level d={d}")
-        return self._family[d]
+        return self._family[d].polys()
 
     def _coeffs(self, key) -> list:
         """Coefficient arrays of X^d for key ('w', d), of (X^d)' for ('p', d):
         the coordinatewise derivative, which the product rule makes the wedge
-        x ^ x' ^ ... ^ x^{(d-2)} ^ x^{(d)} (see leibniz_partner).  X^1 is x
-        itself, so level 1 builds no derived level."""
+        x ^ x' ^ ... ^ x^{(d-2)} ^ x^{(d)} (see leibniz_partner)."""
         if key not in self._arrays:
             kind, d = key
-            polys = list(self.x.coords) if d == 1 else self.wedge(d).polys()
+            polys = self.level_polys(d)
             if kind == "p":
                 polys = [p.derivative() for p in polys]
             self._arrays[key] = _coeff_arrays(polys)
@@ -452,7 +439,7 @@ class Evaluator:
 
     def level_divisor(self, d: int) -> Divisor:
         if d not in self._divisors:
-            self._divisors[d] = level_divisor(self.wedge(d))
+            self._divisors[d] = level_divisor(self.level_polys(d))
         return self._divisors[d]
 
     # -- shared-node radial integration ----------------------------------
@@ -531,6 +518,8 @@ def proximity_m(x: CurveLift, d: int, L, r: float,
 def proximity_hyperplane(x: CurveLift, form, r: float,
                          tol: float = QUAD_TOL) -> RadialValue:
     """Classical single-hyperplane proximity m_f(H, r) for a linear form."""
+    if r <= 0:
+        raise ValueError("proximity needs r > 0")
     coeffs = _form_matrix([form])[0]
     return _radial_value(
         Evaluator(x, None, tol), r,

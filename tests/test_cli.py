@@ -284,16 +284,17 @@ class TestFloatOverflow:
     def test_growth_at_huge_radius_warns_nothing(self, tmp_path, monkeypatch,
                                                  capsys):
         # |X^2| overflows at r = 53; the row is reported unconverged (exit 2)
-        # without a numpy RuntimeWarning.  One 16-node batch stands in for
-        # the full node-doubling loop, which runs to the node cap.
+        # without a numpy RuntimeWarning, and the quadrature returns after
+        # its first grid, since more nodes do not remove an overflow.
         quadrature = nevlab.nevanlinna.adaptive_midpoint
-        calls = []
+        nodes = []
 
-        def one_batch(g, tol):
-            calls.append(tol)
-            return quadrature(g, tol, initial=16, cap=16)
+        def recorded(g, tol):
+            values, converged, used = quadrature(g, tol)
+            nodes.append(used)
+            return values, converged, used
 
-        monkeypatch.setattr(nevlab.nevanlinna, "adaptive_midpoint", one_batch)
+        monkeypatch.setattr(nevlab.nevanlinna, "adaptive_midpoint", recorded)
         path = tmp_path / "huge.ini"
         path.write_text(HUGE_RADIUS)
         with warnings.catch_warnings():
@@ -301,7 +302,7 @@ class TestFloatOverflow:
             code = main(["verify", "growth", "--r", "53",
                          "--config", str(path)])
         assert code == 2
-        assert calls
+        assert nodes == [nevlab.nevanlinna.QUAD_INITIAL_NODES]
         captured = capsys.readouterr()
         assert captured.err == ""
         assert captured.out.splitlines()[-1].endswith(",0")

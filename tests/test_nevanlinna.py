@@ -14,6 +14,7 @@ from nevlab.gauss import (GR_I, GR_ONE, GR_ZERO, Divisor, GaussPoly,
                           parse_poly, roots)
 from nevlab.harness import distance_one_collection
 from nevlab.nevanlinna import (
+    QUAD_INITIAL_NODES,
     QUAD_TOL,
     Evaluator,
     NodeBatch,
@@ -83,16 +84,21 @@ class TestQuadrature:
         assert converged
         assert value == pytest.approx(0.0, abs=1e-5)
 
-    def test_singular_node_offset(self):
-        # integrand infinite exactly at the first midpoint node of every
-        # refinement; the half-step offset must keep the estimate finite
+    def test_non_finite_row_ends_doubling(self):
+        # row 0 turns infinite at one node of the second grid; a non-finite
+        # value flags its row and ends the doubling, since more nodes do not
+        # remove an overflow, while the smooth row 1 keeps its own flag
         def g(t):
-            with np.errstate(divide="ignore"):
-                out = np.log(np.abs(t - t[0])) if len(t) else t
-            return out.reshape(1, -1)
+            smooth = np.exp(np.cos(t))
+            spoiled = smooth.copy()
+            if len(t) > QUAD_INITIAL_NODES:
+                spoiled[0] = np.inf
+            return np.vstack([spoiled, smooth])
 
-        values, converged, _ = adaptive_midpoint(g, tol=1e-3, cap=2048)
-        assert np.isfinite(values).all()
+        values, converged, nodes = adaptive_midpoint(g, tol=1e-9)
+        assert nodes == 2 * QUAD_INITIAL_NODES == 512
+        assert converged.tolist() == [False, True]
+        assert np.isfinite(values[1])
 
     def test_unconverged_flag(self):
         rng_state = {"k": 0}
@@ -147,6 +153,20 @@ class TestHeightT:
         x = monomial_lift(0, 1, 2)
         assert height_T(x, 1, 50.0) > height_T(x, 1, 5.0)
 
+    def test_level_one_builds_no_derived_level(self, monkeypatch):
+        # T_1 reads x itself, and N_1 = 0 for a primitive lift, so T_1 is
+        # the mean of log|x|; 3.5245421960701138 is T_1 read through the
+        # full derived family
+        x, _ = stress()
+
+        def refuse(lift):
+            raise AssertionError("derived levels built")
+
+        monkeypatch.setattr(nevanlinna, "associated_family", refuse)
+        t1 = height_T(x, 1, 2.0)
+        assert t1 == height_bar(associated(x, 1), 2.0).value
+        assert t1 == pytest.approx(3.5245421960701138, rel=1e-14)
+
 
 class TestWeil:
     def test_positive_away_from_hyperplane(self):
@@ -178,6 +198,11 @@ class TestProximity:
             rv = proximity_m(self.x, d, self.ctx, 4.0)
             assert rv.converged
             assert rv.value > -1e-6
+
+    @pytest.mark.parametrize("r", [0.0, -2.0])
+    def test_hyperplane_needs_positive_radius(self, r):
+        with pytest.raises(ValueError, match="proximity needs r > 0"):
+            proximity_hyperplane(self.x, self.cfg.forms[0], r)
 
     def test_selector_reused_across_levels(self):
         # the level-1 argmax is a single map; scores of the selected tuple

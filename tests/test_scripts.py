@@ -45,3 +45,14 @@ def test_run_sweep_rejects_bad_tol(tol, message):
     assert proc.returncode != 0
     assert proc.stderr == f"error: {message}\n"
     assert proc.stdout == ""
+
+
+def test_run_sweep_missing_config(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_sweep.py"),
+         str(tmp_path / "nonexistent.ini")],
+        capture_output=True, text=True, timeout=30)
+    assert proc.returncode != 0
+    assert proc.stderr.startswith("error: ")
+    assert "nonexistent.ini" in proc.stderr
+    assert proc.stdout == ""
