@@ -88,6 +88,14 @@ def _validate_radii(radii: Sequence[float]) -> List[float]:
     return radii
 
 
+def _sweep(ev: Evaluator, radii: Sequence[float], rows, row) -> SweepReport:
+    """The report of row(r, values, converged) at each radius, the component
+    rows of rows(at) integrated by one Evaluator.radial call."""
+    radii = _validate_radii(radii)
+    return _report([row(r, vals, conv) for r, [(vals, conv, _)]
+                    in zip(radii, ev.radial(radii, [rows]))])
+
+
 def verify_cartan(x: CurveLift, config: HyperplaneConfig,
                   radii: Sequence[float], tol: float = QUAD_TOL) -> SweepReport:
     """Defect-relation check: integral of the largest tuple Weil sum against
@@ -98,16 +106,16 @@ def verify_cartan(x: CurveLift, config: HyperplaneConfig,
     n_w = ev.level_divisor(n + 1)
     n_1 = ev.level_divisor(1)
 
-    def row(r):
-        (lhs, hbar1, m1), conv, _ = ev.radial(
-            r, lambda at: [at.cartan(), at.hbar(1), at.m(1)])
+    def row(r, vals, conv):
+        lhs, hbar1, m1 = vals
         t1 = hbar1 - counting(n_1, r)
         nw = counting(n_w, r)
         return _row({"r": r}, lhs, (n + 1) * t1 - nw,
                     {"T_1": t1, "N_W": nw, "m_1": m1,
                      "sum_check": (n + 1) * m1}, conv)
 
-    return _report([row(r) for r in _validate_radii(radii)])
+    return _sweep(ev, radii, lambda at: [at.cartan(), at.hbar(1), at.m(1)],
+                  row)
 
 
 def verify_lemma55(x: CurveLift, config: HyperplaneConfig,
@@ -130,15 +138,14 @@ def verify_lemma55(x: CurveLift, config: HyperplaneConfig,
                for a, b in positions):
             raise ValueError("pair indices out of range")
 
-    def row(r):
-        (m1, m_c, hbar1, hbar_pair), conv, _ = ev.radial(
-            r, lambda at: [at.m(1), at.pairlam(1, positions), at.hbar(1),
-                           at.hbarpair(1)])
+    def row(r, vals, conv):
+        m1, m_c, hbar1, hbar_pair = vals
         return _row({"r": r}, 2 * m1 - m_c, 2 * hbar1 - hbar_pair,
                     {"m_1": m1, "m_C": m_c, "hbar_1": hbar1,
                      "hbar_pair": hbar_pair}, conv)
 
-    return _report([row(r) for r in _validate_radii(radii)])
+    return _sweep(ev, radii, lambda at: [at.m(1), at.pairlam(1, positions),
+                                         at.hbar(1), at.hbarpair(1)], row)
 
 
 def verify_prop62(x: CurveLift, config: HyperplaneConfig,
@@ -148,9 +155,9 @@ def verify_prop62(x: CurveLift, config: HyperplaneConfig,
     computed by two routes on shared quadrature nodes: directly (-m_{d-1} +
     2 m_d - m_{d+1} against the same second difference of bare heights) and
     through the pair collection on the level-d derived curve.  route_gap
-    records their disagreement.  One Evaluator serves all levels, and the
-    levels of one radius share their node batches (Evaluator.radials); the
-    rows are stacked level by level behind a leading d column."""
+    records their disagreement.  One Evaluator.radial call serves all levels
+    and radii, the levels of one radius sharing their node batches; the rows
+    are stacked level by level behind a leading d column."""
     levels = list(levels)
     if not levels:
         raise ValueError("empty level list")
@@ -173,7 +180,8 @@ def verify_prop62(x: CurveLift, config: HyperplaneConfig,
 
     radii = _validate_radii(radii)
     each = [functools.partial(level_row, d) for d in levels]
-    results = {r: dict(zip(levels, ev.radials(r, each))) for r in radii}
+    results = {r: dict(zip(levels, res))
+               for r, res in zip(radii, ev.radial(radii, each))}
 
     def row(d, r):
         vals, conv, _ = results[r][d]
@@ -199,15 +207,14 @@ def verify_height_growth(x: CurveLift, radii: Sequence[float],
     levels = list(range(1, x.n + 2))
     divisors = {d: ev.level_divisor(d) for d in levels}
 
-    def row(r):
-        vals, conv, _ = ev.radial(r, lambda at: [at.hbar(d) for d in levels])
+    def row(r, vals, conv):
         t = {d: h - counting(divisors[d], r) for d, h in zip(levels, vals)}
         excess = {d: t[d] - 2 ** (d - 1) * t[1] for d in levels}
         return _row({"r": r}, max(excess.values()), slack,
                     {**{f"T_{d}": t[d] for d in levels},
                      **{f"excess_{d}": excess[d] for d in levels}}, conv)
 
-    return _report([row(r) for r in _validate_radii(radii)])
+    return _sweep(ev, radii, lambda at: [at.hbar(d) for d in levels], row)
 
 
 def mcquillan_monitor(x: CurveLift, config: HyperplaneConfig,
@@ -222,9 +229,8 @@ def mcquillan_monitor(x: CurveLift, config: HyperplaneConfig,
     n_1 = ev.level_divisor(1)
     n_ram = ev.level_divisor(2)
 
-    def row(r):
-        (hbar1, hbar2, mu_int), conv, _ = ev.radial(
-            r, lambda at: [at.hbar(1), at.hbar(2), at.mumax()])
+    def row(r, vals, conv):
+        hbar1, hbar2, mu_int = vals
         t1 = hbar1 - counting(n_1, r)
         nram = counting(n_ram, r)
         t2 = hbar2 - nram
@@ -233,7 +239,8 @@ def mcquillan_monitor(x: CurveLift, config: HyperplaneConfig,
                     {"T_1": t1, "T_2": t2, "mu_int": mu_int, "N_Ram": nram,
                      "normalized": m / max(1.0, math.log(r))}, conv)
 
-    return _report([row(r) for r in _validate_radii(radii)])
+    return _sweep(ev, radii, lambda at: [at.hbar(1), at.hbar(2), at.mumax()],
+                  row)
 
 
 def full_sweep(x: CurveLift, config: HyperplaneConfig,
@@ -245,9 +252,7 @@ def full_sweep(x: CurveLift, config: HyperplaneConfig,
     levels = list(range(1, n + 2))
     divisors = {d: ev.level_divisor(d) for d in levels}
 
-    def row(r):
-        vals, conv, _ = ev.radial(r, lambda at: [at.hbar(d) for d in levels]
-                                  + [at.m(d) for d in levels] + [at.cartan()])
+    def row(r, vals, conv):
         hbar, m, lhs = vals[:n + 1], vals[n + 1:-1], vals[-1]
         t = {f"T_{d}": h - counting(divisors[d], r)
              for d, h in zip(levels, hbar)}
@@ -258,4 +263,5 @@ def full_sweep(x: CurveLift, config: HyperplaneConfig,
                      "N_W": nw, "N_Ram": nram},
                     lhs, (n + 1) * t["T_1"] - nw, {}, conv)
 
-    return _report([row(r) for r in _validate_radii(radii)])
+    return _sweep(ev, radii, lambda at: [at.hbar(d) for d in levels]
+                  + [at.m(d) for d in levels] + [at.cartan()], row)

@@ -10,7 +10,8 @@ Every circle average, height_bar and proximity_hyperplane included, is a
 row of NodeBatch components integrated by Evaluator.radial, the one caller
 of adaptive_midpoint, one chunk of at most _NODE_CHUNK nodes at a time, so
 per-node temporaries stay bounded however many nodes the quadrature needs;
-the rows of one radius share bit-identical chunks (Evaluator.radials).
+the rows of one radius share bit-identical chunks, and the first two grids
+of every radius are evaluated ahead, for groups of radii at once.
 """
 
 from __future__ import annotations
@@ -74,6 +75,11 @@ def counting(D: Divisor, r: float) -> float:
     return total
 
 
+def _grid(n: int) -> np.ndarray:
+    """The n midpoint nodes (k + 1/2) 2 pi / n on the circle."""
+    return (np.arange(n) + 0.5) * (2 * math.pi / n)
+
+
 def adaptive_midpoint(
     g: Callable[[np.ndarray], np.ndarray],
     tol: float = QUAD_TOL,
@@ -89,8 +95,7 @@ def adaptive_midpoint(
     """
     prev, n = math.nan, initial  # no estimate yet: nothing converges
     while True:
-        nodes = (np.arange(n) + 0.5) * (2 * math.pi / n)
-        vals = np.atleast_2d(np.asarray(g(nodes), dtype=float))
+        vals = np.atleast_2d(np.asarray(g(_grid(n)), dtype=float))
         finite = np.isfinite(vals)
         clean = finite.all(axis=1)
         if not clean.all():
@@ -289,12 +294,12 @@ class SelectorContext:
 
 
 class NodeBatch:
-    """One chunk of quadrature nodes z = r e^{i theta} of an Evaluator.
+    """A chunk of nodes z = r e^{i theta} of an Evaluator; r may be per node.
     Each component method returns one value per node; the tuple selection,
     |X^d|, m(d) and the log norm of X^d wedge (X^d)' are evaluated once per
     batch, z, X^d and (X^d)' once until release()."""
 
-    def __init__(self, ev: "Evaluator", r: float, theta: np.ndarray):
+    def __init__(self, ev: "Evaluator", r, theta: np.ndarray):
         self.ev = ev
         self.r = r
         self.theta = theta
@@ -404,7 +409,6 @@ class Evaluator:
             self.ctx = SelectorContext.from_config(config)
         self._arrays: Dict[tuple, list] = {}
         self._divisors: Dict[int, Divisor] = {}
-        self._shared = None  # NodeBatch by chunk bytes inside radials()
 
     # -- exact/cached data ---------------------------------------------
 
@@ -444,60 +448,80 @@ class Evaluator:
 
     # -- shared-node radial integration ----------------------------------
 
-    def radial(self, r: float,
-               rows: Callable[[NodeBatch], Sequence[np.ndarray]]):
-        """Integrate at radius r, on shared nodes, the component rows that
-        rows(at) returns for a NodeBatch at, for example
-        ``lambda at: [at.cartan(), at.hbar(1), at.m(1)]``.  Returns
-        adaptive_midpoint's (values, converged, nodes), one value and one
-        flag per row in row order.  An integrand call writes the rows of one
-        NodeBatch per chunk of at most _NODE_CHUNK consecutive nodes into
-        one (rows, nodes) array; a chunk holds z, X^d, (X^d)' and the
-        component results of its own nodes only.  Outside radials no batch
-        outlives its chunk."""
+    def radial(self, radii: Sequence[float], each: Sequence[Callable]) -> list:
+        """Integrate at each radius the component rows that each rows
+        function in each returns for a NodeBatch at, for example ``lambda
+        at: [at.cartan(), at.hbar(1), at.m(1)]``.  Returns per radius one
+        adaptive_midpoint (values, converged, nodes) per rows function.
+
+        No row converges on adaptive_midpoint's first grid, whose estimate has
+        no predecessor, so every radius whose first grid is finite also
+        evaluates the second.  Both are evaluated ahead, a radius per node, for
+        groups of radii filling half a chunk (no wider than the 2048-node grid
+        smooth radii reach, so peak memory does not grow); a radius whose first
+        grid is not finite drops its second.  The rows functions of one radius
+        share each bit-identical later chunk's batch until the radius is done.
+        Kernels work node by node: grouping and chunk size change no value."""
+        first = np.concatenate([_grid(QUAD_INITIAL_NODES),
+                                _grid(2 * QUAD_INITIAL_NODES)])
+        size = max(1, _NODE_CHUNK // (2 * len(first)))
+        out = []
+        for lo in range(0, len(radii), size):
+            group = np.asarray(radii[lo:lo + size], dtype=float)
+            ahead = self._evaluate(np.repeat(group, len(first)),
+                                   np.tile(first, len(group)), each)
+            for k, r in enumerate(group):
+                shared = {} if len(each) > 1 else None
+                cols = slice(k * len(first), (k + 1) * len(first))
+                out.append([adaptive_midpoint(
+                    self._integrand(r, rows, shared, v[:, cols]), tol=self.tol)
+                    for rows, v in zip(each, ahead)])
+        return out
+
+    def _integrand(self, r: float, rows: Callable, shared, ahead):
+        """adaptive_midpoint's g for rows at radius r: the first two grids
+        once each from their values ahead, later grids evaluated."""
+        grids = {QUAD_INITIAL_NODES: ahead[:, :QUAD_INITIAL_NODES],
+                 2 * QUAD_INITIAL_NODES: ahead[:, QUAD_INITIAL_NODES:]}
 
         def g(theta: np.ndarray) -> np.ndarray:
-            out = None
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                for lo in range(0, len(theta), _NODE_CHUNK):
-                    at = self._batch(r, theta[lo:lo + _NODE_CHUNK])
+            if len(theta) in grids:
+                return grids.pop(len(theta))
+            return self._evaluate(r, theta, [rows], shared)[0]
+
+        return g
+
+    def _evaluate(self, r, theta: np.ndarray, each, shared=None) -> list:
+        """One (rows, nodes) array per rows function, from one NodeBatch per
+        chunk (r one radius or one per node); shared, if a dict, keeps the
+        batches by chunk bytes, with z, X^d and (X^d)' released."""
+        rs = np.broadcast_to(r, theta.shape)
+        out = [None] * len(each)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for lo in range(0, len(theta), _NODE_CHUNK):
+                chunk = slice(lo, lo + _NODE_CHUNK)
+                if shared is None:
+                    at = NodeBatch(self, rs[chunk], theta[chunk])
+                else:
+                    key = theta[chunk].tobytes()
+                    if key not in shared:
+                        shared[key] = NodeBatch(self, rs[chunk],
+                                                np.frombuffer(key))
+                    at = shared[key]
+                for k, rows in enumerate(each):
                     vals = rows(at)
                     at.release()
-                    if out is None:
-                        out = np.empty((len(vals), len(theta)))
-                    out[:, lo:lo + _NODE_CHUNK] = vals
-            return out
-
-        return adaptive_midpoint(g, tol=self.tol)
-
-    def radials(self, r: float, each: Sequence[Callable]) -> list:
-        """radial(r, rows) for each rows function in each, in order.  Every
-        call keeps its own adaptive_midpoint loop, but the calls share each
-        NodeBatch whose chunk of nodes is bit-identical, so the selection,
-        |X^d| and m(d) of a chunk are evaluated once for all of them.  A
-        batch keeps only its per-node component results between calls (its
-        z is recomputed from the chunk bytes it is keyed by), and the shared
-        batches are dropped on return."""
-        self._shared = {}
-        try:
-            return [self.radial(r, rows) for rows in each]
-        finally:
-            self._shared = None
-
-    def _batch(self, r: float, theta: np.ndarray) -> NodeBatch:
-        if self._shared is None:
-            return NodeBatch(self, r, theta)
-        key = (r, theta.tobytes())
-        if key not in self._shared:
-            self._shared[key] = NodeBatch(self, r, np.frombuffer(key[1]))
-        return self._shared[key]
+                    if out[k] is None:
+                        out[k] = np.empty((len(vals), len(theta)))
+                    out[k][:, chunk] = vals
+        return out
 
 
 def _radial_value(ev: Evaluator, r: float,
                   row: Callable[[NodeBatch], np.ndarray]) -> RadialValue:
     """The circle average at radius r of one NodeBatch component row, for
     example ``lambda at: at.hbar(1)``, through Evaluator.radial."""
-    (value,), converged, nodes = ev.radial(r, lambda at: [row(at)])
+    [[((value,), converged, nodes)]] = ev.radial([r], [lambda at: [row(at)]])
     return RadialValue(r=r, value=float(value), quadrature_nodes=nodes,
                        converged=bool(converged[0]))
 

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from nevlab import nevanlinna
+from nevlab.cli import build, parse_config
 from nevlab.curve import normalize
 from nevlab.gauss import GR_I, GR_ONE, GR_ZERO, GaussRational, parse_poly
 from nevlab.harness import (
@@ -24,12 +27,13 @@ from nevlab.harness import (
     verify_lemma55,
     verify_prop62,
 )
-from nevlab.nevanlinna import QUAD_TOL
+from nevlab.nevanlinna import QUAD_INITIAL_NODES, QUAD_TOL, SelectorContext
 
 from conftest import corpus, monomial_lift, rand_rational, stress
 
 
 ONE, ZERO = GR_ONE, GR_ZERO
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 
 class TestGeneralPosition:
@@ -147,8 +151,8 @@ class TestEvaluatorConsistency:
         x, cfg = corpus()["conic"]
         ev = Evaluator(x, cfg, tol=1e-8)
         for r in (0.5, 6.0):
-            (h1, h2, h3), _, _ = ev.radial(
-                r, lambda at: [at.hbar(1), at.hbar(2), at.hbar(3)])
+            [[((h1, h2, h3), _, _)]] = ev.radial(
+                [r], [lambda at: [at.hbar(1), at.hbar(2), at.hbar(3)]])
             assert h1 == pytest.approx(
                 0.5 * math.log(1 + r ** 2 + r ** 4), abs=1e-12)
             assert h2 == pytest.approx(
@@ -168,7 +172,8 @@ class TestEvaluatorConsistency:
             return max(lam[list(t)].sum() for t in cfg.tuples) / (x.n + 1)
 
         for r in (0.7, 6.0):
-            (m1,), (converged,), _ = ev.radial(r, lambda at: [at.m(1)])
+            [[((m1,), (converged,), _)]] = ev.radial(
+                [r], [lambda at: [at.m(1)]])
             want, _ = quad(integrand, 0, 2 * math.pi, args=(r,), limit=200,
                            epsabs=1e-11)
             assert converged
@@ -193,6 +198,44 @@ class TestVerifiers:
         x, cfg = corpus()["line"]
         with pytest.raises(ValueError):
             verify_cartan(x, cfg, [5.0, 2.0])
+
+    def test_cartan_selects_once_per_group_and_later_grid(self,
+                                                          monkeypatch):
+        # the first two grids of two radii share one batch, so the ten
+        # radii of the twisted cubic's grid make five selections there, plus
+        # one per chunk of each later grid; a selection per radius and grid
+        # would make at least 20
+        cfg = parse_config(
+            (CONFIGS / "twisted_cubic.ini").read_text(encoding="utf-8"))
+        x, hp = build(cfg)
+        radii = cfg.radii()
+        calls, used = [], []
+        select = SelectorContext.select
+        quadrature = nevanlinna.adaptive_midpoint
+
+        def counted(self, xvals):
+            calls.append(xvals.shape[1])
+            return select(self, xvals)
+
+        def recorded(g, tol):
+            values, converged, nodes = quadrature(g, tol)
+            used.append(nodes)
+            return values, converged, nodes
+
+        monkeypatch.setattr(SelectorContext, "select", counted)
+        monkeypatch.setattr(nevanlinna, "adaptive_midpoint", recorded)
+        assert verify_cartan(x, hp, radii, tol=cfg.tol).all_converged()
+        ahead = 3 * QUAD_INITIAL_NODES  # nodes of the first two grids
+        group = nevanlinna._NODE_CHUNK // (2 * ahead)
+        later = 0
+        for nodes in used:
+            grid = 4 * QUAD_INITIAL_NODES
+            while grid <= nodes:
+                later += -(-grid // nevanlinna._NODE_CHUNK)
+                grid *= 2
+        assert len(radii) == len(used) == 10 and group == 2
+        assert calls.count(group * ahead) == 5
+        assert len(calls) == 5 + later < 2 * len(radii)
 
     def test_prop62_routes_agree(self):
         x, cfg = corpus()["conic"]

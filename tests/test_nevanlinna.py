@@ -1,6 +1,7 @@
 import gc
 import math
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 from nevlab import nevanlinna
-from nevlab.curve import associated, associated_family
+from nevlab.curve import associated, associated_family, normalize
 from nevlab.exterior import WedgeForm, multi_indices
 from nevlab.gauss import (GR_I, GR_ONE, GR_ZERO, Divisor, GaussPoly,
                           parse_poly, roots)
@@ -303,9 +304,9 @@ class TestSingleRowOracles:
         monkeypatch.setattr(nevanlinna, "associated_family", refuse)
         height_bar(X2, 2.0)
         proximity_hyperplane(x, cfg.forms[0], 2.0)
-        Evaluator(x, cfg).radial(2.0, lambda at: [at.hbar(1), at.cartan()])
+        Evaluator(x, cfg).radial([2.0], [lambda at: [at.hbar(1), at.cartan()]])
         with pytest.raises(AssertionError, match="derived levels built"):
-            Evaluator(x).radial(2.0, lambda at: [at.hbar(2)])
+            Evaluator(x).radial([2.0], [lambda at: [at.hbar(2)]])
 
 
 def _thetas(count=512):
@@ -454,7 +455,7 @@ class TestRadialComponents:
     def test_selection_needs_config(self, row):
         x, _ = corpus()["conic"]
         with pytest.raises(ValueError, match="needs a hyperplane config"):
-            Evaluator(x).radial(2.0, row)
+            Evaluator(x).radial([2.0], [row])
 
     def test_heights_and_mumax_select_no_tuple(self, monkeypatch):
         x, cfg = corpus()["conic"]
@@ -467,9 +468,9 @@ class TestRadialComponents:
 
         monkeypatch.setattr(SelectorContext, "select", counted)
         ev = Evaluator(x, cfg)
-        ev.radial(2.0, lambda at: [at.hbar(1), at.hbar(2), at.mumax()])
+        ev.radial([2.0], [lambda at: [at.hbar(1), at.hbar(2), at.mumax()]])
         assert calls == []
-        ev.radial(2.0, lambda at: [at.cartan(), at.m(1)])
+        ev.radial([2.0], [lambda at: [at.cartan(), at.m(1)]])
         assert calls
 
 
@@ -506,7 +507,7 @@ class TestNodeBatch:
             seen.append(weakref.ref(at))
             return [at.m(1), at.hbar(2)]
 
-        Evaluator(x, cfg).radial(3.0, rows)
+        Evaluator(x, cfg).radial([3.0], [rows])
         gc.collect()
         assert seen and all(ref() is None for ref in seen)
 
@@ -542,7 +543,7 @@ class TestNodeBatch:
 
         monkeypatch.setattr(SelectorContext, "select", counted)
         monkeypatch.setattr(SelectorContext, "level_lambda_mean", counted_mean)
-        shared = Evaluator(x, cfg).radials(1.8, [level(1), level(2)])
+        [shared] = Evaluator(x, cfg).radial([1.8], [level(1), level(2)])
         # one selection per distinct batch and one m(d) per batch and level:
         # level 2 reuses level 1's batches, their selections and m(2)
         assert reused
@@ -553,11 +554,72 @@ class TestNodeBatch:
         assert all(ref() is None for refs in seen.values()
                    for ref in refs.values())
         for d, (v, c, n) in zip((1, 2), shared):
-            w, e, m = Evaluator(x, cfg).radial(
-                1.8, lambda at: components(d, at))
+            [[(w, e, m)]] = Evaluator(x, cfg).radial(
+                [1.8], [lambda at: components(d, at)])
             assert v.tobytes() == w.tobytes()
             assert np.array_equal(c, e) and n == m
 
+    @staticmethod
+    def _per_radius(ev, radii, each):
+        """Oracle for Evaluator.radial: one adaptive_midpoint per radius and
+        rows function, each integrand call on one fresh NodeBatch of all its
+        nodes, so no grid is evaluated ahead and no batch is shared."""
+        def g(r, rows):
+            def on_nodes(theta):
+                with np.errstate(divide="ignore", invalid="ignore",
+                                 over="ignore"):
+                    return rows(NodeBatch(ev, r, theta))
+            return on_nodes
+
+        return [[adaptive_midpoint(g(r, rows), tol=ev.tol) for rows in each]
+                for r in radii]
+
+    def _assert_matches_per_radius(self, x, cfg, radii, each, tol=QUAD_TOL):
+        got = Evaluator(x, cfg, tol).radial(radii, each)
+        want = self._per_radius(Evaluator(x, cfg, tol), radii, each)
+        assert len(got) == len(want) == len(radii)
+        for at_r, want_r in zip(got, want):
+            assert len(at_r) == len(want_r) == len(each)
+            for (v, c, n), (w, e, m) in zip(at_r, want_r):
+                assert v.tobytes() == w.tobytes()
+                assert np.array_equal(c, e) and n == m
+        return got
+
+    def test_batched_first_grids_match_per_radius(self):
+        # the first two grids of every radius are evaluated ahead, a group
+        # of radii per batch; values, flags and node counts are bit-equal to
+        # a quadrature per radius and rows function
+        x, cfg = stress()
+        levels = range(1, x.n + 2)
+        sweep = [lambda at: [at.hbar(d) for d in levels]
+                 + [at.m(d) for d in levels] + [at.cartan()]]
+        prop62 = [
+            lambda at, d=d, pos=distance_one_collection(x.n, d).positions():
+            [at.m(d - 1), at.m(d), at.m(d + 1), at.hbar(d - 1), at.hbar(d),
+             at.hbar(d + 1), at.pairlam(d, pos), at.hbarpair(d)]
+            for d in range(1, x.n + 1)]
+        radii = (0.54, 1.8, 6.0)
+        self._assert_matches_per_radius(x, cfg, radii, sweep, 3e-5)
+        self._assert_matches_per_radius(x, cfg, radii, prop62, 3e-5)
+
+        # the twisted cubic's grid of ten radii makes five groups of two
+        x, cfg = corpus()["conic"]
+        radii = np.logspace(math.log10(2), 2, 10)
+        got = self._assert_matches_per_radius(
+            x, cfg, radii, [lambda at: [at.hbar(1), at.hbar(2), at.mumax()]])
+        assert all(c.all() for ((_, c, _),) in got)
+
+        # |X^2| overflows at r = 53: that radius stops after its first grid,
+        # and its second, evaluated ahead in the group of r = 2, is dropped
+        x = normalize([parse_poly(p) for p in ("1", "z^40", "z^80 + 1")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = self._assert_matches_per_radius(
+                x, None, (2.0, 53.0),
+                [lambda at: [at.hbar(d) for d in range(1, x.n + 2)]])
+        assert [n for ((_, _, n),) in got] == [2 * QUAD_INITIAL_NODES,
+                                               QUAD_INITIAL_NODES]
+        assert got[0][0][1].all() and not got[1][0][1].all()
 
     @pytest.mark.parametrize("r", [0.54, 6.0])
     def test_chunk_size_does_not_change_results(self, r, monkeypatch):
@@ -570,13 +632,20 @@ class TestNodeBatch:
 
         def run():
             ev = Evaluator(x, cfg, 3e-5)
+            levels = [lambda at: [at.m(1), at.m(2), at.hbar(2)],
+                      lambda at: [at.m(2), at.m(3), at.hbar(3)]]
             return [
-                ev.radial(r, lambda at: [at.cartan(), at.m(1), at.hbar(1),
-                                         at.pairlam(1, positions),
-                                         at.hbarpair(1)]),
-                ev.radial(r, lambda at: [at.mumax()]),
-                *ev.radials(r, [lambda at: [at.m(1), at.m(2), at.hbar(2)],
-                                lambda at: [at.m(2), at.m(3), at.hbar(3)]]),
+                *ev.radial([r], [lambda at: [at.cartan(), at.m(1), at.hbar(1),
+                                             at.pairlam(1, positions),
+                                             at.hbarpair(1)]])[0],
+                *ev.radial([r], [lambda at: [at.mumax()]])[0],
+                *ev.radial([r], levels)[0],
+                # two radii: one group at the default chunk, one group per
+                # radius at the smaller chunks
+                *(res for at_r in ev.radial([r, 2 * r],
+                                            [lambda at: [at.m(1), at.hbar(2)],
+                                             lambda at: [at.cartan()]])
+                  for res in at_r),
             ]
 
         want = run()
@@ -597,8 +666,8 @@ class TestNodeBatch:
         def traced_peak():
             tracemalloc.start()
             try:
-                _, _, nodes = Evaluator(x, cfg, 3e-5).radial(
-                    0.54, lambda at: [at.m(4)])
+                [[(_, _, nodes)]] = Evaluator(x, cfg, 3e-5).radial(
+                    [0.54], [lambda at: [at.m(4)]])
                 return nodes, tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -1,6 +1,8 @@
 """scripts/run_sweep.py runs every verification on one config and prints a
-summary line per check; no other test runs it."""
+summary line per check; no other test runs it.  scripts/bench_pairs.py's
+summary of paired benchmark runs is checked on synthetic runs."""
 
+import importlib.util
 import re
 import subprocess
 import sys
@@ -56,3 +58,44 @@ def test_run_sweep_missing_config(tmp_path):
     assert proc.stderr.startswith("error: ")
     assert "nonexistent.ini" in proc.stderr
     assert proc.stdout == ""
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summary():
+    # five pairs; the change is lower in the pairs of seeds 1, 2, 3 and 5,
+    # and equal (not lower) in seed 4's
+    parent = [1.0, 1.2, 0.9, 1.1, 1.4]
+    change = [0.8, 0.7, 0.85, 1.1, 0.9]
+    runs = [{"side": side, "seed": seed,
+             "result": {"metrics": {"run_s": {"value": v, "unit": "s"}}}}
+            for side, values in (("change", change), ("parent", parent))
+            for seed, v in enumerate(values, 1)]
+    got = _bench_pairs().summarize(runs, ("run_s",))["run_s"]
+    assert got == {
+        "parent_median": 1.1,
+        "parent_quartiles": [pytest.approx(1.0), pytest.approx(1.2)],
+        "change_median": 0.85,
+        "change_quartiles": [pytest.approx(0.8), pytest.approx(0.9)],
+        "change_lower_in_pairs": 4,
+        "pairs": 5,
+    }
+
+
+def test_bench_pairs_summary_matches_only_paired_seeds():
+    # a run without a partner of the same seed is left out of every figure
+    runs = [{"side": side, "seed": seed,
+             "result": {"metrics": {"run_s": {"value": v, "unit": "s"}}}}
+            for side, seed, v in (("parent", 1, 2.0), ("change", 1, 1.0),
+                                  ("parent", 2, 4.0), ("change", 2, 3.0),
+                                  ("parent", 3, 9.0))]
+    got = _bench_pairs().summarize(runs, ("run_s",))["run_s"]
+    assert got["pairs"] == 2 and got["change_lower_in_pairs"] == 2
+    assert got["parent_median"] == 3.0 and got["change_median"] == 2.0
+    assert got["parent_quartiles"] == [2.5, 3.5]
