@@ -5,8 +5,8 @@ wedge of linear forms against a wedge vector, the two-row determinant
 identity relating neighbouring exterior powers, and hyperplane
 configurations (the general-position tuples of a family of linear forms),
 the distance-one pair collections of index sets and the telescoping
-identity.  Exact like gauss: numpy is imported only by the float conversions
-``WedgeForm.coeff_array`` and ``pluecker_values``.
+identity.  Exact like gauss: numpy is imported only by the float conversion
+``WedgeForm.coeff_array``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ __all__ = [
     "pluecker_relations_check",
     "det_exact",
     "merge_sign",
-    "pluecker_values",
+    "next_layer",
     "HyperplaneConfig",
     "general_position_tuples",
     "BalancedResult",
@@ -73,9 +73,30 @@ def multi_indices(n: int, d: int) -> list:
     return [MultiIndex(c, n) for c in itertools.combinations(range(n + 1), d)]
 
 
+def next_layer(lower: dict, row: Sequence[tuple], k: int, ncols: int) -> dict:
+    """One step of the determinant kernel: from lower, the packed minors of
+    k leading rows on every increasing k-tuple of columns, the minors of
+    those rows and row on every (k + 1)-tuple S, by Laplace expansion along
+    row, one entry product per element of S."""
+    layer = {}
+    for S in itertools.combinations(range(ncols), k + 1):
+        re = im = 0
+        for j, col in enumerate(S):
+            entry, minor = row[col], lower[S[:j] + S[j + 1:]]
+            if not (entry[0] or entry[1]) or not (minor[0] or minor[1]):
+                continue
+            pr, pi = gi_mul(entry, minor)
+            if (k + j) % 2:
+                re, im = re - pr, im - pi
+            else:
+                re, im = re + pr, im + pi
+        layer[S] = (re, im)
+    return layer
+
+
 def _minor_layers(rows: Sequence[Sequence[tuple]], ncols: int) -> list:
     """The one determinant kernel: minors of the leading rows on every column
-    subset, built row by row by Laplace expansion along the last row.
+    subset, built row by row by next_layer.
 
     rows are packed Gaussian integers (gauss.PackedRows), so the expansion is
     integer arithmetic.  layers[k] maps each increasing k-tuple S of columns
@@ -86,20 +107,7 @@ def _minor_layers(rows: Sequence[Sequence[tuple]], ncols: int) -> list:
     """
     layers = [{(): (1, 0)}]
     for k, row in enumerate(rows):
-        lower, layer = layers[-1], {}
-        for S in itertools.combinations(range(ncols), k + 1):
-            re = im = 0
-            for j, col in enumerate(S):
-                entry, minor = row[col], lower[S[:j] + S[j + 1:]]
-                if not (entry[0] or entry[1]) or not (minor[0] or minor[1]):
-                    continue
-                pr, pi = gi_mul(entry, minor)
-                if (k + j) % 2:
-                    re, im = re - pr, im - pi
-                else:
-                    re, im = re + pr, im + pi
-            layer[S] = (re, im)
-        layers.append(layer)
+        layers.append(next_layer(layers[-1], row, k, ncols))
     return layers
 
 
@@ -201,16 +209,6 @@ class WedgeForm:
         import numpy as np
 
         return np.array([complex(c) for c in self._pluecker], dtype=complex)
-
-
-def pluecker_values(packed: PackedRows, S: Sequence[int], n: int) -> np.ndarray:
-    """WedgeForm(n, [forms[j] for j in S]).coeff_array() for forms packed
-    in packed, read from one minor table of the rows S of packed."""
-    import numpy as np
-
-    layer = _minor_layers([packed.rows[j] for j in S], n + 1)[len(S)]
-    return np.array([packed.scalar_complex(v, S) for v in layer.values()],
-                    dtype=complex)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,11 @@ of adaptive_midpoint, one chunk of at most _NODE_CHUNK nodes at a time, so
 per-node temporaries stay bounded however many nodes the quadrature needs;
 the rows of one radius share bit-identical chunks, and the first two grids
 of every radius are evaluated ahead, for groups of radii at once.
+
+A batch evaluates X^d and (X^d)' by Horner's rule in place and applies the
+selected tuple's minors per run of equal selection, for m(d) and pairlam(d)
+alike; each form subset's exact minor layer is built once, from its
+prefix's.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 
 from .curve import (CurveLift, DegenerateCurveError, associated_family,
                     level_divisor)
-from .exterior import WedgeForm, multi_indices, pluecker_values
+from .exterior import WedgeForm, multi_indices, next_layer
 from .gauss import QUAD_TOL, Divisor, GaussPoly, PackedRows
 
 __all__ = [
@@ -112,7 +117,15 @@ def _coeff_arrays(polys: Sequence[GaussPoly]) -> list:
 
 
 def _eval_stack(arrays: Sequence[np.ndarray], z: np.ndarray) -> np.ndarray:
-    return np.vstack([np.polynomial.polynomial.polyval(z, a) for a in arrays])
+    """One row per coefficient array, each evaluated at z by Horner's rule
+    in place; for finite z the bits of np.polynomial.polynomial.polyval."""
+    out = np.empty((len(arrays), len(z)), dtype=complex)
+    for row, a in zip(out, arrays):
+        row[:] = a[-1]
+        for c in a[-2::-1]:
+            row *= z
+            row += c
+    return out
 
 
 def _log_norm(v: np.ndarray) -> np.ndarray:
@@ -185,18 +198,30 @@ class SelectorContext:
             next((i for i, (a, b) in enumerate(zip(s, t)) if a != b), len(t))
             for s, t in zip(self.tuples, self.tuples[1:])]
         self._packed = PackedRows(self.forms)
+        # packed minor layer of each form subset (a row tuple) built so far
+        self._layers: dict = {(): {(): (1, 0)}}
         self._minors: dict = {}
 
     @classmethod
     def from_config(cls, config) -> "SelectorContext":
         return cls(config.n, config.forms, config.tuples)
 
+    def _layer(self, S: tuple) -> dict:
+        """The packed minors of the forms S on every column subset of size
+        len(S), one next_layer step from those of its prefix S[:-1]."""
+        if S not in self._layers:
+            self._layers[S] = next_layer(self._layer(S[:-1]),
+                                         self._packed.rows[S[-1]],
+                                         len(S) - 1, self.n + 1)
+        return self._layers[S]
+
     def minors(self, d: int) -> np.ndarray:
         """Exact minor matrices per tuple: entry [t, a, b] pairs the wedge of
         tuple t's forms at index set I_a with Pluecker coordinate M_b.  The
         entry depends only on the form subset t[I_a], so each subset's
         Pluecker coefficients are computed once, from the forms packed once
-        per context, and shared by all tuples."""
+        per context, and shared by all tuples; each subset's minor layer is
+        built from its prefix's, which every level shares."""
         if d not in self._minors:
             idx = multi_indices(self.n, d)
             table = {}
@@ -206,7 +231,8 @@ class SelectorContext:
                 for ia in idx:
                     S = tuple(t[i] for i in ia.elements)
                     if S not in table:
-                        table[S] = pluecker_values(self._packed, S, self.n)
+                        table[S] = [self._packed.scalar_complex(v, S)
+                                    for v in self._layer(S).values()]
                     row.append(table[S])
                 mats.append(row)
             self._minors[d] = np.array(mats, dtype=complex)
@@ -246,39 +272,49 @@ class SelectorContext:
             sel[take] = k
         return sel, best
 
-    def _by_selected(self, d: int, sel: np.ndarray, *vals: np.ndarray):
-        """For each distinct selected tuple t: the mask of the nodes that
-        select it and t's level-d minors applied to each of vals (level-d
-        Pluecker values, one column per node) at those nodes."""
+    def tuple_values(self, d: int, sel: np.ndarray,
+                     v: np.ndarray) -> np.ndarray:
+        """minors(d)[sel[k]] @ v[:, k] at every node k, for level-d Pluecker
+        values v, one column per node.  Nodes come in runs of equal
+        selection; each tuple is one product, on its one run's columns or
+        on its runs' columns gathered, since a column's bits depend on its
+        place in a BLAS product (the last columns take another kernel)."""
         minors = self.minors(d)
-        for t in np.unique(sel):
-            mask = sel == t
-            yield mask, [minors[t] @ v[:, mask] for v in vals]
-
-    def level_lambda_mean(self, d: int, wedge_vals: np.ndarray,
-                          sel: np.ndarray) -> np.ndarray:
-        """Mean over all size-d index sets I of lambda_I(X^d) per node, using
-        the selected tuple at each node."""
-        lognorm = _log_norm(wedge_vals)
-        out = np.empty(wedge_vals.shape[1])
-        with np.errstate(divide="ignore"):
-            for mask, (lv,) in self._by_selected(d, sel, wedge_vals):
-                out[mask] = lognorm[mask] - np.log(np.abs(lv)).mean(axis=0)
+        out = np.empty((minors.shape[1], v.shape[1]), dtype=complex)
+        cut = (np.flatnonzero(sel[1:] != sel[:-1]) + 1).tolist()
+        runs: dict = {}
+        for t, a, b in zip(sel[[0] + cut].tolist(), [0] + cut,
+                           cut + [len(sel)]):
+            runs.setdefault(t, []).append(slice(a, b))
+        for t, spans in runs.items():
+            if len(spans) == 1:
+                np.matmul(minors[t], v[:, spans[0]], out=out[:, spans[0]])
+                continue
+            prod = minors[t] @ np.concatenate([v[:, s] for s in spans], axis=1)
+            lo = 0
+            for s in spans:
+                out[:, s] = prod[:, lo:lo + s.stop - s.start]
+                lo += s.stop - s.start
         return out
 
-    def pair_lambda_mean(self, d: int, G: np.ndarray, H: np.ndarray,
-                         lognorm: np.ndarray, sel: np.ndarray,
+    def level_lambda_mean(self, values: np.ndarray,
+                          lognorm: np.ndarray) -> np.ndarray:
+        """Mean over all size-d index sets I of lambda_I(X^d) per node, from
+        the selected tuple's values (tuple_values of X^d) and log |X^d|."""
+        with np.errstate(divide="ignore"):
+            return lognorm - np.log(np.abs(values)).mean(axis=0)
+
+    def pair_lambda_mean(self, A: np.ndarray, B: np.ndarray,
+                         lognorm: np.ndarray,
                          positions: Sequence[Tuple[int, int]]) -> np.ndarray:
         """Mean over the pair positions of the Weil function of the wedged
-        pair of selected tuple forms applied to y wedge y', for y = X^d with
-        values G, y' with values H and lognorm the log norm of y wedge y'."""
-        out = np.empty(G.shape[1])
-        for mask, (A, B) in self._by_selected(d, sel, G, H):
-            acc = np.zeros(mask.sum())
-            for i, j in positions:
-                acc += np.log(np.abs(A[i] * B[j] - A[j] * B[i]))
-            out[mask] = lognorm[mask] - acc / len(positions)
-        return out
+        pair of selected tuple forms applied to y wedge y', for y = X^d, A
+        and B the selected tuple's values (tuple_values) of y and y' and
+        lognorm the log norm of y wedge y'."""
+        acc = np.zeros(A.shape[1])
+        for i, j in positions:
+            acc += np.log(np.abs(A[i] * B[j] - A[j] * B[i]))
+        return lognorm - acc / len(positions)
 
     def mumax(self, xv: np.ndarray, xpv: np.ndarray) -> np.ndarray:
         """Pointwise max over all tuples of the generalized Weil function of
@@ -297,24 +333,27 @@ class NodeBatch:
     """A chunk of nodes z = r e^{i theta} of an Evaluator; r may be per node.
     Each component method returns one value per node; the tuple selection,
     |X^d|, m(d) and the log norm of X^d wedge (X^d)' are evaluated once per
-    batch, z, X^d and (X^d)' once until release()."""
+    batch; z, X^d, (X^d)' and the selected tuple's values of X^d and (X^d)'
+    (shared by m(d) and pairlam(d)) once until release()."""
 
     def __init__(self, ev: "Evaluator", r, theta: np.ndarray):
         self.ev = ev
         self.r = r
         self.theta = theta
-        self._wedge: Dict[int, np.ndarray] = {}
-        self._partner: Dict[int, np.ndarray] = {}
+        # X^d and (X^d)' by Evaluator._coeffs key, and their tuple_values
+        self._stacks: Dict[tuple, np.ndarray] = {}
+        self._selected: Dict[tuple, np.ndarray] = {}
         self._hbar: Dict[int, np.ndarray] = {}
         self._m: Dict[int, np.ndarray] = {}
         self._pair_norm: Dict[int, np.ndarray] = {}
 
     def release(self) -> None:
-        """Drop z, X^d and (X^d)', the complex arrays of the batch, until
-        needed again; what stays is the per-node component results."""
+        """Drop z, X^d, (X^d)' and their tuple values, the complex arrays of
+        the batch, until needed again; what stays is the per-node component
+        results."""
         self.__dict__.pop("z", None)
-        self._wedge.clear()
-        self._partner.clear()
+        self._stacks.clear()
+        self._selected.clear()
 
     @cached_property
     def z(self) -> np.ndarray:
@@ -325,17 +364,26 @@ class NodeBatch:
             raise ValueError("component needs a hyperplane config")
         return self.ev.ctx
 
+    def _stack(self, key: tuple) -> np.ndarray:
+        if key not in self._stacks:
+            self._stacks[key] = _eval_stack(self.ev._coeffs(key), self.z)
+        return self._stacks[key]
+
     def wedge(self, d: int) -> np.ndarray:
         """X^d, one row per Pluecker coordinate."""
-        if d not in self._wedge:
-            self._wedge[d] = _eval_stack(self.ev._coeffs(("w", d)), self.z)
-        return self._wedge[d]
+        return self._stack(("w", d))
 
     def partner(self, d: int) -> np.ndarray:
         """(X^d)', the coordinatewise derivative of X^d."""
-        if d not in self._partner:
-            self._partner[d] = _eval_stack(self.ev._coeffs(("p", d)), self.z)
-        return self._partner[d]
+        return self._stack(("p", d))
+
+    def _tuple_values(self, key: tuple) -> np.ndarray:
+        """The selected tuple's level-d minors applied at every node to X^d
+        for key ('w', d), to (X^d)' for ('p', d)."""
+        if key not in self._selected:
+            self._selected[key] = self._ctx().tuple_values(
+                key[1], self.selection[0], self._stack(key))
+        return self._selected[key]
 
     @cached_property
     def selection(self):
@@ -356,8 +404,8 @@ class NodeBatch:
         if d == 0:
             return np.zeros(len(self.theta))
         if d not in self._m:
-            self._m[d] = ctx.level_lambda_mean(d, self.wedge(d),
-                                               self.selection[0])
+            self._m[d] = ctx.level_lambda_mean(self._tuple_values(("w", d)),
+                                               self.hbar(d))
         return self._m[d]
 
     def cartan(self) -> np.ndarray:
@@ -373,8 +421,8 @@ class NodeBatch:
         """Mean pair Weil function on y wedge y' for y = X^d over the pair
         positions (in the lexicographic multi-index order of level d)."""
         return self._ctx().pair_lambda_mean(
-            d, self.wedge(d), self.partner(d), self.hbarpair(d),
-            self.selection[0], positions)
+            self._tuple_values(("w", d)), self._tuple_values(("p", d)),
+            self.hbarpair(d), positions)
 
     def hbarpair(self, d: int) -> np.ndarray:
         """log |y wedge y'| for y = X^d; the squared Pluecker coordinates
@@ -461,7 +509,10 @@ class Evaluator:
         smooth radii reach, so peak memory does not grow); a radius whose first
         grid is not finite drops its second.  The rows functions of one radius
         share each bit-identical later chunk's batch until the radius is done.
-        Kernels work node by node: grouping and chunk size change no value."""
+        Kernels work node by node, except the selected tuple's minors
+        product (SelectorContext.tuple_values), one BLAS product per tuple
+        and batch; the tests check that grouping and chunk size change no
+        value."""
         first = np.concatenate([_grid(QUAD_INITIAL_NODES),
                                 _grid(2 * QUAD_INITIAL_NODES)])
         size = max(1, _NODE_CHUNK // (2 * len(first)))
@@ -562,9 +613,14 @@ def _chart_sums(y: np.ndarray, yd: np.ndarray):
     k0 = np.argmax(np.abs(y), axis=0)[None, :]
     y0 = np.take_along_axis(y, k0, axis=0)
     y0d = np.take_along_axis(yd, k0, axis=0)
-    wp = (yd * y0 - y * y0d) / y0 ** 2
+    wp = yd * y0
+    wp -= y * y0d
+    wp /= y0 ** 2
     num = (np.abs(wp) ** 2).sum(axis=0)
-    den = (np.abs(wp / np.where(y == 0, np.nan, y / y0)) ** 2).sum(axis=0)
+    w = y / y0
+    w[y == 0] = np.nan
+    wp /= w
+    den = (np.abs(wp) ** 2).sum(axis=0)
     return num, den
 
 

@@ -80,13 +80,19 @@ STRESS_FORMS = ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
                 (1, 2, 3, 4, 5), (1, -1, 1, -1, 1), (2, 0, 1, 0, 3))
 
 
-def stress(forms=STRESS_FORMS):
-    """The 5-coordinate stress curve with the given integer forms (by
-    default its 9 forms, which give 111 tuples)."""
-    x = normalize([parse_poly(p) for p in STRESS_COORDS])
+def lift_config(coords, forms):
+    """The lift of the coordinate polynomials and the configuration of the
+    integer forms."""
+    x = normalize([parse_poly(p) for p in coords])
     exact = [tuple(GaussRational(Fraction(c), Fraction(0)) for c in f)
              for f in forms]
     return x, general_position_tuples(exact, x.n)
+
+
+def stress(forms=STRESS_FORMS):
+    """The 5-coordinate stress curve with the given integer forms (by
+    default its 9 forms, which give 111 tuples)."""
+    return lift_config(STRESS_COORDS, forms)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

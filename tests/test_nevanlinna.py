@@ -32,7 +32,8 @@ from nevlab.nevanlinna import (
     weil,
 )
 
-from conftest import STRESS_FORMS, corpus, monomial_lift, rand_forms, stress
+from conftest import (STRESS_FORMS, corpus, lift_config, monomial_lift,
+                      rand_forms, stress)
 
 
 ONE, ZERO = GR_ONE, GR_ZERO
@@ -338,6 +339,40 @@ class TestSelectorOracles:
             want = self._per_tuple_minors(x.n, cfg, d)
             assert np.array_equal(ctx.minors(d), want)
 
+    @pytest.mark.parametrize("name", ["line", "conic", "ramified"])
+    def test_corpus_minors_match_per_subset_wedge_form(self, name):
+        # oracle: the WedgeForm of each form subset S = t[I_a], built on its
+        # own; the levels are asked top down, so each lower level reads
+        # minor layers that a higher one built
+        x, cfg = corpus()[name]
+        ctx = SelectorContext.from_config(cfg)
+        for d in range(x.n + 1, 0, -1):
+            got = ctx.minors(d)
+            for t, row in zip(cfg.tuples, got):
+                for ia, coeffs in zip(multi_indices(x.n, d), row):
+                    S = [t[i] for i in ia.elements]
+                    want = WedgeForm(x.n, [cfg.forms[j] for j in S])
+                    assert np.array_equal(coeffs, want.coeff_array())
+
+    def test_minor_layers_built_once_per_form_subset(self, monkeypatch):
+        # every form subset's minor layer is one next_layer step from its
+        # prefix's, shared by all levels: 364 steps and 6,320 entry products
+        # on stress_n4 over levels 1..5, where a table per subset from
+        # scratch takes 23,745
+        x, cfg = stress()
+        steps = []
+        step = nevanlinna.next_layer
+
+        def counted(lower, row, k, ncols):
+            steps.append(math.comb(ncols, k + 1) * (k + 1))
+            return step(lower, row, k, ncols)
+
+        monkeypatch.setattr(nevanlinna, "next_layer", counted)
+        ctx = SelectorContext.from_config(cfg)
+        for d in range(1, x.n + 2):
+            ctx.minors(d)
+        assert (len(steps), sum(steps)) == (364, 6320)
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_rational_minors_match_per_tuple_build(self, rng, n):
         # forms with denominators up to 7: each minor is divided by the
@@ -521,9 +556,9 @@ class TestNodeBatch:
             calls.append(xvals.shape[1])
             return select(self, xvals)
 
-        def counted_mean(self, d, wedge_vals, sel):
-            means.append((d, wedge_vals.shape[1]))
-            return level_mean(self, d, wedge_vals, sel)
+        def counted_mean(self, *args, **kwargs):
+            means.append([np.shape(a) for a in args])
+            return level_mean(self, *args, **kwargs)
 
         seen = {1: {}, 2: {}}
         reused = []
@@ -676,6 +711,125 @@ class TestNodeBatch:
         assert nodes == 32768 and chunked < bound
         monkeypatch.setattr(nevanlinna, "_NODE_CHUNK", nodes)
         assert traced_peak()[1] > bound
+
+
+def _masked_level_mean(ctx, d, G, sel):
+    """Oracle for NodeBatch.m: the per-tuple masked loop, one product per
+    distinct selected tuple on its nodes gathered by a boolean mask."""
+    minors, lognorm = ctx.minors(d), nevanlinna._log_norm(G)
+    out = np.empty(G.shape[1])
+    for t in np.unique(sel):
+        mask = sel == t
+        lv = minors[t] @ G[:, mask]
+        out[mask] = lognorm[mask] - np.log(np.abs(lv)).mean(axis=0)
+    return out
+
+
+def _masked_pair_mean(ctx, d, G, H, lognorm, sel, positions):
+    """Oracle for NodeBatch.pairlam: the per-tuple masked loop."""
+    minors = ctx.minors(d)
+    out = np.empty(G.shape[1])
+    for t in np.unique(sel):
+        mask = sel == t
+        A, B = minors[t] @ G[:, mask], minors[t] @ H[:, mask]
+        acc = np.zeros(mask.sum())
+        for i, j in positions:
+            acc += np.log(np.abs(A[i] * B[j] - A[j] * B[i]))
+        out[mask] = lognorm[mask] - acc / len(positions)
+    return out
+
+
+def _runs(sel):
+    """(runs of equal selection, most runs of one tuple)."""
+    starts = np.flatnonzero(np.diff(sel)) + 1
+    heads = sel[np.concatenate([[0], starts])]
+    return len(heads), np.bincount(heads).max()
+
+
+class TestTupleValues:
+    """m(d) and pairlam(d) read one product per run of equal selection (a
+    tuple with several runs gathers them into one) against the per-tuple
+    masked loop, bit for bit."""
+
+    FIRST = np.concatenate([_thetas(QUAD_INITIAL_NODES),
+                            _thetas(2 * QUAD_INITIAL_NODES)])
+
+    @staticmethod
+    def _case(name):
+        """(lift, config, radius, theta): the first two grids of a radius
+        in one batch, as Evaluator.radial evaluates them ahead, or a
+        shuffled grid."""
+        if name.startswith("huge_radius"):
+            x, cfg = lift_config(("1", "z^40", "z^80 + 1"),
+                                 ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
+            return x, cfg, float(name.split()[1]), TestTupleValues.FIRST
+        if name == "root_on_circle":
+            x, cfg = lift_config(("z - 2", "z^2 + 1"),
+                                 ((1, 0), (0, 1), (1, 1)))
+            return x, cfg, 1.0, TestTupleValues.FIRST
+        x, cfg = stress()
+        if name == "shuffled":
+            rng = np.random.default_rng(3)
+            return x, cfg, 1.8, rng.permutation(_thetas(512))
+        return x, cfg, float(name.split()[1]), TestTupleValues.FIRST
+
+    @pytest.mark.parametrize("name", ["stress 0.54", "stress 1.8", "stress 6",
+                                      "huge_radius 53", "huge_radius 1e4",
+                                      "root_on_circle", "shuffled"])
+    def test_means_match_masked_loop(self, name):
+        x, cfg, r, theta = self._case(name)
+        ev = Evaluator(x, cfg)
+        at = NodeBatch(ev, r, theta)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            sel, best = at.selection
+            for d in range(1, x.n + 2):
+                want = _masked_level_mean(ev.ctx, d, at.wedge(d), sel)
+                assert at.m(d).tobytes() == want.tobytes()
+            for d in range(1, x.n + 1):
+                positions = distance_one_collection(x.n, d).positions()
+                want = _masked_pair_mean(ev.ctx, d, at.wedge(d),
+                                         at.partner(d), at.hbarpair(d), sel,
+                                         positions)
+                assert at.pairlam(d, positions).tobytes() == want.tobytes()
+        runs, most = _runs(sel)
+        if name == "huge_radius 53":
+            # |X^2| and |X^3| overflow
+            assert not np.isfinite(at.m(2)).any()
+        elif name == "huge_radius 1e4":
+            # so does X^1: every level-1 sum is NaN, and so is every m(d)
+            assert np.isnan(best).all() and np.isnan(at.m(1)).all()
+        elif name == "shuffled":
+            assert runs > 300 and most > 100
+        else:
+            # a tuple selected in several runs gathers them
+            assert most > 1
+
+    def test_release_drops_tuple_values(self):
+        x, cfg = stress()
+        at = NodeBatch(Evaluator(x, cfg), 1.8, self.FIRST)
+        m2 = at.m(2)
+        at.release()
+        assert not at._selected and not at._stacks
+        assert at.m(2) is m2
+
+
+class TestEvalStack:
+    @pytest.mark.parametrize("r", [0.5, 53.0, 1e4])
+    def test_rows_match_polyval(self, r):
+        # oracle: np.polynomial.polynomial.polyval per row.  The degree-80
+        # coordinates reach 1e138 at r = 53 and overflow at r = 1e4, where
+        # inf and nan values must match too
+        x = normalize([parse_poly(p) for p in ("1", "z^40", "z^80 + 1")])
+        polys = [GaussPoly.zero(), parse_poly("3 - 2i"), parse_poly("i")]
+        polys += list(x.coords) + [p.derivative() for p in x.coords]
+        arrays = [p.complex_coeffs() for p in polys]
+        z = _nodes(r)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = nevanlinna._eval_stack(arrays, z)
+            for row, a in zip(got, arrays):
+                want = np.polynomial.polynomial.polyval(z, a)
+                assert row.tobytes() == want.tobytes()
+        assert np.isfinite(got).all() == (r < 1e3)
 
 
 class TestMu:

@@ -99,3 +99,62 @@ def test_bench_pairs_summary_matches_only_paired_seeds():
     assert got["pairs"] == 2 and got["change_lower_in_pairs"] == 2
     assert got["parent_median"] == 3.0 and got["change_median"] == 2.0
     assert got["parent_quartiles"] == [2.5, 3.5]
+
+
+def _same_outputs():
+    spec = importlib.util.spec_from_file_location(
+        "same_outputs", ROOT / "scripts" / "same_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _record(exit=0, stdout="", stderr="", out=b""):
+    return {"exit": exit, "stdout": stdout, "stderr": stderr, "out": out}
+
+
+def test_same_outputs_lists_differing_fields(capsys):
+    # "a" is equal; "b" differs in both streams; "c" in its exit code and
+    # its --out file, which one side did not write; "d" and "e" are each
+    # missing on one side
+    parent = {"a": _record(out=b"r,T_1\n2,0.5\n"), "b": _record(stdout="x"),
+              "c": _record(exit=2, out=None), "d": _record()}
+    change = {"a": _record(out=b"r,T_1\n2,0.5\n"),
+              "b": _record(stdout="y", stderr="warning\n"),
+              "c": _record(out=b""), "e": _record()}
+    module = _same_outputs()
+    diff = module.differences(parent, change)
+    every = ["exit", "stdout", "stderr", "out"]
+    assert diff == {"b": ["stdout", "stderr"], "c": ["exit", "out"],
+                    "d": every, "e": every}
+    assert module.report(diff, 5) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: b: stdout, stderr", "differs: c: exit, out",
+        "differs: d: exit, stdout, stderr, out",
+        "differs: e: exit, stdout, stderr, out", "4 of 5 runs differ"]
+
+
+def test_same_outputs_equal_records(capsys):
+    records = {"a": _record(exit=2, stdout="s", stderr="e", out=None),
+               "b": _record(out=b"\x00")}
+    module = _same_outputs()
+    diff = module.differences(records, {k: dict(v) for k, v in records.items()})
+    assert diff == {}
+    assert module.report(diff, 2) == 0
+    assert capsys.readouterr().out == "0 of 2 runs differ\n"
+
+
+def test_same_outputs_runs_every_base_command(tmp_path):
+    # 43 base commands (check and the listed commands of the 9 base configs
+    # of perfbench/data) and 20 on scripts/configs (9 nevlab commands and
+    # run_sweep.py on each of the 2 configs)
+    todo = _same_outputs().runs(tmp_path, tmp_path / "out")
+    assert len(todo) == 63
+    assert todo["edges/huge_radius: verify growth --r 53"][:5] == [
+        "-m", "nevlab.cli", "verify", "growth", "--r"]
+    assert (tmp_path / "edges_huge_radius.ini").exists()
+    cubic = "scripts/configs/twisted_cubic.ini"
+    assert todo[f"{cubic}: run_sweep.py"] == [
+        "scripts/run_sweep.py", str(CONFIGS / "twisted_cubic.ini")]
+    assert f"{cubic}: compute --r 10" in todo
+    assert sum(key.endswith(": check") for key in todo) == 11
