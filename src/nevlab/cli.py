@@ -17,6 +17,7 @@ import argparse
 import configparser
 import io
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
@@ -41,9 +42,9 @@ from .gauss import (
     GaussRational,
     PolyParseError,
     RootFindingError,
-    linear_combination,
     parse_poly,
     parse_rational,
+    products_sum_to_zero,
 )
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "with_tol", "build",
@@ -100,12 +101,13 @@ def parse_config(text: str) -> RunConfig:
     raw_coords = cp["curve"].get("coords")
     if not raw_coords:
         raise ConfigError("[curve] needs a 'coords' entry")
-    try:
-        coords = tuple(
-            parse_poly(part) for part in raw_coords.split(";") if part.strip()
-        )
-    except PolyParseError as e:
-        raise ConfigError(f"in [curve] coords: {e}") from e
+    coords = []
+    for part in (p for p in raw_coords.split(";") if p.strip()):
+        try:
+            coords.append(parse_poly(part))
+        except PolyParseError as e:
+            raise ConfigError(f"in [curve] coords, coordinate "
+                              f"{len(coords) + 1}: {e}") from e
     if len(coords) < 2:
         raise ConfigError("curve needs at least two coordinates")
     n = len(coords) - 1
@@ -114,18 +116,19 @@ def parse_config(text: str) -> RunConfig:
     if not raw_forms:
         raise ConfigError("[hyperplanes] needs a 'forms' entry")
     forms = []
-    for part in raw_forms.split(";"):
-        if not part.strip():
-            continue
-        try:
-            form = tuple(parse_rational(c) for c in part.split(","))
-        except PolyParseError as e:
-            raise ConfigError(f"in [hyperplanes] forms: {e}") from e
+    for part in (p for p in raw_forms.split(";") if p.strip()):
+        form = []
+        for c in part.split(","):
+            try:
+                form.append(parse_rational(c))
+            except PolyParseError as e:
+                raise ConfigError(f"in [hyperplanes] form {len(forms) + 1}, "
+                                  f"coefficient {len(form) + 1}: {e}") from e
         if len(form) != n + 1:
             raise ConfigError(
                 f"form has {len(form)} coefficients, curve needs {n + 1}"
             )
-        forms.append(form)
+        forms.append(tuple(form))
     if not forms:
         raise ConfigError("empty hyperplane family")
 
@@ -150,8 +153,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("r_points must be at least 2")
     if tol <= 0:
         raise ConfigError("tol must be positive")
-    return RunConfig(curve=coords, hyperplanes=tuple(forms), r_min=r_min,
-                     r_max=r_max, r_points=r_points, tol=tol)
+    return RunConfig(curve=tuple(coords), hyperplanes=tuple(forms),
+                     r_min=r_min, r_max=r_max, r_points=r_points, tol=tol)
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -252,12 +255,11 @@ def _cmd_identities(cfg: RunConfig, out: Optional[str]) -> int:
         for ia, jb in distance_one_collection(n, d).pairs:
             inter = tuple(sorted(set(ia.elements) & set(jb.elements)))
             union = tuple(sorted(set(ia.elements) | set(jb.elements)))
-            sign = two_row_identity_sign(ia, jb)
-            ok = linear_combination(
-                [GaussRational.of(c) for c in (1, -1, -sign)],
-                [Xd.coord(ia.elements) * Yp.coord(jb.elements),
-                 Xd.coord(jb.elements) * Yp.coord(ia.elements),
-                 lower.coord(inter) * upper.coord(union)]).is_zero()
+            ok = products_sum_to_zero([
+                (1, Xd.coord(ia.elements), Yp.coord(jb.elements)),
+                (-1, Xd.coord(jb.elements), Yp.coord(ia.elements)),
+                (-two_row_identity_sign(ia, jb), lower.coord(inter),
+                 upper.coord(union))])
             failures += not ok
             two_row_rows.append(
                 f"two_row,{d},{ia.elements}|{jb.elements},{int(ok)}"
@@ -314,6 +316,11 @@ def run(command: str, cfg: RunConfig, r: Optional[float] = None,
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # One BLAS thread unless the user set a count: numpy loads later, on the
+    # first numeric command, and the numeric layer's small products lose
+    # more to a second BLAS thread than they gain.
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(name, "1")
     parser = argparse.ArgumentParser(
         prog="nevlab",
         description="Heights, proximities and derived-curve inequality "

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-from .gauss import GaussPoly, GaussRational, PackedRows, gi_mul, linear_combination
+from .gauss import (GaussPoly, GaussRational, PackedRows, gi_mul,
+                    linear_combination, products_sum_to_zero)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -393,13 +394,10 @@ def pluecker_relations_check(X: WedgeVector) -> bool:
         for T in itertools.combinations(range(n + 1), d + 1):
             # sum_k (-1)^k X_{S t_k} X_{T - t_k}, with X antisymmetric in
             # its index and zero on a repeated one
-            cs, ps = [], []
-            for k, t in enumerate(T):
-                if t in S:
-                    continue
-                cs.append(GaussRational.of((-1) ** k * merge_sign(S + (t,))))
-                ps.append(lookup[tuple(sorted(S + (t,)))]
-                          * lookup[T[:k] + T[k + 1:]])
-            if not linear_combination(cs, ps).is_zero():
+            if not products_sum_to_zero(
+                    ((-1) ** k * merge_sign(S + (t,)),
+                     lookup[tuple(sorted(S + (t,)))],
+                     lookup[T[:k] + T[k + 1:]])
+                    for k, t in enumerate(T) if t not in S):
                 return False
     return True

@@ -39,6 +39,7 @@ __all__ = [
     "RootFindingError",
     "parse_poly",
     "parse_rational",
+    "products_sum_to_zero",
     "poly_gcd",
     "squarefree_decomposition",
     "roots",
@@ -135,7 +136,7 @@ def _lcd_numerators(coeffs: Sequence[GaussRational]) -> tuple:
 def _l1_norm(nums: Sequence[tuple]) -> int:
     """Sum of |re| + |im| over integer coefficients; it bounds every
     coefficient of a product by the product of the factors' norms."""
-    return sum(abs(a) + abs(b) for a, b in nums)
+    return sum(map(abs, itertools.chain.from_iterable(nums)))
 
 
 def _pack(nums: Sequence[tuple], width: int) -> tuple:
@@ -173,6 +174,40 @@ def _times(nums: Sequence[tuple], c: tuple) -> list:
     """Each Gaussian-integer numerator times the Gaussian integer c."""
     cr, ci = c
     return [(a * cr - b * ci, a * ci + b * cr) for a, b in nums]
+
+
+def _convolve(a: Sequence[tuple], b: Sequence[tuple]) -> list:
+    """The product of two ascending Gaussian-integer coefficient lists,
+    packed at a width that unpacks it exactly (a list of length one is a
+    scale)."""
+    if len(a) == 1:
+        return _times(b, a[0])
+    if len(b) == 1:
+        return _times(a, b[0])
+    width = (_l1_norm(a) * _l1_norm(b)).bit_length() + 1
+    return _unpack(gi_mul(_pack(a, width), _pack(b, width)), width)
+
+
+def _power(nums: Sequence[tuple], k: int) -> list:
+    """The coefficient list nums^k, for k >= 0.  The factor z^m of the
+    lowest nonzero coefficient goes to a shift by m*k; the rest is squared
+    and multiplied, at most 2*log2(k) products (none for a monomial, whose
+    coefficient powers as a Gaussian integer)."""
+    if k == 0:
+        return [(1, 0)]
+    m = next((j for j, c in enumerate(nums) if c != (0, 0)), None)
+    if m is None:
+        return []
+    monomial = len(nums) == m + 1
+    base, mul = (nums[m], gi_mul) if monomial else (nums[m:], _convolve)
+    acc, e = None, k
+    while e:
+        if e & 1:
+            acc = base if acc is None else mul(acc, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return [(0, 0)] * (m * k) + ([acc] if monomial else list(acc))
 
 
 def _rational(re: int, im: int, den: int) -> GaussRational:
@@ -260,10 +295,6 @@ class GaussPoly:
     def z() -> "GaussPoly":
         return _poly([(0, 0), (1, 0)])
 
-    @staticmethod
-    def constant(c) -> "GaussPoly":
-        return GaussPoly([c])
-
     @cached_property
     def coeffs(self) -> tuple:
         """The coefficients as GaussRationals, ascending."""
@@ -293,9 +324,7 @@ class GaussPoly:
         return _poly([(-a, -b) for a, b in self.nums], self.den)
 
     def __mul__(self, other: "GaussPoly") -> "GaussPoly":
-        width = (_l1_norm(self.nums) * _l1_norm(other.nums)).bit_length() + 1
-        value = gi_mul(_pack(self.nums, width), _pack(other.nums, width))
-        return _poly(_unpack(value, width), self.den * other.den)
+        return _poly(_convolve(self.nums, other.nums), self.den * other.den)
 
     def scale(self, c: GaussRational) -> "GaussPoly":
         den, num = _lcd_numerators([_as_gr(c)])
@@ -304,10 +333,7 @@ class GaussPoly:
     def __pow__(self, k: int) -> "GaussPoly":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = GaussPoly.one()
-        for _ in range(k):
-            result = result * self
-        return result
+        return _poly(_power(self.nums, k), self.den ** k)
 
     def divmod(self, other: "GaussPoly") -> tuple:
         """Exact Euclidean division: self = q*other + r with deg r < deg other."""
@@ -406,6 +432,34 @@ def linear_combination(cs: Sequence[GaussRational],
             re[k] += a * cr - b * ci
             im[k] += a * ci + b * cr
     return _poly(zip(re, im), den)
+
+
+def products_sum_to_zero(terms: Iterable[tuple]) -> bool:
+    """Whether sum_k c_k * p_k * q_k is the zero polynomial, for terms
+    (c_k, p_k, q_k) of integers c_k and GaussPolys p_k, q_k.
+
+    Over the common denominator den of the products the sum is R / den, R
+    the sum of the numerator products times c_k * den / (p_k.den * q_k.den).
+    Every coefficient of R is at most M = sum_k |that factor| times the l1
+    norms of the two numerator lists, and M < 2^width at width =
+    M.bit_length().  Then R is zero iff its value at z = 2^width is, since
+    the lowest nonzero coefficient of a polynomial with that root is a
+    multiple of 2^width.  So every factor is packed at that width, and the
+    packed products are summed and compared with 0: no coefficient is
+    unpacked.
+    """
+    terms = [(c, p.nums, q.nums, p.den * q.den) for c, p, q in terms
+             if c and p.nums and q.nums]
+    den = math.lcm(*(d for *_, d in terms))
+    terms = [(c * (den // d), a, b) for c, a, b, d in terms]
+    width = sum(abs(c) * _l1_norm(a) * _l1_norm(b)
+                for c, a, b in terms).bit_length()
+    re = im = 0
+    for c, a, b in terms:
+        pr, pi = gi_mul(_pack(a, width), _pack(b, width))
+        re += c * pr
+        im += c * pi
+    return re == 0 and im == 0
 
 
 class PackedRows:
@@ -591,9 +645,24 @@ def roots(p: GaussPoly, tol: float = ROOT_RESIDUAL_TOL) -> Divisor:
 #
 # Terms C*z^k, C*z, C; coefficient C is a/b, a, (a/b)i, or sums like
 # 1/2 + (1/3)i; whitespace insignificant; ^ for powers.  Implemented as a
-# small expression parser so parenthesized coefficient sums work too.
+# small expression parser so parenthesized coefficient sums work too.  Its
+# values are (nums, den): a list of Gaussian-integer numerators, ascending,
+# over one positive integer den, both unreduced; sums bring the two to the
+# lcm of their denominators, products convolve, powers square (a power of z
+# is a shift), and parse_poly makes the result canonical once.
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([izZ*/^()+\-]))")
+
+
+def _sum(x: tuple, y: tuple, sign: int) -> tuple:
+    """x + sign*y for parsed values x and y, over the lcm of their
+    denominators, so that a long sum of a few denominators stays small."""
+    (a, da), (b, db) = x, y
+    if da != db:
+        den = math.lcm(da, db)
+        a, b, da = _times(a, (den // da, 0)), _times(b, (den // db, 0)), den
+    pairs = itertools.zip_longest(a, b, fillvalue=(0, 0))
+    return [(p + sign * r, q + sign * s) for (p, q), (r, s) in pairs], da
 
 
 class PolyParseError(ValueError):
@@ -640,30 +709,28 @@ class _Parser:
         pos = tok[2] if tok else len(self.text)
         raise PolyParseError(message, self.text, pos)
 
-    def parse(self) -> GaussPoly:
+    def parse(self) -> tuple:
         value = self.expr()
         if self.peek() is not None:
             self.error("trailing input")
         return value
 
-    def expr(self) -> GaussPoly:
+    def expr(self) -> tuple:
         sign = 1
         tok = self.peek()
         if tok and tok[0] in "+-":
             self.next()
             sign = -1 if tok[0] == "-" else 1
-        value = self.term()
-        if sign < 0:
-            value = -value
+        nums, den = self.term()
+        value = (nums if sign > 0 else [(-a, -b) for a, b in nums]), den
         while True:
             tok = self.peek()
             if tok is None or tok[0] not in "+-":
                 return value
             self.next()
-            rhs = self.term()
-            value = value + rhs if tok[0] == "+" else value - rhs
+            value = _sum(value, self.term(), 1 if tok[0] == "+" else -1)
 
-    def term(self) -> GaussPoly:
+    def term(self) -> tuple:
         value = self.power()
         while True:
             tok = self.peek()
@@ -671,14 +738,13 @@ class _Parser:
                 return value
             if tok[0] == "*":
                 self.next()
-                value = value * self.power()
-            elif tok[0] in ("num", "i", "z", "("):
-                # implicit multiplication, e.g. "(1/3)i" or "2z"
-                value = value * self.power()
-            else:
+            elif tok[0] not in ("num", "i", "z", "("):
                 return value
+            # "*" or implicit multiplication, e.g. "(1/3)i" or "2z"
+            (a, da), (b, db) = value, self.power()
+            value = _convolve(a, b), da * db
 
-    def power(self) -> GaussPoly:
+    def power(self) -> tuple:
         base = self.atom()
         tok = self.peek()
         if tok and tok[0] == "^":
@@ -686,16 +752,16 @@ class _Parser:
             etok = self.next()
             if etok is None or etok[0] != "num":
                 self.error("expected integer exponent after '^'")
-            return base ** etok[1]
+            nums, den = base
+            return _power(nums, etok[1]), den ** etok[1]
         return base
 
-    def atom(self) -> GaussPoly:
+    def atom(self) -> tuple:
         tok = self.next()
         if tok is None:
             self.error("unexpected end of input")
         kind = tok[0]
         if kind == "num":
-            num = tok[1]
             nxt = self.peek()
             if nxt and nxt[0] == "/":
                 self.next()
@@ -704,12 +770,12 @@ class _Parser:
                     self.error("expected integer denominator")
                 if dtok[1] == 0:
                     raise PolyParseError("zero denominator", self.text, dtok[2])
-                return GaussPoly.constant(Fraction(num, dtok[1]))
-            return GaussPoly.constant(num)
+                return [(tok[1], 0)], dtok[1]
+            return [(tok[1], 0)], 1
         if kind == "i":
-            return GaussPoly.constant(GR_I)
+            return [(0, 1)], 1
         if kind == "z":
-            return GaussPoly.z()
+            return [(0, 0), (1, 0)], 1
         if kind == "(":
             value = self.expr()
             closer = self.next()
@@ -721,12 +787,14 @@ class _Parser:
 
 def parse_poly(text: str) -> GaussPoly:
     """Parse the polynomial text grammar into an exact GaussPoly."""
-    return _Parser(text).parse()
+    return _poly(*_Parser(text).parse())
 
 
 def parse_rational(text: str) -> GaussRational:
     """Parse a constant of the grammar (used for hyperplane coefficients)."""
-    p = parse_poly(text)
-    if p.degree > 0:
+    nums, den = _Parser(text).parse()
+    while nums and nums[-1] == (0, 0):
+        nums.pop()
+    if len(nums) > 1:
         raise PolyParseError("expected a constant, found z", text, 0)
-    return p.coeff(0)
+    return _rational(*(nums[0] if nums else (0, 0)), den)

@@ -15,7 +15,10 @@ from nevlab.cli import (
     run,
     serialize_config,
 )
-from nevlab.gauss import RootFindingError
+from nevlab.exterior import WedgeVector
+from nevlab.gauss import GaussPoly, RootFindingError
+
+from conftest import run_fresh
 
 GOOD = """
 [curve]
@@ -93,6 +96,26 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="column"):
             parse_config(text)
 
+    @pytest.mark.parametrize("old,new,message", [
+        ("coords = 1; z; z^2", "coords = 1; z; z^2 + 3z^ + 1",
+         "in [curve] coords, coordinate 3: expected integer exponent after "
+         "'^' at line 1, column 14"),
+        ("coords = 1; z; z^2", "coords = 1; ; z; (z^2",
+         "in [curve] coords, coordinate 3: expected ')' at line 1, "
+         "column 6"),
+        ("0, 0, 1; 1, 1, 1", "0,0,1$; 1, 1, 1",
+         "in [hyperplanes] form 3, coefficient 3: unexpected character "
+         "'$' at line 1, column 2"),
+        ("1, 1, 1\n", "1, 1/0, 1\n",
+         "in [hyperplanes] form 4, coefficient 2: zero denominator at "
+         "line 1, column 4"),
+    ], ids=["coords", "coords-empty-piece", "forms", "forms-last"])
+    def test_grammar_error_names_the_piece(self, old, new, message):
+        assert old in GOOD
+        with pytest.raises(ConfigError) as exc:
+            parse_config(GOOD.replace(old, new))
+        assert str(exc.value) == message
+
     def test_missing_section(self):
         with pytest.raises(ConfigError, match="sweep"):
             parse_config("[curve]\ncoords = 1; z\n[hyperplanes]\nforms = 1, 0\n")
@@ -150,6 +173,30 @@ class TestRun:
         assert "two_row" in out
         assert ",0\n" not in out  # no failed residuals
 
+    def test_verify_identities_reports_a_wrong_partner(self, cfg, capsys,
+                                                       monkeypatch):
+        """A Leibniz partner whose coordinate (0,) is off by one fails that
+        derivative row and exactly the two-row pairs that read it, and the
+        command exits 2."""
+        partner = nevlab.cli.leibniz_partner
+
+        def off_by_one(x, d):
+            Y = partner(x, d)
+            if d != 1:
+                return Y
+            return WedgeVector(Y.n, Y.degree, tuple(
+                (mi, p + GaussPoly.one() if mi.elements == (0,) else p)
+                for mi, p in Y.coords))
+
+        monkeypatch.setattr(nevlab.cli, "leibniz_partner", off_by_one)
+        assert run("verify", cfg, verify_name="identities") == 2
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 12
+        assert [row.rsplit(",", 1)[0] for row in rows
+                if row.endswith(",0")] == [
+            "derivative,1,(0,)", "two_row,1,(0,)|(1,)",
+            "two_row,1,(0,)|(2,)"]
+
     def test_verify_unknown_name(self, cfg):
         with pytest.raises(ConfigError, match="unknown verify"):
             run("verify", cfg, verify_name="nope")
@@ -199,6 +246,24 @@ class TestMain:
         assert captured.out == ""
         assert captured.err == (
             f"nevlab: error: verify identities takes no {flag}\n")
+
+    @pytest.mark.parametrize("user", [None, "3"], ids=["unset", "user-set"])
+    def test_one_blas_thread_unless_set(self, tmp_path, monkeypatch, user):
+        path = tmp_path / "cfg.ini"
+        path.write_text(GOOD, encoding="utf-8")
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        for name in names:
+            monkeypatch.delenv(name, raising=False)
+        if user is not None:
+            monkeypatch.setenv("OMP_NUM_THREADS", user)
+        seen = run_fresh(
+            "import json, os, sys\n"
+            "from nevlab.cli import main\n"
+            "code = main(['check', '--config', sys.argv[1]])\n"
+            f"print(json.dumps([code] + [os.environ.get(v) for v in "
+            f"{names}]))",
+            str(path))
+        assert seen == [0, "1", user or "1", "1"]
 
     def test_missing_config_file(self, capsys):
         assert main(["check", "--config", "/does/not/exist.ini"]) == 1

@@ -1,10 +1,12 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from nevlab import gauss
 from nevlab.gauss import (
     GR_I,
     GR_ONE,
@@ -19,6 +21,7 @@ from nevlab.gauss import (
     parse_poly,
     parse_rational,
     poly_gcd,
+    products_sum_to_zero,
     roots,
     squarefree_decomposition,
 )
@@ -290,7 +293,7 @@ class TestCanonicalForm:
         half = GaussRational.of(Fraction(1, 2))
         listed = GaussPoly((GaussRational.of(Fraction(3, 6)), half, half))
         built = parse_poly("1 + z + z^2").scale(GaussRational.of(2)) * \
-            GaussPoly.constant(Fraction(1, 4))
+            GaussPoly([GaussRational.of(Fraction(1, 4))])
         assert listed == built and hash(listed) == hash(built)
         assert listed.nums == built.nums and listed.den == built.den == 2
         padded = GaussPoly((half, half, half, GR_ZERO, GR_ZERO))
@@ -438,3 +441,383 @@ class TestParser:
         for _ in range(20):
             c = rand_rational(rng)
             assert parse_rational(str(c)) == c
+
+
+# ---------------------------------------------------------------------------
+# The reader against the arithmetic parser it replaced (oracle)
+# ---------------------------------------------------------------------------
+
+_ORACLE_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([izZ*/^()+\-]))")
+
+
+class OracleParser:
+    """Oracle: the grammar evaluated in GaussPoly arithmetic, one constant,
+    sum and product at a time, with powers as repeated products; the
+    reader must give its values, its error messages and its positions."""
+
+    def __init__(self, text):
+        self.text, self.tokens, self.idx = text, [], 0
+        pos = 0
+        while pos < len(text):
+            m = _ORACLE_TOKEN_RE.match(text, pos)
+            if m is None:
+                stripped = text[pos:].lstrip()
+                if not stripped:
+                    break
+                raise PolyParseError(
+                    f"unexpected character {stripped[0]!r}", text, pos)
+            if m.group(1) is not None:
+                self.tokens.append(("num", int(m.group(1)), m.start(1)))
+            else:
+                self.tokens.append((m.group(2).lower(), None, m.start(2)))
+            pos = m.end()
+
+    def peek(self):
+        return self.tokens[self.idx] if self.idx < len(self.tokens) else None
+
+    def next(self):
+        tok = self.peek()
+        if tok is not None:
+            self.idx += 1
+        return tok
+
+    def error(self, message):
+        tok = self.peek()
+        raise PolyParseError(message, self.text,
+                             tok[2] if tok else len(self.text))
+
+    def parse(self):
+        value = self.expr()
+        if self.peek() is not None:
+            self.error("trailing input")
+        return value
+
+    def expr(self):
+        sign, tok = 1, self.peek()
+        if tok and tok[0] in "+-":
+            self.next()
+            sign = -1 if tok[0] == "-" else 1
+        value = self.term()
+        if sign < 0:
+            value = -value
+        while True:
+            tok = self.peek()
+            if tok is None or tok[0] not in "+-":
+                return value
+            self.next()
+            rhs = self.term()
+            value = value + rhs if tok[0] == "+" else value - rhs
+
+    def term(self):
+        value = self.power()
+        while True:
+            tok = self.peek()
+            if tok is None:
+                return value
+            if tok[0] == "*":
+                self.next()
+                value = value * self.power()
+            elif tok[0] in ("num", "i", "z", "("):
+                value = value * self.power()
+            else:
+                return value
+
+    def power(self):
+        base = self.atom()
+        tok = self.peek()
+        if tok and tok[0] == "^":
+            self.next()
+            etok = self.next()
+            if etok is None or etok[0] != "num":
+                self.error("expected integer exponent after '^'")
+            result = GaussPoly.one()
+            for _ in range(etok[1]):
+                result = result * base
+            return result
+        return base
+
+    def atom(self):
+        tok = self.next()
+        if tok is None:
+            self.error("unexpected end of input")
+        kind = tok[0]
+        if kind == "num":
+            nxt = self.peek()
+            if nxt and nxt[0] == "/":
+                self.next()
+                dtok = self.next()
+                if dtok is None or dtok[0] != "num":
+                    self.error("expected integer denominator")
+                if dtok[1] == 0:
+                    raise PolyParseError("zero denominator", self.text,
+                                         dtok[2])
+                return GaussPoly([GaussRational.of(Fraction(tok[1],
+                                                            dtok[1]))])
+            return GaussPoly([GaussRational.of(tok[1])])
+        if kind == "i":
+            return GaussPoly([GR_I])
+        if kind == "z":
+            return GaussPoly.z()
+        if kind == "(":
+            value = self.expr()
+            closer = self.next()
+            if closer is None or closer[0] != ")":
+                self.error("expected ')'")
+            return value
+        raise PolyParseError(f"unexpected token {kind!r}", self.text, tok[2])
+
+
+def oracle_rational(text):
+    p = OracleParser(text).parse()
+    if p.degree > 0:
+        raise PolyParseError("expected a constant, found z", text, 0)
+    return p.coeff(0)
+
+
+GRAMMAR_CORPUS = [
+    "0", "7", "1/2", "i", "z", "Z", "-z", "+z", "-(-z)",
+    "2z", "2 z", "3zz", "(1/3)i", "(1/3)(2/5)i", "2(1 + z)(1 - z)",
+    "z^0", "0^0", "0^3", "z^12", "Z^3 + z", "(z + 1)^5", "(1/2 z - (2/3)i)^4",
+    "((1 + i)z^2 - 3)^3 * (z - i)^2", "-(z - 1)(z + 1)", "-z^2 - (-1)",
+    "1/2 + (1/3)i", "(1/2 + (1/3)i)*z^7 - 5/6",
+    "z - z", "(z - z)^4 + 1/4", "2/4 z^2 + 6/8", "(2/4)(4/6)",
+    "1 +\n  z^2\n  - (3/7)i*z", "  z  ^  3  ", "((((z))))^2",
+    "(1 + 2i)*(z - 1)", "-z^3", "i*z^2", "999999/1000000 z^3 + (1/999983)i",
+    "(1 + z + z^2 + z^3)^6", "3/6 + (2/4)i - 1/2", "((1/2)z)^3 (2z)^3",
+    "i^2 + i^3 z + i^4 z^2", "(1 + i)^8", "12345678901234567890123 z",
+    "(z^2 + 1/3)^2 - z^4 - (2/3)z^2",
+]
+
+BAD_CORPUS = [
+    "", "   ", "z^ + 1", "z^", "z^z", "1/0", "1/", "1//2", "(1 + z",
+    "z)", "2 3 )", "z ! 2", "$", "1 +", "* z", "z * * 2", "z^-1", "/2",
+    "()", "1/z", "z +\n  # 2", "(1/2)(", "1 + 2\n + )", "z^2^", "z..",
+    "--z", "-z^2 - -1",
+]
+
+
+class TestReaderAgainstOracle:
+    @pytest.mark.parametrize("text", GRAMMAR_CORPUS)
+    def test_grammar_corpus(self, text):
+        got, want = parse_poly(text), OracleParser(text).parse()
+        assert (got.nums, got.den) == (want.nums, want.den)
+
+    @pytest.mark.parametrize("text", BAD_CORPUS)
+    def test_bad_inputs_give_the_oracles_error(self, text):
+        for parse, oracle in ((parse_poly, lambda t: OracleParser(t).parse()),
+                              (parse_rational, oracle_rational)):
+            with pytest.raises(PolyParseError) as want:
+                oracle(text)
+            with pytest.raises(PolyParseError) as got:
+                parse(text)
+            assert (str(got.value), got.value.pos) == \
+                (str(want.value), want.value.pos)
+
+    @pytest.mark.parametrize("text", ["z", "1 + z", "(z - z + 1)z",
+                                      "2/3 + (1/2)i*z^2"])
+    def test_rational_rejects_a_power_of_z_as_the_oracle(self, text):
+        with pytest.raises(PolyParseError) as want:
+            oracle_rational(text)
+        with pytest.raises(PolyParseError) as got:
+            parse_rational(text)
+        assert (str(got.value), got.value.pos) == \
+            (str(want.value), want.value.pos)
+
+    @pytest.mark.parametrize("text", ["0", "z - z", "(z - z)^2 + 3/9",
+                                      "-(1/2)i", "(1 + i)^4 (1/3)"])
+    def test_rational_corpus(self, text):
+        got, want = parse_rational(text), oracle_rational(text)
+        assert got == want
+        assert type(got.re) is Fraction and type(got.im) is Fraction
+
+
+# Degree <= 12, numerators and denominators up to 10^6.
+reader_polys = st.builds(
+    lambda coeffs: GaussPoly(tuple(coeffs)),
+    st.lists(big_rationals, min_size=0, max_size=13),
+)
+real_fracs = st.builds(GaussRational.of, big_fracs)
+
+
+class TestReaderRoundTrips:
+    @given(st.one_of(
+        reader_polys,
+        st.builds(lambda cs: GaussPoly(tuple(cs)),
+                  st.lists(real_fracs, max_size=13)),
+        st.builds(lambda cs: GaussPoly(tuple(GaussRational(Fraction(0), c.re)
+                                             for c in cs)),
+                  st.lists(real_fracs, max_size=13)),
+        st.just(GaussPoly.zero())))
+    @settings(max_examples=150)
+    def test_poly_round_trip(self, p):
+        assert parse_poly(str(p)) == p
+
+    @given(st.one_of(big_rationals, real_fracs, st.just(GR_ZERO)))
+    @settings(max_examples=150)
+    def test_rational_round_trip(self, c):
+        assert parse_rational(str(c)) == c
+
+    def test_reader_builds_no_fraction(self, monkeypatch):
+        text = "(1/3 + (2/5)i)*z^4 - (7/2)z^2 + ((1/9)i*z + 3)^3 - 5/6"
+        want = GaussRational(Fraction(0), Fraction(7, 30))
+        built = []
+        new = Fraction.__new__
+        monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **k:
+                            built.append(a) or new(cls, *a, **k))
+        parse_poly(text)
+        assert built == []
+        # a constant's two parts are its only Fractions
+        c = parse_rational("1/3 + (2/5)i - (1/6)(2 + i)")
+        assert len(built) == 2 and c == want
+
+
+class TestPower:
+    @given(st.lists(rationals, max_size=4), st.integers(0, 9))
+    @settings(max_examples=80)
+    def test_power_is_the_repeated_product(self, coeffs, k):
+        p, want = GaussPoly(tuple(coeffs)), GaussPoly.one()
+        for _ in range(k):
+            want = want * p
+        got = p ** k
+        assert (got.nums, got.den) == (want.nums, want.den)
+
+    @pytest.mark.parametrize("text", ["(1 + i)z^3", "(1/3)i*z", "z^2",
+                                      "2/7", "0", "z"])
+    def test_monomial_powers(self, text):
+        p, want = parse_poly(text), GaussPoly.one()
+        for k in range(13):
+            assert p ** k == want
+            want = want * p
+
+    def test_power_squares_and_multiplies(self, monkeypatch):
+        # a stand-in product keeps the count cheap: (1 + z)^4000 itself has
+        # 4001 coefficients of up to 4000 bits
+        calls = []
+        monkeypatch.setattr(gauss, "_convolve",
+                            lambda a, b: calls.append(len(a)) or a)
+        parse_poly("1 + z") ** 4000
+        assert 0 < len(calls) <= 2 * math.ceil(math.log2(4000))
+
+    def test_power_of_z_is_a_shift(self, monkeypatch):
+        calls = []
+        product = gauss._convolve
+        monkeypatch.setattr(gauss, "_convolve",
+                            lambda a, b: calls.append(1) or product(a, b))
+        p = parse_poly("z^4000")
+        assert calls == []
+        assert p == GaussPoly.z() ** 4000
+        assert p.nums == ((0, 0),) * 4000 + ((1, 0),) and p.den == 1
+
+
+# ---------------------------------------------------------------------------
+# The packed zero test against the sum of unpacked products (oracle)
+# ---------------------------------------------------------------------------
+
+
+def oracle_sum_is_zero(terms):
+    """Oracle: every product unpacked into a GaussPoly, then the exact
+    linear combination."""
+    return linear_combination([GaussRational.of(c) for c, _, _ in terms],
+                              [p * q for _, p, q in terms]).is_zero()
+
+
+def monomial(c, k=0):
+    """The GaussPoly c * z^k."""
+    return GaussPoly((GR_ZERO,) * k + (c,))
+
+
+small_ints = st.integers(-3, 3)
+factor_polys = st.builds(lambda cs: GaussPoly(tuple(cs)),
+                         st.lists(big_rationals, max_size=4))
+
+
+@st.composite
+def vanishing_sums(draw):
+    """Terms whose products cancel: each product c*p*q is matched by -c*q*p
+    or split as c*p*q1 + c*p*q2 against c*p*(q1 + q2)."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        c, p, q = draw(small_ints), draw(factor_polys), draw(factor_polys)
+        if draw(st.booleans()):
+            terms += [(c, p, q), (-c, q, p)]
+        else:
+            r = draw(factor_polys)
+            terms += [(c, p, q), (c, p, r), (-c, p, q + r)]
+    return terms
+
+
+@st.composite
+def off_by_one_sums(draw):
+    """A vanishing sum plus +-1/den times the lowest or the highest power of
+    z that its products reach, den the common denominator of the sum: the
+    residual is that one coefficient."""
+    terms = draw(vanishing_sums())
+    den = math.lcm(*(p.den * q.den for _, p, q in terms))
+    top = max((p.degree + q.degree for _, p, q in terms), default=0)
+    k = draw(st.sampled_from([0, max(top, 0)]))
+    unit = draw(st.sampled_from([GR_ONE, GR_I, -GR_ONE, -GR_I]))
+    scale = GaussRational.of(Fraction(1, den))
+    return terms + [(1, monomial(unit * scale, k), GaussPoly.one())]
+
+
+class TestProductsSumToZero:
+    @given(st.lists(st.tuples(small_ints, factor_polys, factor_polys),
+                    max_size=4))
+    @settings(max_examples=80, deadline=None)
+    def test_agrees_with_the_oracle(self, terms):
+        assert products_sum_to_zero(terms) == oracle_sum_is_zero(terms)
+
+    @given(vanishing_sums())
+    @settings(max_examples=50, deadline=None)
+    def test_vanishing_sums(self, terms):
+        assert oracle_sum_is_zero(terms)
+        assert products_sum_to_zero(terms)
+
+    @given(off_by_one_sums())
+    @settings(max_examples=80, deadline=None)
+    def test_a_residual_of_one_over_den(self, terms):
+        assert not oracle_sum_is_zero(terms)
+        assert not products_sum_to_zero(terms)
+
+    @pytest.mark.parametrize("bits", [1, 2, 7, 31, 64, 200])
+    @pytest.mark.parametrize("unit", [GR_ONE, GR_I], ids=["re", "im"])
+    @pytest.mark.parametrize("den", [1, 3])
+    def test_residuals_at_the_width_bound(self, bits, unit, den):
+        """2^bits - z and 2^bits z - z^2 (times a unit, over den): the l1
+        bound is 2^bits + 1, the width bits + 1, and the residual's lowest
+        coefficient is 2^bits, so one bit less packs each of them to 0."""
+        c = unit * GaussRational.of(Fraction(2 ** bits, den))
+        one = unit * GaussRational.of(Fraction(1, den))
+        for k in (0, 1):
+            terms = [(1, monomial(c, k), GaussPoly.one()),
+                     (-1, monomial(one, k + 1), GaussPoly.one())]
+            assert not oracle_sum_is_zero(terms)
+            assert not products_sum_to_zero(terms)
+            # the same residual spread over two factors and both signs
+            split = [(1, monomial(c), monomial(GR_ONE, k)),
+                     (-1, monomial(one, k), monomial(GR_ONE, 1))]
+            assert not products_sum_to_zero(split)
+            cancel = terms + [(-1, monomial(c, k), GaussPoly.one()),
+                              (1, monomial(one, k + 1), GaussPoly.one())]
+            assert oracle_sum_is_zero(cancel)
+            assert products_sum_to_zero(cancel)
+
+    def test_empty_and_zero_terms(self):
+        p = parse_poly("(1/3)i*z^2 + 1")
+        assert products_sum_to_zero([])
+        assert products_sum_to_zero([(0, p, p), (5, p, GaussPoly.zero())])
+        assert not products_sum_to_zero([(0, p, p), (1, p, p)])
+
+    def test_builds_no_fraction_poly_or_unpack(self, monkeypatch):
+        p = parse_poly("(1/3 + (2/5)i)*z^4 - (7/2)z^2 + (1/9)i*z + 3")
+        q = parse_poly("(2/7)i*z^2 + (1/4)z - 5/6")
+        terms = [(1, p, q), (-1, q, p), (2, p, p), (-2, p, p)]
+        built = []
+        new = Fraction.__new__
+        monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **k:
+                            built.append(a) or new(cls, *a, **k))
+        for name in ("_unpack", "_poly"):
+            monkeypatch.setattr(gauss, name, lambda *a: built.append(a))
+        assert products_sum_to_zero(terms)
+        assert not products_sum_to_zero(terms[:3])
+        assert built == []
