@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import io
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 # harness stays behind its lazy module object (see the package docstring):
@@ -57,17 +57,26 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class RunConfig:
     """Parsed run configuration: the curve lift, the hyperplane forms, and
-    the radius grid (log-spaced between r_min and r_max)."""
+    the radius grid (log-spaced between r_min and r_max).  Equal when every
+    field is."""
 
-    curve: Tuple[GaussPoly, ...]
-    hyperplanes: Tuple[Tuple[GaussRational, ...], ...]
-    r_min: float
-    r_max: float
-    r_points: int
-    tol: float = QUAD_TOL
+    __slots__ = ("curve", "hyperplanes", "r_min", "r_max", "r_points", "tol")
+
+    def __init__(self, curve: Tuple[GaussPoly, ...],
+                 hyperplanes: Tuple[Tuple[GaussRational, ...], ...],
+                 r_min: float, r_max: float, r_points: int,
+                 tol: float = QUAD_TOL):
+        self.curve, self.hyperplanes = curve, hyperplanes
+        self.r_min, self.r_max = r_min, r_max
+        self.r_points, self.tol = r_points, tol
+
+    def __eq__(self, other):
+        if other.__class__ is not RunConfig:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k)
+                   for k in self.__slots__)
 
     @property
     def n(self) -> int:
@@ -186,7 +195,8 @@ def with_tol(cfg: RunConfig, tol: Optional[float]) -> RunConfig:
         raise ConfigError("--tol must be finite")
     if tol <= 0:
         raise ConfigError("tol must be positive")
-    return replace(cfg, tol=tol)
+    return RunConfig(cfg.curve, cfg.hyperplanes, cfg.r_min, cfg.r_max,
+                     cfg.r_points, tol)
 
 
 def build(cfg: RunConfig):
@@ -315,12 +325,10 @@ def run(command: str, cfg: RunConfig, r: Optional[float] = None,
     return 0 if report.all_converged() else 2
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    # One BLAS thread unless the user set a count: numpy loads later, on the
-    # first numeric command, and the numeric layer's small products lose
-    # more to a second BLAS thread than they gain.
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(name, "1")
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: a build costs about
+    ten parses, and parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="nevlab",
         description="Heights, proximities and derived-curve inequality "
@@ -336,7 +344,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parsers["verify"].add_argument("name", choices=VERIFY_NAMES)
     for name in ("compute", "verify"):
         parsers[name].add_argument("--r", type=float, default=None)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    # One BLAS thread unless the user set a count: numpy loads later, on the
+    # first numeric command, and the numeric layer's small products lose
+    # more to a second BLAS thread than they gain.
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(name, "1")
+    args = _parser().parse_args(argv)
 
     try:
         with open(args.config, encoding="utf-8") as fh:

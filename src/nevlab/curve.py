@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .gauss import Divisor, GaussPoly, poly_gcd, roots
@@ -26,22 +25,22 @@ class DegenerateCurveError(ValueError):
     """The curve violates a nondegeneracy hypothesis (names which one)."""
 
 
-@dataclass(frozen=True)
 class CurveLift:
-    """A primitive polynomial lift x: C -> C^{n+1}.
+    """A primitive polynomial lift x: C -> C^{n+1}, coords its n+1 GaussPoly
+    entries.
 
     Use ``normalize`` to construct one; it divides out the common polynomial
     factor so the coordinates have no common zero.
     """
 
-    n: int
-    coords: tuple  # n+1 GaussPoly entries
+    __slots__ = ("n", "coords")
 
-    def __post_init__(self):
-        if len(self.coords) != self.n + 1:
+    def __init__(self, n: int, coords: tuple):
+        if len(coords) != n + 1:
             raise ValueError("lift needs n+1 coordinates")
-        if all(p.is_zero() for p in self.coords):
+        if all(p.is_zero() for p in coords):
             raise ValueError("lift cannot be identically zero")
+        self.n, self.coords = n, coords
 
     def derivative_rows(self, count: int) -> list:
         """Rows x, x', ..., x^{(count-1)} as lists of GaussPoly."""

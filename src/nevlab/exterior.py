@@ -12,12 +12,12 @@ identity.  Exact like gauss: numpy is imported only by the float conversion
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from .gauss import (GaussPoly, GaussRational, PackedRows, gi_mul,
-                    linear_combination, products_sum_to_zero)
+                    linear_combination, products_sum_to_zero,
+                    refuse_assignment)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -46,21 +46,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class MultiIndex:
-    """A strictly increasing d-subset of {0, ..., n}."""
+    """A strictly increasing d-subset of {0, ..., n}; immutable, and
+    equality and hashing follow (elements, n).  The repr is a sort key of
+    balanced_check."""
 
-    elements: tuple
-    n: int
+    __slots__ = ("elements", "n")
+    __setattr__ = __delattr__ = refuse_assignment
 
-    def __post_init__(self):
-        for a, b in zip(self.elements, self.elements[1:]):
+    def __init__(self, elements: tuple, n: int):
+        for a, b in zip(elements, elements[1:]):
             if a >= b:
                 raise ValueError("multi-index must be strictly increasing")
-        if self.elements and not (
-            0 <= self.elements[0] and self.elements[-1] <= self.n
-        ):
+        if elements and not (0 <= elements[0] and elements[-1] <= n):
             raise ValueError("multi-index element out of range")
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "n", n)
+
+    def __eq__(self, other):
+        if other.__class__ is not MultiIndex:
+            return NotImplemented
+        return self.elements == other.elements and self.n == other.n
+
+    def __hash__(self) -> int:
+        return hash((self.elements, self.n))
+
+    def __repr__(self) -> str:
+        return f"MultiIndex(elements={self.elements!r}, n={self.n!r})"
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -129,23 +141,20 @@ def det_exact(rows: Sequence[Sequence]) -> object:
     return packed.scalar(top, m)
 
 
-@dataclass(frozen=True)
 class WedgeVector:
     """Element of wedge^d V with GaussPoly Pluecker coordinates.
 
-    coords maps every size-d MultiIndex (lexicographic key order) to a
-    polynomial; the degree-0 wedge has a single coordinate at the empty index.
+    coords, a tuple of (MultiIndex, GaussPoly), maps every size-d MultiIndex
+    (lexicographic key order) to a polynomial; the degree-0 wedge has a
+    single coordinate at the empty index.
     """
 
-    n: int
-    degree: int
-    coords: tuple  # tuple of (MultiIndex, GaussPoly), lexicographic
+    __slots__ = ("n", "degree", "coords")
 
-    def __post_init__(self):
-        expected = multi_indices(self.n, self.degree)
-        keys = [mi for mi, _ in self.coords]
-        if keys != expected:
+    def __init__(self, n: int, degree: int, coords: tuple):
+        if [mi for mi, _ in coords] != multi_indices(n, degree):
             raise ValueError("wedge coordinates must cover all multi-indices in order")
+        self.n, self.degree, self.coords = n, degree, coords
 
     @staticmethod
     def from_dict(n: int, degree: int, mapping: dict) -> "WedgeVector":
@@ -169,21 +178,19 @@ class WedgeVector:
         return all(p.is_zero() for _, p in self.coords)
 
 
-@dataclass(frozen=True)
 class WedgeForm:
-    """Wedge of d linear forms on V, kept in the given order.
+    """Wedge of d linear forms on V, kept in the given order: forms holds d
+    vectors, each a length-(n+1) tuple of GaussRational.
 
     Linearly dependent component forms are allowed; the pairing then
     degenerates to zero rather than erroring.
     """
 
-    n: int
-    forms: tuple  # d vectors, each a length-(n+1) tuple of GaussRational
-
-    def __post_init__(self):
-        for f in self.forms:
-            if len(f) != self.n + 1:
+    def __init__(self, n: int, forms: tuple):
+        for f in forms:
+            if len(f) != n + 1:
                 raise ValueError("form length must be n+1")
+        self.n, self.forms = n, forms
 
     @property
     def degree(self) -> int:
@@ -212,14 +219,15 @@ class WedgeForm:
         return np.array([complex(c) for c in self._pluecker], dtype=complex)
 
 
-@dataclass(frozen=True)
 class HyperplaneConfig:
     """A family of linear forms on P^n together with the (n+1)-tuples of
     indices that are in general position (coefficient matrix invertible)."""
 
-    n: int
-    forms: Tuple[Tuple[GaussRational, ...], ...]
-    tuples: Tuple[Tuple[int, ...], ...]
+    __slots__ = ("n", "forms", "tuples")
+
+    def __init__(self, n: int, forms: Tuple[Tuple[GaussRational, ...], ...],
+                 tuples: Tuple[Tuple[int, ...], ...]):
+        self.n, self.forms, self.tuples = n, forms, tuples
 
 
 def general_position_tuples(forms: Sequence[Sequence[GaussRational]],
@@ -250,11 +258,12 @@ def general_position_tuples(forms: Sequence[Sequence[GaussRational]],
     return HyperplaneConfig(n=n, forms=forms, tuples=tuple(tuples))
 
 
-@dataclass(frozen=True)
 class BalancedResult:
-    balanced: bool
-    counts: Tuple[Tuple[object, int], ...]
-    empty: bool
+    __slots__ = ("balanced", "counts", "empty")
+
+    def __init__(self, balanced: bool, counts: Tuple[Tuple[object, int], ...],
+                 empty: bool):
+        self.balanced, self.counts, self.empty = balanced, counts, empty
 
 
 def balanced_check(pairs: Sequence[Tuple[object, object]]) -> BalancedResult:
@@ -273,14 +282,15 @@ def balanced_check(pairs: Sequence[Tuple[object, object]]) -> BalancedResult:
     )
 
 
-@dataclass(frozen=True)
 class PairCollection:
     """Unordered pairs of size-d index sets in {0..n} at distance one
     (symmetric difference of size two)."""
 
-    n: int
-    degree: int
-    pairs: Tuple[Tuple[MultiIndex, MultiIndex], ...]
+    __slots__ = ("n", "degree", "pairs")
+
+    def __init__(self, n: int, degree: int,
+                 pairs: Tuple[Tuple[MultiIndex, MultiIndex], ...]):
+        self.n, self.degree, self.pairs = n, degree, pairs
 
     def positions(self) -> List[Tuple[int, int]]:
         """Each pair as positions in the lexicographic multi-index order."""

@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -56,12 +55,30 @@ ROOT_SEPARATION_TOL = 1e-8
 QUAD_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class GaussRational:
-    """An element a + b*i of Q(i), with exact rational a, b."""
+def refuse_assignment(self, name, value=None):
+    """__setattr__ and __delattr__ of the immutable value types, which set
+    their fields once through object.__setattr__."""
+    raise AttributeError(f"cannot assign to field {name!r}")
 
-    re: Fraction
-    im: Fraction
+
+class GaussRational:
+    """An element a + b*i of Q(i), with exact rational a, b; immutable, and
+    equality and hashing follow the pair (re, im)."""
+
+    __slots__ = ("re", "im")
+    __setattr__ = __delattr__ = refuse_assignment
+
+    def __init__(self, re: Fraction, im: Fraction):
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+
+    def __eq__(self, other):
+        if other.__class__ is not GaussRational:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
 
     @staticmethod
     def of(re, im=0) -> "GaussRational":
@@ -268,20 +285,28 @@ def _pseudo_divmod(a: Sequence[tuple], b: Sequence[tuple]) -> tuple:
     return s, _times(q, conj), r[:db]
 
 
-@dataclass(frozen=True, init=False)
 class GaussPoly:
     """Univariate polynomial over Q(i) in the canonical (nums, den) form;
     the zero polynomial reports degree -1 (the degree sentinel).
     GaussPoly(coeffs) builds one from GaussRational coefficients ascending
-    in the power of z, and coeffs is the same view back, derived and cached.
+    in the power of z, and coeffs is the same view back, derived and cached
+    (in the instance __dict__, so the class has no __slots__).  Immutable;
+    equality and hashing follow (nums, den).
     """
 
-    nums: tuple
-    den: int
+    __setattr__ = __delattr__ = refuse_assignment
 
     def __new__(cls, coeffs: Iterable[GaussRational] = ()):
         den, nums = _lcd_numerators([_as_gr(c) for c in coeffs])
         return _poly(nums, den)
+
+    def __eq__(self, other):
+        if other.__class__ is not GaussPoly:
+            return NotImplemented
+        return self.nums == other.nums and self.den == other.den
+
+    def __hash__(self) -> int:
+        return hash((self.nums, self.den))
 
     @staticmethod
     def zero() -> "GaussPoly":
@@ -505,7 +530,6 @@ class PackedRows:
         return complex(value[0] / den, value[1] / den)
 
 
-@dataclass(frozen=True)
 class Divisor:
     """An effective divisor on C: exact order at 0 plus isolated points.
 
@@ -514,14 +538,13 @@ class Divisor:
     by ROOT_SEPARATION_TOL and away from the origin.
     """
 
-    ord_at_zero: int
-    points: tuple
+    __slots__ = ("ord_at_zero", "points")
 
-    def __post_init__(self):
-        if self.ord_at_zero < 0:
+    def __init__(self, ord_at_zero: int, points: tuple):
+        if ord_at_zero < 0:
             raise ValueError("ord_at_zero must be nonnegative")
-        locs = [p for p, _ in self.points]
-        for p, m in self.points:
+        locs = [p for p, _ in points]
+        for p, m in points:
             if m <= 0:
                 raise ValueError("multiplicities must be positive")
             if abs(p) < ROOT_SEPARATION_TOL:
@@ -533,6 +556,7 @@ class Divisor:
                 raise ValueError(
                     f"divisor points {a} and {b} violate the separation tolerance"
                 )
+        self.ord_at_zero, self.points = ord_at_zero, points
 
     @staticmethod
     def empty() -> "Divisor":

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import io
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .curve import CurveLift
@@ -42,13 +41,14 @@ __all__ = [
 ]
 
 
-@dataclass
 class SweepReport:
     """The rows of one radial report.  Each row is a dict from column name to
     value in column order, so ``columns`` is the key order of every row."""
 
-    columns: Tuple[str, ...]
-    rows: List[Dict[str, float]]
+    __slots__ = ("columns", "rows")
+
+    def __init__(self, columns: Tuple[str, ...], rows: List[Dict[str, float]]):
+        self.columns, self.rows = columns, rows
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -22,7 +22,6 @@ prefix's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, Sequence, Tuple
 
@@ -58,14 +57,22 @@ QUAD_NODE_CAP = 2 ** 20
 _NODE_CHUNK = 4096
 
 
-@dataclass(frozen=True)
 class RadialValue:
-    """A value of a radial functional, with its quadrature provenance."""
+    """A value of a radial functional, with its quadrature provenance; equal
+    when every field is."""
 
-    r: float
-    value: float
-    quadrature_nodes: int
-    converged: bool
+    __slots__ = ("r", "value", "quadrature_nodes", "converged")
+
+    def __init__(self, r: float, value: float, quadrature_nodes: int,
+                 converged: bool):
+        self.r, self.value = r, value
+        self.quadrature_nodes, self.converged = quadrature_nodes, converged
+
+    def __eq__(self, other):
+        if other.__class__ is not RadialValue:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k)
+                   for k in self.__slots__)
 
 
 def counting(D: Divisor, r: float) -> float:
@@ -319,12 +326,13 @@ class SelectorContext:
     def mumax(self, xv: np.ndarray, xpv: np.ndarray) -> np.ndarray:
         """Pointwise max over all tuples of the generalized Weil function of
         the tuple divisor, at curve values xv and derivatives xpv; fmax drops
-        the nan of nodes on a divisor."""
+        the nan of nodes on a divisor.  The chart rows of every form pair
+        are computed once, and each tuple adds its rows."""
         y = self.form_mat @ xv
-        yd = self.form_mat @ xpv
+        rows = _chart_rows(y, self.form_mat @ xpv)
         best = np.full(xv.shape[1], -np.inf)
         for t in self.tuple_index:
-            num, den = _chart_sums(y[t], yd[t])
+            num, den = _tuple_sums(rows, y, t)
             best = np.fmax(best, -0.5 * np.log(num / den))
         return best
 
@@ -601,39 +609,52 @@ def proximity_hyperplane(x: CurveLift, form, r: float,
         lambda at: at.hbar(1) - np.log(np.abs(coeffs @ at.wedge(1))))
 
 
-def _chart_sums(y: np.ndarray, yd: np.ndarray):
-    """Chart-ratio sums of one tuple of forms, one column per node.
+def _chart_rows(y: np.ndarray, yd: np.ndarray) -> np.ndarray:
+    """Chart-ratio rows of every ordered pair of forms, one column per node.
 
-    y and yd are the tuple coordinates L_i(x) and their derivatives.  In the
-    chart of the maximum-modulus coordinate y_k0 (the ratios w_i = y_i / y_k0
-    then all have modulus <= 1) returns sum |w_i'|^2 and sum |w_i'/w_i|^2;
-    the second is nan where some y_i vanishes, i.e. on the tuple divisor.
-    The k0 terms are exactly zero.
+    y and yd are the form values L_i(x) and their derivatives, f forms.  In
+    the chart of form k the ratios are w_i = y_i / y_k; rows[0] holds
+    |w_i'|^2 and rows[1] |w_i'/w_i|^2 at row k*f + i, the second nan where
+    y_i vanishes.  The rows i = k hold w_k' = 0 as computed: a fused
+    multiply-add can leave a rounding residue in y_k' y_k - y_k y_k', which
+    a tuple's sums carry where its other terms are that small.
     """
-    k0 = np.argmax(np.abs(y), axis=0)[None, :]
-    y0 = np.take_along_axis(y, k0, axis=0)
-    y0d = np.take_along_axis(yd, k0, axis=0)
-    wp = yd * y0
-    wp -= y * y0d
-    wp /= y0 ** 2
-    num = (np.abs(wp) ** 2).sum(axis=0)
-    w = y / y0
-    w[y == 0] = np.nan
-    wp /= w
-    den = (np.abs(wp) ** 2).sum(axis=0)
-    return num, den
+    f, nodes = y.shape
+    rows = np.empty((2, f, f, nodes))
+    for k in range(f):
+        wp = yd * y[k]
+        wp -= y * yd[k]
+        wp /= y[k] ** 2
+        rows[0, k] = np.abs(wp) ** 2
+        w = y / y[k]
+        w[y == 0] = np.nan
+        wp /= w
+        rows[1, k] = np.abs(wp) ** 2
+    return rows.reshape(2, f * f, nodes)
 
 
-def _chart_sums_at(x: CurveLift, tuple_forms, z: complex):
-    """_chart_sums for the n+1 given forms at the single point z."""
+def _tuple_sums(rows: np.ndarray, y: np.ndarray, t: np.ndarray):
+    """sum |w_i'|^2 and sum |w_i'/w_i|^2 over the forms i of tuple t, in
+    tuple order, in the chart of the tuple's maximum-modulus coordinate
+    (lowest index on a tie; the ratios then all have modulus <= 1), from
+    _chart_rows of the form values y.  The second sum is nan where some y_i
+    vanishes, i.e. on the tuple divisor."""
+    f, nodes = y.shape
+    chart = t[np.argmax(np.abs(y[t]), axis=0)]
+    at = (chart * f + t[:, None]) * nodes + np.arange(nodes)
+    return rows[0].take(at).sum(axis=0), rows[1].take(at).sum(axis=0)
+
+
+def _sums_at_point(x: CurveLift, tuple_forms, z: complex):
+    """_tuple_sums for the n+1 given forms at the single point z."""
     zs = np.array([complex(z)])
     mat = _form_matrix(tuple_forms)
     y = mat @ _eval_stack(_coeff_arrays(x.coords), zs)
     if not y.any():
         raise ValueError("curve point is the zero vector in tuple coordinates")
     yd = mat @ _eval_stack(_coeff_arrays([p.derivative() for p in x.coords]), zs)
-    with np.errstate(invalid="ignore"):
-        num, den = _chart_sums(y, yd)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        num, den = _tuple_sums(_chart_rows(y, yd), y, np.arange(len(y)))
     return float(num[0]), float(den[0])
 
 
@@ -642,7 +663,7 @@ def mu(x: CurveLift, tuple_forms, z: complex) -> float:
     -1/2 log( sum |w_i'|^2 / sum |w_i'/w_i|^2 ) in the chart of the
     maximum-modulus tuple coordinate.  Nonnegative away from the divisor,
     +inf on it; -inf signals a point where every chart derivative vanishes."""
-    num, den = _chart_sums_at(x, tuple_forms, z)
+    num, den = _sums_at_point(x, tuple_forms, z)
     if num == 0.0:
         return -math.inf
     if math.isnan(den):
@@ -658,7 +679,7 @@ def pointwise_logderiv_check(x: CurveLift, tuple_forms, z: complex):
     """Both sides of the pointwise log-derivative comparison
     log+ ||Tf|| + mu(f') - lambda_[0](g) <= log+ ||T_D f||_D + O(1),
     in the explicit chart coordinates.  Returns (lhs, rhs)."""
-    num, den = _chart_sums_at(x, tuple_forms, z)
+    num, den = _sums_at_point(x, tuple_forms, z)
     if num == 0.0:
         raise ValueError("all chart derivatives vanish at this point")
     if math.isnan(den):

@@ -247,6 +247,32 @@ class TestMain:
         assert captured.err == (
             f"nevlab: error: verify identities takes no {flag}\n")
 
+    def test_one_parser_per_process(self, tmp_path, monkeypatch):
+        # the parser is built on the first call and reused; options of one
+        # call (--r, --tol, --out, the verify name) do not reach the next
+        path = tmp_path / "cfg.ini"
+        path.write_text(GOOD, encoding="utf-8")
+        seen = []
+        monkeypatch.setattr(nevlab.cli, "run",
+                            lambda command, cfg, **kw: seen.append(
+                                (command, kw)) or 0)
+        nevlab.cli._parser.cache_clear()
+        out = str(tmp_path / "out.csv")
+        for argv in (["verify", "cartan", "--r", "5", "--tol", "1e-4",
+                      "--out", out],
+                     ["check"], ["compute", "--r", "7"], ["sweep"]):
+            assert main(argv + ["--config", str(path)]) == 0
+        info = nevlab.cli._parser.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+        none = {"r": None, "out": None, "tol": None, "verify_name": None}
+        assert seen == [
+            ("verify", {"r": 5.0, "out": out, "tol": 1e-4,
+                        "verify_name": "cartan"}),
+            ("check", none),
+            ("compute", {**none, "r": 7.0}),
+            ("sweep", none),
+        ]
+
     @pytest.mark.parametrize("user", [None, "3"], ids=["unset", "user-set"])
     def test_one_blas_thread_unless_set(self, tmp_path, monkeypatch, user):
         path = tmp_path / "cfg.ini"

@@ -869,3 +869,122 @@ class TestLogDerivComparison:
             assert lhs <= rhs + 1e-10
             checked += 1
         assert checked > 20
+
+
+def _chart_sums_oracle(y, yd):
+    """Oracle for the chart sums of one tuple, the per-tuple arithmetic that
+    SelectorContext.mumax and mu used before the per-form-pair rows: in the
+    chart of the maximum-modulus coordinate y_k0, sum |w_i'|^2 and sum
+    |w_i'/w_i|^2 for w_i = y_i / y_k0, nan where some y_i vanishes."""
+    k0 = np.argmax(np.abs(y), axis=0)[None, :]
+    y0 = np.take_along_axis(y, k0, axis=0)
+    y0d = np.take_along_axis(yd, k0, axis=0)
+    wp = yd * y0
+    wp -= y * y0d
+    wp /= y0 ** 2
+    num = (np.abs(wp) ** 2).sum(axis=0)
+    w = y / y0
+    w[y == 0] = np.nan
+    wp /= w
+    den = (np.abs(wp) ** 2).sum(axis=0)
+    return num, den
+
+
+def _mumax_oracle(ctx, xv, xpv):
+    """Oracle for SelectorContext.mumax: the per-tuple loop over
+    _chart_sums_oracle."""
+    y, yd = ctx.form_mat @ xv, ctx.form_mat @ xpv
+    best = np.full(xv.shape[1], -np.inf)
+    for t in ctx.tuple_index:
+        num, den = _chart_sums_oracle(y[t], yd[t])
+        best = np.fmax(best, -0.5 * np.log(num / den))
+    return best
+
+
+def _mu_oracle(x, tuple_forms, z):
+    """Oracle for mu: _chart_sums_oracle at the single point z."""
+    zs, stack = np.array([complex(z)]), nevanlinna._eval_stack
+    mat = nevanlinna._form_matrix(tuple_forms)
+    y = mat @ stack([p.complex_coeffs() for p in x.coords], zs)
+    yd = mat @ stack([p.derivative().complex_coeffs() for p in x.coords], zs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        num, den = _chart_sums_oracle(y, yd)
+    if num[0] == 0.0:
+        return -math.inf
+    if math.isnan(den[0]):
+        return math.inf
+    return -0.5 * math.log(num[0] / den[0])
+
+
+class TestMumaxOracle:
+    """SelectorContext.mumax and mu against the per-tuple loop, bit for
+    bit."""
+
+    @staticmethod
+    def _check(x, cfg, z):
+        ctx = SelectorContext.from_config(cfg)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            xv = np.vstack([p.eval_many(z) for p in x.coords])
+            xpv = np.vstack([p.derivative().eval_many(z) for p in x.coords])
+            got, want = ctx.mumax(xv, xpv), _mumax_oracle(ctx, xv, xpv)
+        assert got.tobytes() == want.tobytes()
+        return ctx, ctx.form_mat @ xv, ctx.form_mat @ xpv
+
+    @pytest.mark.parametrize("r", [0.54, 1.8, 6.0])
+    @pytest.mark.parametrize("count", [1, 7, 768])
+    def test_stress(self, r, count):
+        x, cfg = stress()
+        self._check(x, cfg, _nodes(r, count))
+
+    @pytest.mark.parametrize("r", [1.0, 53.0, 1e4])
+    def test_huge_radius(self, r):
+        # z^80 dominates: the other chart terms are so small that the
+        # rounding residue of w_k' in the chart's own row decides the sum,
+        # and at r = 1e4 the values overflow
+        x, cfg = lift_config(("1", "z^40", "z^80 + 1"),
+                             ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
+        self._check(x, cfg, _nodes(r, 64))
+
+    def test_root_on_circle_node_on_a_divisor(self):
+        # z^2 + 1 vanishes exactly at z = i and z = -i: those nodes lie on
+        # the divisor of every tuple with the second form
+        x, cfg = lift_config(("z - 2", "z^2 + 1"), ((1, 0), (0, 1), (1, 1)))
+        z = np.concatenate([_nodes(1.0, 256), [1j, -1j]])
+        ctx, y, yd = self._check(x, cfg, z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _, den = _chart_sums_oracle(y[[0, 1]], yd[[0, 1]])
+        assert np.isnan(den[-2:]).all() and not np.isnan(den[:-2]).any()
+
+    def test_ties_take_the_lowest_chart(self):
+        # one tuple, the coordinate forms, at values whose largest moduli
+        # tie: the chart is the lowest tied form, and another chart gives
+        # other bits
+        _, cfg = lift_config(("1", "z", "z^2"),
+                             ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        ctx = SelectorContext.from_config(cfg)
+        xv = np.array([[1, 1j, 0.5], [1, -1, 0.25 + 0.25j], [2, 2j, -2],
+                       [0.5, 3, -3j]]).T
+        xpv = np.array([[0.3, -1.7j, 2.1], [1.1 + 0.4j, 0.2, -0.9],
+                        [0.7, 0.1j, 1.3], [-2, 0.6, 0.35j]]).T
+        got = ctx.mumax(xv, xpv)
+        assert got.tobytes() == _mumax_oracle(ctx, xv, xpv).tobytes()
+        y, yd = ctx.form_mat @ xv, ctx.form_mat @ xpv
+        last = (-0.5 * np.log(np.divide(
+            *_chart_sums_oracle(y[::-1], yd[::-1]))))
+        assert (got != last).any()
+
+    def test_mu_at_points(self, rng):
+        x, cfg = stress()
+        points = [0.3, 1.8j, -6.0, 2.0,
+                  complex(rng.uniform(-3, 3), rng.uniform(-3, 3))]
+        for z in points:
+            for t in cfg.tuples[::7]:
+                forms = [cfg.forms[i] for i in t]
+                got, want = mu(x, forms, z), _mu_oracle(x, forms, z)
+                assert got == want or math.isnan(got) and math.isnan(want)
+        # on a divisor (+inf), and where every chart derivative vanishes
+        # (-inf): w = z^2 has w' = 0 at z = 0
+        forms = [(ONE, ZERO), (ZERO, ONE)]
+        for lift, want in ((monomial_lift(0, 1), math.inf),
+                           (monomial_lift(0, 2), -math.inf)):
+            assert mu(lift, forms, 0.0) == _mu_oracle(lift, forms, 0.0) == want
