@@ -18,12 +18,16 @@ Both sides read the same config files and write the same ``--out`` path,
 so no path differs between them.  A run's record is its exit code, stdout,
 stderr and the bytes of its ``--out`` file.  The script prints the runs whose
 records differ, with the fields that differ, and exits 1 if any does, 0 if
-none does.
+none does.  Where both ``--out`` files are CSVs of one shape whose differing
+cells are numbers, it also prints the largest absolute cell difference and
+its column, so that a change in the last printed digits reads apart from a
+real one.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -91,12 +95,53 @@ def differences(parent: dict, change: dict) -> dict:
     return diff
 
 
-def report(diff: dict, total: int) -> int:
-    """Print the differing runs and return the exit code."""
+def largest_cell_difference(parent: bytes, change: bytes):
+    """(|difference|, column) of the two CSV texts' cells that differ most,
+    or None when the headers or row counts differ, when a differing cell is
+    not a number on both sides, or when no cell differs."""
+    a, b = (text.decode("utf-8").splitlines() for text in (parent, change))
+    if not a or len(a) != len(b) or a[0] != b[0]:
+        return None
+    header = a[0].split(",")
+    best = None
+    for row_a, row_b in zip(a[1:], b[1:]):
+        cells_a, cells_b = row_a.split(","), row_b.split(",")
+        if len(cells_a) != len(header) or len(cells_b) != len(header):
+            return None
+        for column, x, y in zip(header, cells_a, cells_b):
+            if x == y:
+                continue
+            try:
+                gap = abs(float(x) - float(y))
+            except ValueError:
+                return None
+            if best is None or math.isnan(gap) or gap > best[0]:
+                best = (gap, column)
+    return best
+
+
+def report(diff: dict, total: int, cells: dict = None) -> int:
+    """Print the differing runs and return the exit code; cells maps a run
+    key to its largest cell difference (see largest_cell_difference)."""
     for key, fields in diff.items():
-        print(f"differs: {key}: {', '.join(fields)}")
+        line = f"differs: {key}: {', '.join(fields)}"
+        if (cells or {}).get(key) is not None:
+            gap, column = cells[key]
+            line += f" (largest cell difference {gap:.3g} in {column})"
+        print(line)
     print(f"{len(diff)} of {total} runs differ")
     return 1 if diff else 0
+
+
+def cell_differences(parent: dict, change: dict, diff: dict) -> dict:
+    """The largest cell difference of each differing run whose --out files
+    both exist and differ."""
+    return {key: largest_cell_difference(parent[key]["out"],
+                                         change[key]["out"])
+            for key, fields in diff.items()
+            if "out" in fields and key in parent and key in change
+            and parent[key]["out"] is not None
+            and change[key]["out"] is not None}
 
 
 def main() -> int:
@@ -111,8 +156,9 @@ def main() -> int:
             for side, tree in trees.items():
                 records[side][key] = record(tree, args, tmp / "out")
             print(f"ran {key}", flush=True)
-        return report(differences(records["parent"], records["change"]),
-                      len(todo))
+        diff = differences(records["parent"], records["change"])
+        return report(diff, len(todo), cell_differences(
+            records["parent"], records["change"], diff))
 
 
 if __name__ == "__main__":

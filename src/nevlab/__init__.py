@@ -4,11 +4,13 @@ exterior algebra, heights and proximity functions, and a verification harness
 for the classical defect-type inequalities.
 
 The exact layer (gauss, exterior, curve) has no module-level numpy.  The
-numeric layer (nevanlinna, harness) is registered in ``sys.modules`` through
-``importlib.util.LazyLoader`` and bound as package attributes; its code, and
-numpy, load on first attribute access.  So ``nevlab check`` and ``nevlab
-verify identities`` never load numpy, while the benchmark tracer still finds
-the numeric modules in ``sys.modules`` right after ``import nevlab.cli``.
+numeric layer (nevanlinna, harness) and the numpy-free heights module are
+registered in ``sys.modules`` through ``importlib.util.LazyLoader`` and bound
+as package attributes; their code, and numpy for the numeric layer, load on
+first attribute access.  So ``nevlab check`` and ``nevlab verify
+identities`` load neither, ``nevlab verify growth`` loads heights but no
+numpy, and the benchmark tracer still finds every module in ``sys.modules``
+right after ``import nevlab.cli``.
 The package re-exports no names; import each from its defining module.
 """
 
@@ -27,6 +29,7 @@ def _lazy_submodule(name: str):
 
 
 nevanlinna = _lazy_submodule("nevanlinna")
+heights = _lazy_submodule("heights")
 harness = _lazy_submodule("harness")
 
 __version__ = "0.1.0"

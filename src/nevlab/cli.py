@@ -22,9 +22,10 @@ import os
 import sys
 from typing import Optional, Sequence, Tuple
 
-# harness stays behind its lazy module object (see the package docstring):
-# check and verify identities never load it, or numpy.
-from . import harness
+# harness and heights stay behind their lazy module objects (see the
+# package docstring): check and verify identities load neither, and verify
+# growth loads heights but not harness, or numpy.
+from . import harness, heights
 from .curve import (
     DegenerateCurveError,
     associated_family,
@@ -83,12 +84,12 @@ class RunConfig:
         return len(self.curve) - 1
 
     def radii(self) -> list:
-        import numpy as np
-
-        return list(
-            np.logspace(math.log10(self.r_min), math.log10(self.r_max),
-                        self.r_points)
-        )
+        """r_points radii log-spaced from r_min to r_max, with the exponents
+        of numpy's logspace: k * step + log10(r_min), the last log10(r_max)."""
+        lo, hi = math.log10(self.r_min), math.log10(self.r_max)
+        step = (hi - lo) / (self.r_points - 1)
+        return ([10.0 ** (k * step + lo) for k in range(self.r_points - 1)]
+                + [10.0 ** hi])
 
 
 def parse_config(text: str) -> RunConfig:
@@ -315,7 +316,7 @@ def run(command: str, cfg: RunConfig, r: Optional[float] = None,
     elif verify_name == "lemma55":
         report = harness.verify_lemma55(x, hp, None, radii, tol=cfg.tol)
     elif verify_name == "growth":
-        report = harness.verify_height_growth(x, radii, tol=cfg.tol)
+        report = heights.verify_height_growth(x, radii, tol=cfg.tol)
     elif verify_name == "mcquillan":
         report = harness.mcquillan_monitor(x, hp, radii, tol=cfg.tol)
     else:  # prop62, all levels stacked with a level column

@@ -6,8 +6,9 @@ at the evaluation boundary (``GaussPoly.eval``, ``roots``), and numpy is
 imported only inside the boundary functions that use it
 (``GaussPoly.complex_coeffs`` and ``eval_many``, ``roots``), so commands that
 stay exact never load it.  The float tolerances live here too, the root
-tolerances and the quadrature default ``QUAD_TOL`` (re-exported by
-nevanlinna), so that configuration parsing loads no numeric module.
+tolerances and the quadrature defaults ``QUAD_TOL`` and ``QUAD_NODE_CAP``
+(re-exported by nevanlinna), so that configuration parsing and the
+numpy-free height quadrature (heights) load no numeric module.
 
 A GaussPoly stores one form, (nums, den): the ascending tuple of its
 Gaussian-integer numerators (re, im), Python ints, over one integer den.  The
@@ -45,14 +46,18 @@ __all__ = [
     "ROOT_RESIDUAL_TOL",
     "ROOT_SEPARATION_TOL",
     "QUAD_TOL",
+    "QUAD_NODE_CAP",
+    "lag_products",
 ]
 
 # Residual tolerance for numeric roots, relative to coefficient magnitude.
 ROOT_RESIDUAL_TOL = 1e-10
 # Minimum distance between distinct divisor points (and from the origin).
 ROOT_SEPARATION_TOL = 1e-8
-# Default absolute tolerance of the circle quadrature (nevanlinna).
+# Default absolute tolerance of the circle quadratures (nevanlinna, heights).
 QUAD_TOL = 1e-6
+# Most nodes either circle quadrature doubles up to.
+QUAD_NODE_CAP = 2 ** 20
 
 
 def refuse_assignment(self, name, value=None):
@@ -485,6 +490,31 @@ def products_sum_to_zero(terms: Iterable[tuple]) -> bool:
         re += c * pr
         im += c * pi
     return re == 0 and im == 0
+
+
+def lag_products(polys: Sequence[GaussPoly]) -> list:
+    """The lag products of a family of polynomials a_i, not all zero: row m
+    holds A[m][j] = sum_i a_{i,j+m} * conj(a_{i,j}) for j = 0..D-m, D the
+    largest degree.  Each entry is summed exactly over the common
+    denominator and rounded once to a complex float (one int/int true
+    division per part, as in GaussPoly.complex_coeffs)."""
+    polys = [p for p in polys if p.nums]
+    den = math.lcm(*(p.den for p in polys))
+    rows = [_times(p.nums, (den // p.den, 0)) for p in polys]
+    top, den2 = max(map(len, rows)), den * den
+    table = []
+    for m in range(top):
+        row = []
+        for j in range(top - m):
+            re = im = 0
+            for nums in rows:
+                if j + m < len(nums):
+                    (a, b), (c, d) = nums[j + m], nums[j]
+                    re += a * c + b * d
+                    im += b * c - a * d
+            row.append(complex(re / den2, im / den2))
+        table.append(row)
+    return table
 
 
 class PackedRows:

@@ -1,25 +1,28 @@
 """Verification harness: the radial inequality checks (Cartan-style defect
 bound, the derived-curve comparison at each level, height growth, and the
 tautological-inequality monitor).  Hyperplane configurations, index-pair
-collections and the telescoping identity live in the exact layer (exterior)
-and are re-exported here.
+collections and the telescoping identity live in the exact layer (exterior),
+and the height-growth check and the report records in heights; all are
+re-exported here.
 
-All radial functionals for one report row are integrated on shared quadrature
-nodes, so identities that hold pointwise in theta survive to the reported
-numbers up to float rounding.
+All radial functionals for one row of the other checks are integrated on
+shared quadrature nodes, so identities that hold pointwise in theta survive
+to the reported numbers up to float rounding.  Growth rows share no nodes:
+each T_d is its own closed-form Jensen mean (heights).
 """
 
 from __future__ import annotations
 
 import functools
-import io
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .curve import CurveLift
 from .exterior import (BalancedResult, HyperplaneConfig, PairCollection,
                        balanced_check, distance_one_collection,
                        general_position_tuples, telescoping_identity)
+from .heights import (SweepReport, _report, _row, _validate_radii,
+                      verify_height_growth)
 from .nevanlinna import QUAD_TOL, Evaluator, counting
 
 __all__ = [
@@ -39,53 +42,6 @@ __all__ = [
     "mcquillan_monitor",
     "full_sweep",
 ]
-
-
-class SweepReport:
-    """The rows of one radial report.  Each row is a dict from column name to
-    value in column order, so ``columns`` is the key order of every row."""
-
-    __slots__ = ("columns", "rows")
-
-    def __init__(self, columns: Tuple[str, ...], rows: List[Dict[str, float]]):
-        self.columns, self.rows = columns, rows
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(",".join(self.columns) + "\n")
-        for row in self.rows:
-            buf.write(",".join(str(v) if isinstance(v, int) else f"{v:.12g}"
-                               for v in row.values()) + "\n")
-        return buf.getvalue()
-
-    def all_converged(self) -> bool:
-        return all(row["converged"] for row in self.rows)
-
-
-def _report(rows: List[Dict[str, float]]) -> SweepReport:
-    return SweepReport(columns=tuple(rows[0]), rows=rows)
-
-
-def _row(lead: Dict[str, float], lhs, rhs, extra: Dict[str, float],
-         conv) -> Dict[str, float]:
-    """One report row in column order: the lead cells, lhs, rhs,
-    margin = rhs - lhs (the inequality under test reads margin >= -slack),
-    the extra cells, and converged as 0 or 1."""
-    return {**lead, "lhs": lhs, "rhs": rhs, "margin": rhs - lhs, **extra,
-            "converged": int(conv.all())}
-
-
-def _validate_radii(radii: Sequence[float]) -> List[float]:
-    radii = [float(r) for r in radii]
-    if not radii:
-        raise ValueError("empty radius grid")
-    if not all(map(math.isfinite, radii)):
-        raise ValueError("radii must be finite")
-    if any(r <= 0 for r in radii):
-        raise ValueError("radii must be positive")
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be strictly increasing")
-    return radii
 
 
 def _sweep(ev: Evaluator, radii: Sequence[float], rows, row) -> SweepReport:
@@ -197,24 +153,6 @@ def verify_prop62(x: CurveLift, config: HyperplaneConfig,
                      "m_C": m_c, "hbar_pair": hbar_pair}, conv)
 
     return _report([row(d, r) for d in levels for r in radii])
-
-
-def verify_height_growth(x: CurveLift, radii: Sequence[float],
-                         slack: float = 2.0,
-                         tol: float = QUAD_TOL) -> SweepReport:
-    """Checks T_{d,f}(r) <= 2^{d-1} T_f(r) + slack for every level d."""
-    ev = Evaluator(x, None, tol)
-    levels = list(range(1, x.n + 2))
-    divisors = {d: ev.level_divisor(d) for d in levels}
-
-    def row(r, vals, conv):
-        t = {d: h - counting(divisors[d], r) for d, h in zip(levels, vals)}
-        excess = {d: t[d] - 2 ** (d - 1) * t[1] for d in levels}
-        return _row({"r": r}, max(excess.values()), slack,
-                    {**{f"T_{d}": t[d] for d in levels},
-                     **{f"excess_{d}": excess[d] for d in levels}}, conv)
-
-    return _sweep(ev, radii, lambda at: [at.hbar(d) for d in levels], row)
 
 
 def mcquillan_monitor(x: CurveLift, config: HyperplaneConfig,

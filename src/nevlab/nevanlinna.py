@@ -30,7 +30,7 @@ import numpy as np
 from .curve import (CurveLift, DegenerateCurveError, associated_family,
                     level_divisor)
 from .exterior import WedgeForm, multi_indices, next_layer
-from .gauss import QUAD_TOL, Divisor, GaussPoly, PackedRows
+from .gauss import QUAD_NODE_CAP, QUAD_TOL, Divisor, GaussPoly, PackedRows
 
 __all__ = [
     "RadialValue",
@@ -51,7 +51,6 @@ __all__ = [
 ]
 
 QUAD_INITIAL_NODES = 256
-QUAD_NODE_CAP = 2 ** 20
 # Nodes per NodeBatch.  Transient memory grows with the chunk, not with the
 # node count; much smaller chunks cost run time in per-chunk overhead.
 _NODE_CHUNK = 4096

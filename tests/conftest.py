@@ -106,3 +106,34 @@ def run_fresh(script: str, *args: str):
         env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def mp_height(x, d, r, dps=30, pieces=4):
+    """Labelled oracle for T_{d,f}(r), independent of Jensen's formula:
+    mpmath.quad (Gauss-Legendre on `pieces` equal arcs, at dps digits) of
+    the circle mean of log|X^d(r e^{i theta})|, the coordinates evaluated in
+    mpmath so that no radius overflows, minus the counting function N_d of
+    the exact coordinate gcd's zeros (nevlab roots).  Returns (T_d, the
+    quadrature's own error estimate)."""
+    import mpmath
+
+    from nevlab.curve import associated_family, level_divisor
+    from nevlab.nevanlinna import counting
+
+    polys = associated_family(x)[d].polys()
+    with mpmath.workdps(dps):
+        coeffs = [[mpmath.mpc(mpmath.mpf(c.re.numerator) / c.re.denominator,
+                              mpmath.mpf(c.im.numerator) / c.im.denominator)
+                   for c in reversed(p.coeffs)] for p in polys if not p.is_zero()]
+        radius = mpmath.mpf(r)
+
+        def half_log_norm(theta):
+            z = radius * mpmath.expj(theta)
+            return mpmath.log(mpmath.fsum(abs(mpmath.polyval(c, z)) ** 2
+                                          for c in coeffs)) / 2
+
+        arcs = mpmath.linspace(0, 2 * mpmath.pi, pieces + 1)
+        mean, err = mpmath.quad(half_log_norm, arcs, method="gauss-legendre",
+                                error=True)
+        mean /= 2 * mpmath.pi
+    return float(mean) - counting(level_divisor(polys), r), float(err)

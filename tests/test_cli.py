@@ -18,7 +18,7 @@ from nevlab.cli import (
 from nevlab.exterior import WedgeVector
 from nevlab.gauss import GaussPoly, RootFindingError
 
-from conftest import run_fresh
+from conftest import mp_height, run_fresh
 
 GOOD = """
 [curve]
@@ -56,6 +56,18 @@ class TestConfigParsing:
         assert radii[-1] == pytest.approx(50.0)
         ratios = [b / a for a, b in zip(radii, radii[1:])]
         assert ratios[0] == pytest.approx(ratios[1], rel=1e-12)
+
+    @pytest.mark.parametrize("r_min, r_max, points", [
+        (2, 50, 3), (0.5, 100, 30), (2, 1e6, 10), (0.54, 6.1, 17)])
+    def test_radii_are_numpy_logspace_to_one_ulp(self, r_min, r_max, points):
+        # pure Python, the exponents of np.logspace; only pow may differ
+        import numpy as np
+
+        cfg = RunConfig((), (), r_min, r_max, points)
+        want = np.logspace(math.log10(r_min), math.log10(r_max), points)
+        got = cfg.radii()
+        assert all(type(r) is float for r in got)
+        assert all(abs(a - b) <= math.ulp(b) for a, b in zip(got, want))
 
     def test_round_trip(self, cfg):
         assert parse_config(serialize_config(cfg)) == cfg
@@ -312,7 +324,8 @@ class TestMain:
         path = tmp_path / "ramified.ini"
         path.write_text(GOOD.replace("1; z; z^2", "1; z^2; z^3"),
                         encoding="utf-8")
-        assert main(["verify", "growth", "--config", str(path)]) == 1
+        # cartan counts the zeros of X^{n+1}; growth extracts no roots
+        assert main(["verify", "cartan", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err == "nevlab: error: root iteration failed to converge\n"
 
@@ -372,28 +385,42 @@ HUGE_RADIUS = GOOD.replace("coords = 1; z; z^2", "coords = 1; z^40; z^80 + 1")
 
 
 class TestFloatOverflow:
-    def test_growth_at_huge_radius_warns_nothing(self, tmp_path, monkeypatch,
-                                                 capsys):
-        # |X^2| overflows at r = 53; the row is reported unconverged (exit 2)
-        # without a numpy RuntimeWarning, and the quadrature returns after
-        # its first grid, since more nodes do not remove an overflow.
-        quadrature = nevlab.nevanlinna.adaptive_midpoint
-        nodes = []
+    """verify growth at radii where |x|^2 overflows a float: the Jensen
+    heights scale the reduced norm by r^{-2D}, so every row converges,
+    within tol of the mpmath oracle, with no warning and no midpoint
+    quadrature."""
 
-        def recorded(g, tol):
-            values, converged, used = quadrature(g, tol)
-            nodes.append(used)
-            return values, converged, used
-
-        monkeypatch.setattr(nevlab.nevanlinna, "adaptive_midpoint", recorded)
+    @staticmethod
+    def _growth(tmp_path, monkeypatch, capsys, r):
+        calls = []
+        monkeypatch.setattr(nevlab.nevanlinna, "adaptive_midpoint",
+                            lambda *args, **kwargs: calls.append(args))
         path = tmp_path / "huge.ini"
         path.write_text(HUGE_RADIUS)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main(["verify", "growth", "--r", "53",
+            code = main(["verify", "growth", "--r", str(r),
                          "--config", str(path)])
-        assert code == 2
-        assert nodes == [nevlab.nevanlinna.QUAD_INITIAL_NODES]
         captured = capsys.readouterr()
-        assert captured.err == ""
-        assert captured.out.splitlines()[-1].endswith(",0")
+        assert (code, captured.err, calls) == (0, "", [])
+        header, row = captured.out.splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["converged"] == "1"
+        x = nevlab.curve.normalize(list(parse_config(HUGE_RADIUS).curve))
+        for d in (1, 2, 3):
+            want, quad_err = mp_height(x, d, r)
+            assert quad_err < 1e-11
+            assert abs(float(cells[f"T_{d}"]) - want) < 1e-6, d
+        return cells
+
+    def test_growth_at_huge_radius_warns_nothing(self, tmp_path, monkeypatch,
+                                                 capsys):
+        # |X^2| overflows a float at r = 53
+        cells = self._growth(tmp_path, monkeypatch, capsys, 53)
+        assert cells["T_1"] == "317.623353084"
+
+    def test_growth_at_radius_one_million(self, tmp_path, monkeypatch,
+                                          capsys):
+        # T_1 is 80 log r to every printed digit: |x| = r^80 (1 + O(r^-80))
+        cells = self._growth(tmp_path, monkeypatch, capsys, 1e6)
+        assert cells["T_1"] == f"{80 * math.log(1e6):.12g}"

@@ -1,5 +1,6 @@
 """Import layering: the exact layer (gauss, exterior, curve) and the commands
-that stay exact (``check``, ``verify identities``) never load numpy, nor
+that need no numpy (``check``, ``verify identities`` and ``verify growth``,
+whose Jensen heights use ``math`` alone) never load numpy, nor
 ``dataclasses`` and the ``inspect`` it pulls in, and the numeric layer
 (nevanlinna, harness) loads on first use.  Each case runs in a fresh
 interpreter, since the test process has long loaded everything."""
@@ -14,7 +15,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SHIPPED = ROOT / "scripts" / "configs" / "twisted_cubic.ini"
 
 
-EXACT_COMMANDS = {"check": ["check"], "identities": ["verify", "identities"]}
+EXACT_COMMANDS = {"check": ["check"], "identities": ["verify", "identities"],
+                  "growth": ["verify", "growth"]}
 
 
 @pytest.mark.parametrize("command,module", [
@@ -39,7 +41,8 @@ import json, sys
 import nevlab
 print(json.dumps(["numpy" in sys.modules,
                   "nevlab.nevanlinna" in sys.modules,
+                  "nevlab.heights" in sys.modules,
                   "nevlab.harness" in sys.modules]))
 """)
-    assert result == [False, True, True]
+    assert result == [False, True, True, True]
 

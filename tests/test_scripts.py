@@ -144,6 +144,34 @@ def test_same_outputs_equal_records(capsys):
     assert capsys.readouterr().out == "0 of 2 runs differ\n"
 
 
+def test_same_outputs_prints_largest_cell_difference(capsys):
+    # "a" moves in its 12th digit, "b" by a real amount in T_2; "c" changes
+    # shape and "d" a non-numeric cell, so neither gets a cell difference;
+    # "e" differs only on stdout
+    csv = b"r,T_1,T_2,converged\n2,1.52226121886,1.74825378073,1\n"
+    parent = {"a": _record(out=csv), "b": _record(out=csv),
+              "c": _record(out=csv), "d": _record(out=b"k,v\nx,1\n"),
+              "e": _record(stdout="x", out=csv)}
+    change = {"a": _record(out=csv.replace(b"1.52226121886",
+                                           b"1.52226121887")),
+              "b": _record(out=csv.replace(b"1.74825378073", b"1.5")),
+              "c": _record(out=csv + b"3,1,1,1\n"),
+              "d": _record(out=b"k,v\ny,1\n"), "e": _record(out=csv)}
+    module = _same_outputs()
+    diff = module.differences(parent, change)
+    cells = module.cell_differences(parent, change, diff)
+    assert cells["a"][1] == "T_1"
+    assert cells["a"][0] == pytest.approx(1e-11)
+    assert cells["b"] == (pytest.approx(0.24825378073), "T_2")
+    assert cells["c"] is None and cells["d"] is None and "e" not in cells
+    assert module.report(diff, 5, cells) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: a: out (largest cell difference 1e-11 in T_1)",
+        "differs: b: out (largest cell difference 0.248 in T_2)",
+        "differs: c: out", "differs: d: out", "differs: e: stdout",
+        "5 of 5 runs differ"]
+
+
 def test_same_outputs_runs_every_base_command(tmp_path):
     # 43 base commands (check and the listed commands of the 9 base configs
     # of perfbench/data) and 20 on scripts/configs (9 nevlab commands and
