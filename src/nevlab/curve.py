@@ -18,6 +18,7 @@ __all__ = [
     "ramification_divisor",
     "coordinate_gcd",
     "associated_family",
+    "level_polys",
 ]
 
 
@@ -111,6 +112,13 @@ def wronskian(x: CurveLift) -> GaussPoly:
 def associated_family(x: CurveLift) -> list:
     """All associated wedges X^0, ..., X^{n+1}, from one minor table."""
     return wedge_layers(x.derivative_rows(x.n + 1), x.n)
+
+
+def level_polys(family: Sequence[WedgeVector], d: int) -> list:
+    """X^d's coordinates in an associated_family list, refusing a zero X^d."""
+    if family[d].is_zero():
+        raise DegenerateCurveError(f"curve degenerate at level d={d}")
+    return family[d].polys()
 
 
 def level_divisor(polys: Sequence[GaussPoly]) -> Divisor:

@@ -7,8 +7,8 @@ re-exported here.
 
 All radial functionals for one row of the other checks are integrated on
 shared quadrature nodes, so identities that hold pointwise in theta survive
-to the reported numbers up to float rounding.  Growth rows share no nodes:
-each T_d is its own closed-form Jensen mean (heights).
+to the reported numbers up to float rounding.  Every T_d column is instead
+the Jensen mean of heights.ReducedNorm that verify growth prints.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from .curve import CurveLift
 from .exterior import (BalancedResult, HyperplaneConfig, PairCollection,
                        balanced_check, distance_one_collection,
                        general_position_tuples, telescoping_identity)
-from .heights import (SweepReport, _report, _row, _validate_radii,
-                      verify_height_growth)
+from .heights import (ReducedNorm, SweepReport, _report, _row,
+                      _validate_radii, verify_height_growth)
 from .nevanlinna import QUAD_TOL, Evaluator, counting
 
 __all__ = [
@@ -44,12 +44,20 @@ __all__ = [
 ]
 
 
-def _sweep(ev: Evaluator, radii: Sequence[float], rows, row) -> SweepReport:
-    """The report of row(r, values, converged) at each radius, the component
-    rows of rows(at) integrated by one Evaluator.radial call."""
+def _sweep(ev: Evaluator, radii: Sequence[float], levels: Sequence[int],
+           rows, row) -> SweepReport:
+    """The report of row(r, t, values, converged) at each radius: t the T_d
+    of levels (ReducedNorm.height), values the component rows of rows(at)
+    integrated by one Evaluator.radial call, converged their flags and
+    each height's error estimate < tol."""
     radii = _validate_radii(radii)
-    return _report([row(r, vals, conv) for r, [(vals, conv, _)]
-                    in zip(radii, ev.radial(radii, [rows]))])
+    norms = [ReducedNorm(ev.level_polys(d)) for d in levels]
+    out = []
+    for r, [(vals, conv, _)] in zip(radii, ev.radial(radii, [rows])):
+        heights = [norm.height(r, ev.tol) for norm in norms]
+        out.append(row(r, [h[0] for h in heights], vals,
+                       [*conv, *(h[1] < ev.tol for h in heights)]))
+    return _report(out)
 
 
 def verify_cartan(x: CurveLift, config: HyperplaneConfig,
@@ -60,18 +68,15 @@ def verify_cartan(x: CurveLift, config: HyperplaneConfig,
     ev = Evaluator(x, config, tol)
     n = x.n
     n_w = ev.level_divisor(n + 1)
-    n_1 = ev.level_divisor(1)
 
-    def row(r, vals, conv):
-        lhs, hbar1, m1 = vals
-        t1 = hbar1 - counting(n_1, r)
+    def row(r, t, vals, conv):
+        [t1], (lhs, m1) = t, vals
         nw = counting(n_w, r)
         return _row({"r": r}, lhs, (n + 1) * t1 - nw,
                     {"T_1": t1, "N_W": nw, "m_1": m1,
                      "sum_check": (n + 1) * m1}, conv)
 
-    return _sweep(ev, radii, lambda at: [at.cartan(), at.hbar(1), at.m(1)],
-                  row)
+    return _sweep(ev, radii, [1], lambda at: [at.cartan(), at.m(1)], row)
 
 
 def verify_lemma55(x: CurveLift, config: HyperplaneConfig,
@@ -94,14 +99,14 @@ def verify_lemma55(x: CurveLift, config: HyperplaneConfig,
                for a, b in positions):
             raise ValueError("pair indices out of range")
 
-    def row(r, vals, conv):
+    def row(r, t, vals, conv):
         m1, m_c, hbar1, hbar_pair = vals
         return _row({"r": r}, 2 * m1 - m_c, 2 * hbar1 - hbar_pair,
                     {"m_1": m1, "m_C": m_c, "hbar_1": hbar1,
                      "hbar_pair": hbar_pair}, conv)
 
-    return _sweep(ev, radii, lambda at: [at.m(1), at.pairlam(1, positions),
-                                         at.hbar(1), at.hbarpair(1)], row)
+    return _sweep(ev, radii, [], lambda at: [at.m(1), at.pairlam(1, positions),
+                                             at.hbar(1), at.hbarpair(1)], row)
 
 
 def verify_prop62(x: CurveLift, config: HyperplaneConfig,
@@ -164,21 +169,17 @@ def mcquillan_monitor(x: CurveLift, config: HyperplaneConfig,
     if x.n < 1:
         raise ValueError("monitor needs n >= 1")
     ev = Evaluator(x, config, tol)
-    n_1 = ev.level_divisor(1)
     n_ram = ev.level_divisor(2)
 
-    def row(r, vals, conv):
-        hbar1, hbar2, mu_int = vals
-        t1 = hbar1 - counting(n_1, r)
+    def row(r, t, vals, conv):
+        (t1, t2), [mu_int] = t, vals
         nram = counting(n_ram, r)
-        t2 = hbar2 - nram
         m = (t2 - 2 * t1) + mu_int + nram
         return _row({"r": r}, m, 0.0,
                     {"T_1": t1, "T_2": t2, "mu_int": mu_int, "N_Ram": nram,
                      "normalized": m / max(1.0, math.log(r))}, conv)
 
-    return _sweep(ev, radii, lambda at: [at.hbar(1), at.hbar(2), at.mumax()],
-                  row)
+    return _sweep(ev, radii, [1, 2], lambda at: [at.mumax()], row)
 
 
 def full_sweep(x: CurveLift, config: HyperplaneConfig,
@@ -188,18 +189,16 @@ def full_sweep(x: CurveLift, config: HyperplaneConfig,
     ev = Evaluator(x, config, tol)
     n = x.n
     levels = list(range(1, n + 2))
-    divisors = {d: ev.level_divisor(d) for d in levels}
+    n_w = ev.level_divisor(n + 1)
+    n_ram = ev.level_divisor(2) if n >= 1 else None
 
-    def row(r, vals, conv):
-        hbar, m, lhs = vals[:n + 1], vals[n + 1:-1], vals[-1]
-        t = {f"T_{d}": h - counting(divisors[d], r)
-             for d, h in zip(levels, hbar)}
-        nw = counting(divisors[n + 1], r)
-        nram = counting(divisors[2], r) if n >= 1 else 0.0
-        return _row({"r": r, **t, "m_0": 0.0,
-                     **{f"m_{d}": v for d, v in zip(levels, m)},
-                     "N_W": nw, "N_Ram": nram},
-                    lhs, (n + 1) * t["T_1"] - nw, {}, conv)
+    def row(r, t, vals, conv):
+        m, lhs = vals[:-1], vals[-1]
+        nw = counting(n_w, r)
+        return _row({"r": r, **{f"T_{d}": v for d, v in zip(levels, t)},
+                     "m_0": 0.0, **{f"m_{d}": v for d, v in zip(levels, m)},
+                     "N_W": nw, "N_Ram": counting(n_ram, r) if n else 0.0},
+                    lhs, (n + 1) * t[0] - nw, {}, conv)
 
-    return _sweep(ev, radii, lambda at: [at.hbar(d) for d in levels]
-                  + [at.m(d) for d in levels] + [at.cartan()], row)
+    return _sweep(ev, radii, levels,
+                  lambda at: [at.m(d) for d in levels] + [at.cartan()], row)

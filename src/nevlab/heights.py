@@ -1,5 +1,5 @@
-"""Heights of the associated curves from Jensen's formula, the height-growth
-check built on them, and the report records every radial check prints.
+"""Heights T_d of the associated curves from Jensen's formula, the one route
+to T_d of every command; the growth check; the radial report records.
 
 No numpy: ``nevlab verify growth`` runs on the exact layer and ``math``/
 ``cmath`` alone.  Let g_d be the monic gcd of the coordinates of X^d
@@ -51,8 +51,8 @@ import math
 import sys
 from typing import Dict, List, Sequence, Tuple
 
-from .curve import (CurveLift, DegenerateCurveError, associated_family,
-                    coordinate_gcd)
+from .curve import (CurveLift, associated_family, coordinate_gcd,
+                    level_polys)
 from .gauss import QUAD_NODE_CAP, QUAD_TOL, lag_products
 
 __all__ = [
@@ -141,7 +141,9 @@ class ReducedNorm:
     def height(self, r: float,
                tol: float = QUAD_TOL) -> Tuple[float, float, int]:
         """(T_d(r), error estimate, nodes used); the value is converged when
-        the error estimate is below tol."""
+        the error estimate is below tol.  r must be finite and positive."""
+        if not 0.0 < r < math.inf:
+            raise ValueError(f"height needs a finite radius r > 0, not {r}")
         mean, err, nodes = _half_log_mean(self.coefficients(r), tol)
         if r >= 1.0:
             mean += self.degree * math.log(r)
@@ -222,10 +224,7 @@ def _half_log_mean(c: Sequence[complex],
 def level_norms(x: CurveLift) -> list:
     """The ReducedNorm of X^1, ..., X^{n+1}, all read from one minor table."""
     family = associated_family(x)
-    for d in range(1, x.n + 2):
-        if family[d].is_zero():
-            raise DegenerateCurveError(f"curve degenerate at level d={d}")
-    return [ReducedNorm(family[d].polys()) for d in range(1, x.n + 2)]
+    return [ReducedNorm(level_polys(family, d)) for d in range(1, x.n + 2)]
 
 
 def verify_height_growth(x: CurveLift, radii: Sequence[float],

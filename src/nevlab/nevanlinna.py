@@ -1,5 +1,6 @@
-"""Analytic functionals: counting functions, circle quadrature, heights,
-Weil functions, proximity averages, and the log-derivative comparison.
+"""Analytic functionals: counting functions, circle quadrature, heights
+(height_T reads heights.ReducedNorm), Weil functions, proximity averages,
+and the log-derivative comparison.
 
 Quadrature is a composite midpoint rule with node doubling; midpoint nodes
 sit at half-steps so they never land on theta = 2*pi*k/N.  A row with a
@@ -27,10 +28,10 @@ from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
-from .curve import (CurveLift, DegenerateCurveError, associated_family,
-                    level_divisor)
+from .curve import CurveLift, associated_family, level_divisor, level_polys
 from .exterior import WedgeForm, multi_indices, next_layer
 from .gauss import QUAD_NODE_CAP, QUAD_TOL, Divisor, GaussPoly, PackedRows
+from .heights import ReducedNorm
 
 __all__ = [
     "RadialValue",
@@ -158,13 +159,10 @@ def height_bar(X, r: float, tol: float = QUAD_TOL) -> RadialValue:
 
 
 def height_T(x: CurveLift, d: int, r: float, tol: float = QUAD_TOL) -> float:
-    """T_{d,f}(r) = mean of log|X^d| minus the counting function of the
-    common-zero divisor of X^d; T_{0,f} is identically zero."""
+    """T_{d,f}(r), the Jensen mean of ReducedNorm(X^d); T_{0,f} is 0."""
     if d == 0:
         return 0.0
-    ev = Evaluator(x, None, tol)
-    n_d = counting(ev.level_divisor(d), r)  # rejects r <= 0 before quadrature
-    return _radial_value(ev, r, lambda at: at.hbar(d)).value - n_d
+    return ReducedNorm(Evaluator(x).level_polys(d)).height(r, tol)[0]
 
 
 def weil(F: WedgeForm, v) -> float:
@@ -480,9 +478,7 @@ class Evaluator:
         if not 0 <= d <= self.x.n + 1:
             raise ValueError(f"associated level d={d} out of range "
                              f"0..{self.x.n + 1}")
-        if self._family[d].is_zero():
-            raise DegenerateCurveError(f"curve degenerate at level d={d}")
-        return self._family[d].polys()
+        return level_polys(self._family, d)
 
     def _coeffs(self, key) -> list:
         """Coefficient arrays of X^d for key ('w', d), of (X^d)' for ('p', d):

@@ -27,7 +27,8 @@ from nevlab.harness import (
     verify_lemma55,
     verify_prop62,
 )
-from nevlab.nevanlinna import QUAD_INITIAL_NODES, QUAD_TOL, SelectorContext
+from nevlab.nevanlinna import (QUAD_INITIAL_NODES, QUAD_TOL, NodeBatch,
+                               SelectorContext)
 
 from conftest import corpus, monomial_lift, rand_rational, stress
 
@@ -236,6 +237,32 @@ class TestVerifiers:
         assert len(radii) == len(used) == 10 and group == 2
         assert calls.count(group * ahead) == 5
         assert len(calls) == 5 + later < 2 * len(radii)
+
+    def test_level_roots_serve_only_the_counting_columns(self, monkeypatch):
+        # T_d is a Jensen height, so level-divisor roots serve N_W (d = n + 1)
+        # and N_Ram (d = 2) alone, and mcquillan's midpoint rows evaluate x
+        # and x' but no X^2
+        x, cfg = corpus()["conic"]
+        divisors, stacks = [], []
+        level_divisor, stack = Evaluator.level_divisor, NodeBatch._stack
+
+        def recorded_divisor(self, d):
+            divisors.append(d)
+            return level_divisor(self, d)
+
+        def recorded_stack(self, key):
+            stacks.append(key)
+            return stack(self, key)
+
+        monkeypatch.setattr(Evaluator, "level_divisor", recorded_divisor)
+        monkeypatch.setattr(NodeBatch, "_stack", recorded_stack)
+        for command, levels in ((full_sweep, {3, 2}), (verify_cartan, {3}),
+                                (mcquillan_monitor, {2})):
+            divisors.clear()
+            stacks.clear()
+            assert command(x, cfg, [0.5, 3.0]).all_converged()
+            assert set(divisors) == levels, command.__name__
+        assert set(stacks) == {("w", 1), ("p", 1)}  # mcquillan's
 
     def test_prop62_routes_agree(self):
         x, cfg = corpus()["conic"]

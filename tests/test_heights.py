@@ -1,6 +1,8 @@
 """Jensen heights (nevlab.heights) against labelled oracles: mpmath.quad of
-log|X^d| - N_d (conftest.mp_height) and the midpoint route
-nevanlinna.height_T, plus the error estimate's edge cases."""
+log|X^d| - N_d (conftest.mp_height) and the midpoint mean of log|X^d|
+through Evaluator.radial minus N_d, plus the error estimate's edge cases,
+the radius check, and the one route to T_d: every command that prints T_d
+prints verify growth's bits."""
 
 import json
 import math
@@ -13,8 +15,9 @@ import nevlab.heights
 from nevlab.cli import build, parse_config
 from nevlab.curve import normalize
 from nevlab.gauss import parse_poly
+from nevlab.harness import full_sweep, mcquillan_monitor, verify_cartan
 from nevlab.heights import ReducedNorm, level_norms, verify_height_growth
-from nevlab.nevanlinna import height_T
+from nevlab.nevanlinna import Evaluator, counting, height_T
 
 from conftest import corpus, mp_height
 
@@ -22,10 +25,14 @@ ROOT = Path(__file__).resolve().parents[1]
 TOL = 1e-6
 
 
-def _data_lift(workload, name):
+def _data_config(workload, name):
     data = json.loads((ROOT / "perfbench" / "data" / f"{workload}.json")
                       .read_text(encoding="utf-8"))
-    return build(parse_config(data["configs"][name]["ini"]))[0]
+    return parse_config(data["configs"][name]["ini"])
+
+
+def _data_lift(workload, name):
+    return build(_data_config(workload, name))[0]
 
 
 def _cubic():
@@ -58,13 +65,73 @@ def test_heights_match_mpmath_oracle(lift, r):
 
 @pytest.mark.parametrize("name", ["line", "conic", "ramified"])
 def test_heights_match_midpoint_height_T(name):
+    # labelled cross-engine oracle: the midpoint mean of log|X^d|, each level
+    # its own Evaluator.radial row, minus the counting function of the roots
+    # of X^d's coordinate gcd
     x, _ = corpus()[name]
-    norms = level_norms(x)
-    for r in (0.3, 1.0, 2.0, 10.0, 100.0):
-        for d, norm in enumerate(norms, start=1):
+    ev = Evaluator(x, None, TOL)
+    levels = range(1, x.n + 2)
+    radii = (0.3, 1.0, 2.0, 10.0, 100.0)
+    midpoint = ev.radial(radii, [lambda at, d=d: [at.hbar(d)] for d in levels])
+    for r, rows in zip(radii, midpoint):
+        for d, norm, ((hbar,), (conv,), _) in zip(levels, level_norms(x),
+                                                  rows):
             value, err, _ = norm.height(r, TOL)
-            assert err < TOL
-            assert abs(value - height_T(x, d, r, TOL)) < TOL, (r, d)
+            assert err < TOL and conv
+            oracle = hbar - counting(ev.level_divisor(d), r)
+            assert abs(value - oracle) < TOL, (r, d)
+
+
+ONE_T_CASES = [("shipped", "twisted_cubic"), ("shipped", "ramified_line"),
+               ("shipped", "line"), ("stress", "stress_n4"),
+               ("edges", "root_on_circle")]
+T_COMMANDS = (full_sweep, verify_cartan, mcquillan_monitor)
+
+
+@pytest.mark.parametrize("workload, name", ONE_T_CASES)
+def test_every_command_prints_the_growth_T_cells(workload, name):
+    # one route to T_d: sweep, cartan and mcquillan print verify growth's
+    # Jensen heights bit for bit, at every config radius
+    cfg = _data_config(workload, name)
+    x, hp = build(cfg)
+    radii = cfg.radii()
+    growth = verify_height_growth(x, radii, tol=cfg.tol).rows
+    for command in T_COMMANDS:
+        rows = command(x, hp, radii, tol=cfg.tol).rows
+        assert [row["r"] for row in rows] == [row["r"] for row in growth]
+        for row, want in zip(rows, growth):
+            cells = {k: v for k, v in row.items() if k.startswith("T_")}
+            assert cells, command.__name__
+            assert cells == {k: want[k] for k in cells}, command.__name__
+
+
+def test_unconverged_height_unconverges_the_row(monkeypatch):
+    # every row of the twisted cubic converges; a Jensen error estimate of
+    # tol then takes converged to 0 in every command that prints T_d
+    cfg = _data_config("shipped", "twisted_cubic")
+    x, hp = build(cfg)
+    radii = cfg.radii()
+    for command in T_COMMANDS:
+        assert command(x, hp, radii, tol=cfg.tol).all_converged()
+    height = ReducedNorm.height
+    monkeypatch.setattr(ReducedNorm, "height", lambda self, r, tol=TOL: (
+        height(self, r, tol)[0], tol, 0))
+    for command in T_COMMANDS:
+        rows = command(x, hp, radii, tol=cfg.tol).rows
+        assert [row["converged"] for row in rows] == [0] * len(radii)
+
+
+@pytest.mark.parametrize("r", [0.0, -2.0, math.inf, -math.inf, math.nan])
+def test_height_rejects_a_radius_that_is_not_finite_and_positive(r):
+    norm = ReducedNorm([parse_poly("1"), parse_poly("z - 3")])
+    with pytest.raises(ValueError, match="finite radius"):
+        norm.height(r, TOL)
+
+
+def test_height_T_rejects_radius_zero():
+    x, _ = corpus()["line"]
+    with pytest.raises(ValueError, match="finite radius"):
+        height_T(x, 1, 0.0)
 
 
 def test_two_equal_estimates_do_not_end_the_doubling():

@@ -14,6 +14,7 @@ from nevlab.exterior import WedgeForm, multi_indices
 from nevlab.gauss import (GR_I, GR_ONE, GR_ZERO, Divisor, GaussPoly,
                           parse_poly, roots)
 from nevlab.harness import distance_one_collection
+from nevlab.heights import ReducedNorm, level_norms
 from nevlab.nevanlinna import (
     QUAD_INITIAL_NODES,
     QUAD_TOL,
@@ -156,9 +157,8 @@ class TestHeightT:
         assert height_T(x, 1, 50.0) > height_T(x, 1, 5.0)
 
     def test_level_one_builds_no_derived_level(self, monkeypatch):
-        # T_1 reads x itself, and N_1 = 0 for a primitive lift, so T_1 is
-        # the mean of log|x|; 3.5245421960701138 is T_1 read through the
-        # full derived family
+        # T_1 reads x itself: it is the Jensen height of x's reduced norm;
+        # 3.5245421960701138 is T_1 read through the full derived family
         x, _ = stress()
 
         def refuse(lift):
@@ -166,8 +166,17 @@ class TestHeightT:
 
         monkeypatch.setattr(nevanlinna, "associated_family", refuse)
         t1 = height_T(x, 1, 2.0)
-        assert t1 == height_bar(associated(x, 1), 2.0).value
+        assert t1 == ReducedNorm(x.coords).height(2.0)[0]
         assert t1 == pytest.approx(3.5245421960701138, rel=1e-14)
+
+    def test_no_midpoint_quadrature(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("midpoint quadrature")
+
+        monkeypatch.setattr(nevanlinna, "adaptive_midpoint", refuse)
+        x, _ = stress()
+        assert [height_T(x, d, 2.0) for d in range(x.n + 2)] == [
+            0.0, *(norm.height(2.0)[0] for norm in level_norms(x))]
 
 
 class TestWeil:
