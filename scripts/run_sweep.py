@@ -60,7 +60,7 @@ def main():
 
     summarize("defect relation", verify_cartan(x, hp, radii, tol=tol).rows)
     summarize("pair comparison (level 1)",
-              verify_lemma55(x, hp, None, radii, tol=tol).rows)
+              verify_lemma55(x, hp, radii, tol=tol).rows)
     prop62 = verify_prop62(x, hp, range(1, x.n + 1), radii, tol=tol)
     for d in range(1, x.n + 1):
         rows = [row for row in prop62.rows if row["d"] == d]

@@ -314,7 +314,7 @@ def run(command: str, cfg: RunConfig, r: Optional[float] = None,
     elif verify_name == "cartan":
         report = harness.verify_cartan(x, hp, radii, tol=cfg.tol)
     elif verify_name == "lemma55":
-        report = harness.verify_lemma55(x, hp, None, radii, tol=cfg.tol)
+        report = harness.verify_lemma55(x, hp, radii, tol=cfg.tol)
     elif verify_name == "growth":
         report = heights.verify_height_growth(x, radii, tol=cfg.tol)
     elif verify_name == "mcquillan":

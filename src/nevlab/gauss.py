@@ -641,7 +641,7 @@ def squarefree_decomposition(p: GaussPoly) -> list:
         z = z // gi - w.derivative()
 
 
-def _roots_of_squarefree(f: GaussPoly, tol: float) -> list:
+def _roots_of_squarefree(f: GaussPoly) -> list:
     """Numeric simple roots of an exact squarefree polynomial (f(0) != 0)."""
     import numpy as np
 
@@ -663,7 +663,8 @@ def _roots_of_squarefree(f: GaussPoly, tol: float) -> list:
             r = r - step
             if abs(step) < 1e-15 * max(1.0, abs(r)):
                 break
-        residual_scale = tol * scale * max(1.0, abs(r)) ** f.degree
+        residual_scale = (ROOT_RESIDUAL_TOL * scale
+                          * max(1.0, abs(r)) ** f.degree)
         if abs(f.eval(r)) > residual_scale:
             raise RootFindingError(
                 f"root iteration failed to converge (residual {abs(f.eval(r)):.3e})",
@@ -673,7 +674,7 @@ def _roots_of_squarefree(f: GaussPoly, tol: float) -> list:
     return polished
 
 
-def roots(p: GaussPoly, tol: float = ROOT_RESIDUAL_TOL) -> Divisor:
+def roots(p: GaussPoly) -> Divisor:
     """All complex roots of p as a Divisor with exact multiplicities.
 
     Multiplicities come from the squarefree decomposition; each squarefree
@@ -687,7 +688,7 @@ def roots(p: GaussPoly, tol: float = ROOT_RESIDUAL_TOL) -> Divisor:
     q = p.shift_down(ord0)
     points = []
     for factor, mult in squarefree_decomposition(q):
-        for loc in _roots_of_squarefree(factor, tol):
+        for loc in _roots_of_squarefree(factor):
             points.append((loc, mult))
     points.sort(key=lambda pm: (abs(pm[0]), np.angle(pm[0])))
     return Divisor(ord_at_zero=ord0, points=tuple(points))

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Sequence
 
 from .curve import CurveLift
 from .exterior import (BalancedResult, HyperplaneConfig, PairCollection,
                        balanced_check, distance_one_collection,
                        general_position_tuples, telescoping_identity)
 from .heights import (ReducedNorm, SweepReport, _report, _row,
-                      _validate_radii, verify_height_growth)
+                      validate_radii, verify_height_growth)
 from .nevanlinna import QUAD_TOL, Evaluator, counting
 
 __all__ = [
@@ -50,7 +50,7 @@ def _sweep(ev: Evaluator, radii: Sequence[float], levels: Sequence[int],
     of levels (ReducedNorm.height), values the component rows of rows(at)
     integrated by one Evaluator.radial call, converged their flags and
     each height's error estimate < tol."""
-    radii = _validate_radii(radii)
+    radii = validate_radii(radii, "radius grid")
     norms = [ReducedNorm(ev.level_polys(d)) for d in levels]
     out = []
     for r, [(vals, conv, _)] in zip(radii, ev.radial(radii, [rows])):
@@ -80,24 +80,12 @@ def verify_cartan(x: CurveLift, config: HyperplaneConfig,
 
 
 def verify_lemma55(x: CurveLift, config: HyperplaneConfig,
-                   pairs: Optional[Sequence[Tuple[int, int]]] = None,
-                   radii: Sequence[float] = (),
+                   radii: Sequence[float],
                    tol: float = QUAD_TOL) -> SweepReport:
     """Second-main-theorem seed: 2 m_1 - m_C against 2 Tbar - Tbar_{x wedge x'}
-    for a balanced collection C of index pairs inside a tuple."""
+    for the distance-one collection C of index pairs inside a tuple."""
     ev = Evaluator(x, config, tol)
-    if pairs is None:
-        positions = distance_one_collection(x.n, 1).positions()
-    else:
-        positions = [tuple(sorted(p)) for p in pairs]
-        check = balanced_check(positions)
-        if check.empty:
-            raise ValueError("empty pair collection")
-        if not check.balanced:
-            raise ValueError("pair collection is not balanced")
-        if any(a == b or not (0 <= a <= x.n and 0 <= b <= x.n)
-               for a, b in positions):
-            raise ValueError("pair indices out of range")
+    positions = distance_one_collection(x.n, 1).positions()
 
     def row(r, t, vals, conv):
         m1, m_c, hbar1, hbar_pair = vals
@@ -126,20 +114,15 @@ def verify_prop62(x: CurveLift, config: HyperplaneConfig,
         if not (1 <= d <= x.n):
             raise ValueError(f"level d={d} out of range 1..{x.n}")
     ev = Evaluator(x, config, tol)
-    positions = {}
-    for d in levels:
-        coll = distance_one_collection(x.n, d)
-        check = balanced_check(coll.pairs)
-        if check.empty or not check.balanced:
-            raise ValueError("distance-one collection unbalanced or empty")
-        positions[d] = coll.positions()
+    positions = {d: distance_one_collection(x.n, d).positions()
+                 for d in levels}
 
     def level_row(d, at):
         return [at.m(d - 1), at.m(d), at.m(d + 1),
                 at.hbar(d - 1), at.hbar(d), at.hbar(d + 1),
                 at.pairlam(d, positions[d]), at.hbarpair(d)]
 
-    radii = _validate_radii(radii)
+    radii = validate_radii(radii, "radius grid")
     each = [functools.partial(level_row, d) for d in levels]
     results = {r: dict(zip(levels, res))
                for r, res in zip(radii, ev.radial(radii, each))}

@@ -39,8 +39,9 @@ roundoff, c_{-m} = conj c_m counted), so a lift with a near-common zero
 cannot pass for converged; since min P over the nodes only falls as nodes
 are added, a rounding bound of tol or more ends the doubling.
 
-SweepReport and the row helpers live here, not in harness, so that a growth
-run loads nothing of the numeric layer; harness re-exports them.
+SweepReport, the row helpers and validate_radii, the one radius rule, live
+here, not in harness, so that a growth run loads nothing of the numeric
+layer; harness imports them from here, and nevanlinna the radius rule.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ __all__ = [
     "SweepReport",
     "ReducedNorm",
     "level_norms",
+    "validate_radii",
     "verify_height_growth",
 ]
 
@@ -100,14 +102,17 @@ def _row(lead: Dict[str, float], lhs, rhs, extra: Dict[str, float],
             "converged": int(all(conv))}
 
 
-def _validate_radii(radii: Sequence[float]) -> List[float]:
+def validate_radii(radii: Sequence[float], name: str) -> List[float]:
+    """The radii as floats, for the radial functional name: the one radius
+    rule of every radial entry point.  Each radius must be finite and
+    positive, and a grid nonempty and strictly increasing; a single radius r
+    is checked as the grid [r]."""
     radii = [float(r) for r in radii]
     if not radii:
         raise ValueError("empty radius grid")
-    if not all(map(math.isfinite, radii)):
-        raise ValueError("radii must be finite")
-    if any(r <= 0 for r in radii):
-        raise ValueError("radii must be positive")
+    for r in radii:
+        if not 0.0 < r < math.inf:
+            raise ValueError(f"{name} needs r > 0, a finite radius, not {r}")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
     return radii
@@ -141,9 +146,8 @@ class ReducedNorm:
     def height(self, r: float,
                tol: float = QUAD_TOL) -> Tuple[float, float, int]:
         """(T_d(r), error estimate, nodes used); the value is converged when
-        the error estimate is below tol.  r must be finite and positive."""
-        if not 0.0 < r < math.inf:
-            raise ValueError(f"height needs a finite radius r > 0, not {r}")
+        the error estimate is below tol."""
+        validate_radii([r], "height")
         mean, err, nodes = _half_log_mean(self.coefficients(r), tol)
         if r >= 1.0:
             mean += self.degree * math.log(r)
@@ -232,7 +236,7 @@ def verify_height_growth(x: CurveLift, radii: Sequence[float],
                          tol: float = QUAD_TOL) -> SweepReport:
     """Checks T_{d,f}(r) <= 2^{d-1} T_f(r) + slack for every level d, each
     T_d from Jensen's formula on the reduced norm (ReducedNorm.height)."""
-    radii = _validate_radii(radii)
+    radii = validate_radii(radii, "radius grid")
     norms = level_norms(x)
     levels = range(1, len(norms) + 1)
     rows = []

@@ -31,7 +31,7 @@ import numpy as np
 from .curve import CurveLift, associated_family, level_divisor, level_polys
 from .exterior import WedgeForm, multi_indices, next_layer
 from .gauss import QUAD_NODE_CAP, QUAD_TOL, Divisor, GaussPoly, PackedRows
-from .heights import ReducedNorm
+from .heights import ReducedNorm, validate_radii
 
 __all__ = [
     "RadialValue",
@@ -77,8 +77,7 @@ class RadialValue:
 
 def counting(D: Divisor, r: float) -> float:
     """N(r) = ord_0 * log r + sum over 0 < |rho| <= r of mult * log(r / |rho|)."""
-    if r <= 0:
-        raise ValueError("counting function needs r > 0")
+    validate_radii([r], "counting function")
     total = D.ord_at_zero * math.log(r)
     for rho, mult in D.points:
         a = abs(rho)
@@ -95,7 +94,6 @@ def _grid(n: int) -> np.ndarray:
 def adaptive_midpoint(
     g: Callable[[np.ndarray], np.ndarray],
     tol: float = QUAD_TOL,
-    initial: int = QUAD_INITIAL_NODES,
     cap: int = QUAD_NODE_CAP,
 ):
     """Midpoint circle averages (1/2pi integral) of a vector integrand.
@@ -105,7 +103,7 @@ def adaptive_midpoint(
     non-finite value counts as 0 in its row's mean, flags the row
     unconverged and ends the doubling.
     """
-    prev, n = math.nan, initial  # no estimate yet: nothing converges
+    prev, n = math.nan, QUAD_INITIAL_NODES  # no estimate yet: nothing converges
     while True:
         vals = np.atleast_2d(np.asarray(g(_grid(n)), dtype=float))
         finite = np.isfinite(vals)
@@ -148,8 +146,7 @@ def height_bar(X, r: float, tol: float = QUAD_TOL) -> RadialValue:
     """Circle average of log |X(r e^{i theta})| (Euclidean norm of the
     Pluecker coordinates).  X may be a WedgeVector or a bare GaussPoly; its
     coordinates are integrated as a lift, a GaussPoly as a lift in P^0."""
-    if r <= 0:
-        raise ValueError("height_bar needs r > 0")
+    validate_radii([r], "height_bar")
     if X.is_zero():
         kind = "polynomial" if isinstance(X, GaussPoly) else "wedge"
         raise ValueError(f"height of the zero {kind}")
@@ -160,6 +157,7 @@ def height_bar(X, r: float, tol: float = QUAD_TOL) -> RadialValue:
 
 def height_T(x: CurveLift, d: int, r: float, tol: float = QUAD_TOL) -> float:
     """T_{d,f}(r), the Jensen mean of ReducedNorm(X^d); T_{0,f} is 0."""
+    validate_radii([r], "height")
     if d == 0:
         return 0.0
     return ReducedNorm(Evaluator(x).level_polys(d)).height(r, tol)[0]
@@ -446,20 +444,17 @@ class Evaluator:
     """Caches the derived-curve data of one lift and integrates any rows of
     NodeBatch components on shared quadrature nodes.
 
-    config is a hyperplane configuration (n, forms and general-position
-    tuples, as in exterior.HyperplaneConfig) or a prepared SelectorContext,
-    whose cached minors are then shared; components that select tuples need
-    one."""
+    config is None or a hyperplane configuration (n, forms and
+    general-position tuples, as in exterior.HyperplaneConfig); components
+    that select tuples need one."""
 
     def __init__(self, x: CurveLift, config=None, tol: float = QUAD_TOL):
         if config is not None and config.n != x.n:
             raise ValueError("hyperplane configuration dimension mismatch")
         self.x = x
         self.tol = tol
-        if config is None or isinstance(config, SelectorContext):
-            self.ctx = config
-        else:
-            self.ctx = SelectorContext.from_config(config)
+        self.ctx = (None if config is None
+                    else SelectorContext.from_config(config))
         self._arrays: Dict[tuple, list] = {}
         self._divisors: Dict[int, Divisor] = {}
 
@@ -585,9 +580,8 @@ def proximity_m(x: CurveLift, d: int, L, r: float,
     """m_{d,f}(L, r): circle average of the mean over all size-d subsets I of
     the Weil function of the wedge form L_{z,I} applied to X^d, the tuple at
     each node chosen by the level-1 selector.  L is a hyperplane
-    configuration or a SelectorContext.  m_0 is identically zero."""
-    if r <= 0:
-        raise ValueError("proximity needs r > 0")
+    configuration.  m_0 is identically zero."""
+    validate_radii([r], "proximity")
     if d == 0:
         return RadialValue(r=r, value=0.0, quadrature_nodes=0, converged=True)
     return _radial_value(Evaluator(x, L, tol), r, lambda at: at.m(d))
@@ -596,8 +590,7 @@ def proximity_m(x: CurveLift, d: int, L, r: float,
 def proximity_hyperplane(x: CurveLift, form, r: float,
                          tol: float = QUAD_TOL) -> RadialValue:
     """Classical single-hyperplane proximity m_f(H, r) for a linear form."""
-    if r <= 0:
-        raise ValueError("proximity needs r > 0")
+    validate_radii([r], "proximity")
     coeffs = _form_matrix([form])[0]
     return _radial_value(
         Evaluator(x, None, tol), r,

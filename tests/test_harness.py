@@ -305,20 +305,10 @@ class TestVerifiers:
         with pytest.raises(ValueError, match="empty level list"):
             verify_prop62(x, cfg, [], [2.0, 4.0])
 
-    def test_lemma55_margin_and_custom_pairs(self):
+    def test_lemma55_margin(self):
         x, cfg = corpus()["line"]
-        rep = verify_lemma55(x, cfg, [(0, 1)], [4.0])
+        rep = verify_lemma55(x, cfg, [4.0])
         assert rep.rows[0]["converged"]
-
-    def test_lemma55_unbalanced_rejected(self):
-        x, cfg = corpus()["conic"]
-        with pytest.raises(ValueError, match="balanced"):
-            verify_lemma55(x, cfg, [(0, 1), (0, 2)], [4.0])
-
-    def test_lemma55_empty_rejected(self):
-        x, cfg = corpus()["line"]
-        with pytest.raises(ValueError, match="empty"):
-            verify_lemma55(x, cfg, [], [4.0])
 
     def test_growth_levels_recorded(self):
         x, cfg = corpus()["conic"]
@@ -398,7 +388,7 @@ class TestMidpointReferences:
         # rule reports 1.42376338
         x, cfg = corpus()["conic"]
         r = 4.77066460895
-        row = verify_lemma55(x, cfg, None, [r]).rows[0]
+        row = verify_lemma55(x, cfg, [r]).rows[0]
         if not row["converged"]:
             pytest.fail("the row is expected to be flagged converged")
         want = self._arcwise_m_c(x, cfg, r)

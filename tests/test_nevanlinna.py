@@ -206,7 +206,7 @@ class TestProximity:
 
     def test_nonnegative_up_to_quadrature(self):
         for d in (1, 2, 3):
-            rv = proximity_m(self.x, d, self.ctx, 4.0)
+            rv = proximity_m(self.x, d, self.cfg, 4.0)
             assert rv.converged
             assert rv.value > -1e-6
 
@@ -234,6 +234,29 @@ class TestProximity:
             m = proximity_hyperplane(x, form, r).value
             vals.append(m + counting(div, r) - height_T(x, 1, r))
         assert max(vals) - min(vals) < 1e-8
+
+
+# Every public radial entry point, called at radius r on the conic; d = 0
+# returns without quadrature, so the radius rule must come first.
+_RADIAL_ENTRY_POINTS = {
+    "height_bar": lambda x, cfg, r: height_bar(x.coords[1], r),
+    "proximity_m_d0": lambda x, cfg, r: proximity_m(x, 0, cfg, r),
+    "proximity_m_d1": lambda x, cfg, r: proximity_m(x, 1, cfg, r),
+    "proximity_hyperplane":
+        lambda x, cfg, r: proximity_hyperplane(x, cfg.forms[0], r),
+    "counting": lambda x, cfg, r: counting(Divisor.empty(), r),
+    "height_T_d0": lambda x, cfg, r: height_T(x, 0, r),
+    "height_T_d1": lambda x, cfg, r: height_T(x, 1, r),
+}
+
+
+@pytest.mark.parametrize("r", [0.0, -2.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", sorted(_RADIAL_ENTRY_POINTS))
+def test_radial_entry_point_refuses_a_radius_not_finite_and_positive(entry,
+                                                                     r):
+    x, cfg = corpus()["conic"]
+    with pytest.raises(ValueError, match="needs r > 0, a finite radius"):
+        _RADIAL_ENTRY_POINTS[entry](x, cfg, r)
 
 
 def _integrand_oracle(g, r, tol=QUAD_TOL) -> RadialValue:
