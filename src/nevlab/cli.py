@@ -284,15 +284,11 @@ def run(command: str, cfg: RunConfig, r: Optional[float] = None,
         out: Optional[str] = None, tol: Optional[float] = None,
         verify_name: Optional[str] = None) -> int:
     cfg = with_tol(cfg, tol)
-    if r is not None and not math.isfinite(r):
-        raise ConfigError("--r must be finite")
     if command == "check":
         return _cmd_check(cfg, out)
     if command == "compute":
         if r is None:
             raise ConfigError("compute needs --r")
-        if r <= 0:
-            raise ConfigError("--r must be positive")
     elif command == "verify":
         if verify_name not in VERIFY_NAMES:
             raise ConfigError(
@@ -307,8 +303,8 @@ def run(command: str, cfg: RunConfig, r: Optional[float] = None,
     elif command != "sweep":
         raise ConfigError(f"unknown command {command!r}")
 
+    radii = cfg.radii() if r is None else heights.validate_radii([r], "--r")
     x, hp = build(cfg)
-    radii = [r] if r is not None else cfg.radii()
     if command != "verify":
         report = harness.full_sweep(x, hp, radii, tol=cfg.tol)
     elif verify_name == "cartan":

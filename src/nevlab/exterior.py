@@ -1,26 +1,22 @@
 """Exterior algebra over V = C^{n+1} with exact polynomial coordinates.
 
-Wedge (Pluecker) coordinates of row matrices, the determinant pairing of a
-wedge of linear forms against a wedge vector, the two-row determinant
-identity relating neighbouring exterior powers, and hyperplane
-configurations (the general-position tuples of a family of linear forms),
-the distance-one pair collections of index sets and the telescoping
-identity.  Exact like gauss: numpy is imported only by the float conversion
-``WedgeForm.coeff_array``.
+Wedge (Pluecker) coordinates of row matrices, the exact pairing of a wedge
+of linear forms (the paper's L_I, ``WedgeForm``) with a wedge vector, the
+two-row determinant identity relating neighbouring exterior powers, and
+hyperplane configurations (the general-position tuples of a family of
+linear forms), the distance-one pair collections of index sets and the
+telescoping identity, all read from one determinant kernel.  Exact like
+gauss, with no float boundary: this module imports no numpy at all.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .gauss import (GaussPoly, GaussRational, PackedRows, gi_mul,
-                    linear_combination, products_sum_to_zero,
-                    refuse_assignment)
-
-if TYPE_CHECKING:
-    import numpy as np
+                    linear_combination, refuse_assignment)
 
 __all__ = [
     "MultiIndex",
@@ -29,10 +25,8 @@ __all__ = [
     "multi_indices",
     "wedge_rows",
     "wedge_layers",
-    "pair",
     "index_distance",
     "two_row_identity_sign",
-    "pluecker_relations_check",
     "det_exact",
     "merge_sign",
     "next_layer",
@@ -128,7 +122,10 @@ def det_exact(rows: Sequence[Sequence]) -> object:
     """Exact determinant of a square matrix of GaussPoly or GaussRational
     entries: the top entry of the minor table of _minor_layers (m·2^(m-1)
     entry products for an m x m matrix).  A GaussPoly matrix gives a
-    GaussPoly, a GaussRational one a GaussRational."""
+    GaussPoly, a GaussRational one a GaussRational.
+
+    No command calls it: it is the tests' entry point to the determinant
+    kernel, and the benchmark tracer names it."""
     m = len(rows)
     if m == 0:
         raise ValueError("empty determinant")
@@ -156,14 +153,6 @@ class WedgeVector:
             raise ValueError("wedge coordinates must cover all multi-indices in order")
         self.n, self.degree, self.coords = n, degree, coords
 
-    @staticmethod
-    def from_dict(n: int, degree: int, mapping: dict) -> "WedgeVector":
-        coords = tuple(
-            (mi, mapping.get(mi.elements, mapping.get(mi, GaussPoly.zero())))
-            for mi in multi_indices(n, degree)
-        )
-        return WedgeVector(n, degree, coords)
-
     def coord(self, elements) -> GaussPoly:
         key = tuple(elements)
         for mi, p in self.coords:
@@ -180,7 +169,8 @@ class WedgeVector:
 
 class WedgeForm:
     """Wedge of d linear forms on V, kept in the given order: forms holds d
-    vectors, each a length-(n+1) tuple of GaussRational.
+    vectors, each a length-(n+1) tuple of GaussRational.  The paper's L_I,
+    offered as library API: apply pairs it exactly with a wedge vector.
 
     Linearly dependent component forms are allowed; the pairing then
     degenerates to zero rather than erroring.
@@ -212,11 +202,6 @@ class WedgeForm:
         if X.degree != self.degree:
             raise ValueError("degree mismatch in wedge pairing")
         return linear_combination(self._pluecker, X.polys())
-
-    def coeff_array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([complex(c) for c in self._pluecker], dtype=complex)
 
 
 class HyperplaneConfig:
@@ -351,14 +336,6 @@ def wedge_rows(rows: Sequence[Sequence[GaussPoly]], n: int) -> WedgeVector:
     return _wedges(rows, n, [len(rows)])[0]
 
 
-def pair(F: WedgeForm, X: WedgeVector, at: complex) -> complex:
-    """Numeric value of the determinant pairing at a point, computed via the
-    Pluecker expansion sum over multi-indices."""
-    if F.degree != X.degree:
-        raise ValueError("degree mismatch in wedge pairing")
-    return F.apply(X).eval(at)
-
-
 def index_distance(I: MultiIndex, J: MultiIndex) -> int:
     """Number of elements in which two same-size multi-indices differ."""
     if len(I) != len(J):
@@ -392,22 +369,3 @@ def two_row_identity_sign(I: MultiIndex, J: MultiIndex) -> int:
     return (
         merge_sign(K + [i]) * merge_sign(K + [j]) * merge_sign(K + [i, j])
     )
-
-
-def pluecker_relations_check(X: WedgeVector) -> bool:
-    """True iff all quadratic Pluecker relations vanish identically (exact)."""
-    n, d = X.n, X.degree
-    if not (1 <= d <= n):
-        raise ValueError("relations check requires 1 <= d <= n")
-    lookup = {mi.elements: p for mi, p in X.coords}
-    for S in itertools.combinations(range(n + 1), d - 1):
-        for T in itertools.combinations(range(n + 1), d + 1):
-            # sum_k (-1)^k X_{S t_k} X_{T - t_k}, with X antisymmetric in
-            # its index and zero on a repeated one
-            if not products_sum_to_zero(
-                    ((-1) ** k * merge_sign(S + (t,)),
-                     lookup[tuple(sorted(S + (t,)))],
-                     lookup[T[:k] + T[k + 1:]])
-                    for k, t in enumerate(T) if t not in S):
-                return False
-    return True

@@ -4,11 +4,11 @@ Everything downstream (wedge coordinates, Wronskians, gcd divisors) relies on
 this module being exact: no operation ever rounds.  Floating point enters only
 at the evaluation boundary (``GaussPoly.eval``, ``roots``), and numpy is
 imported only inside the boundary functions that use it
-(``GaussPoly.complex_coeffs`` and ``eval_many``, ``roots``), so commands that
-stay exact never load it.  The float tolerances live here too, the root
-tolerances and the quadrature defaults ``QUAD_TOL`` and ``QUAD_NODE_CAP``
-(re-exported by nevanlinna), so that configuration parsing and the
-numpy-free height quadrature (heights) load no numeric module.
+(``GaussPoly.complex_coeffs`` and the root polish and sort of ``roots``), so
+commands that stay exact never load it.  The float tolerances live here too,
+the root tolerances and the quadrature defaults ``QUAD_TOL`` and
+``QUAD_NODE_CAP`` (re-exported by nevanlinna), so that configuration parsing
+and the numpy-free height quadrature (heights) load no numeric module.
 
 A GaussPoly stores one form, (nums, den): the ascending tuple of its
 Gaussian-integer numerators (re, im), Python ints, over one integer den.  The
@@ -411,11 +411,6 @@ class GaussPoly:
             acc = acc * z + complex(a / self.den, b / self.den)
         return acc
 
-    def eval_many(self, z: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        return np.polynomial.polynomial.polyval(z, self.complex_coeffs())
-
     def ord_at_zero(self) -> int:
         """Exact order of vanishing at the origin."""
         if self.is_zero():
@@ -591,12 +586,6 @@ class Divisor:
     @staticmethod
     def empty() -> "Divisor":
         return Divisor(0, ())
-
-    def total_multiplicity(self) -> int:
-        return self.ord_at_zero + sum(m for _, m in self.points)
-
-    def is_empty(self) -> bool:
-        return self.ord_at_zero == 0 and not self.points
 
 
 class RootFindingError(Exception):

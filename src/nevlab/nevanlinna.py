@@ -1,6 +1,9 @@
 """Analytic functionals: counting functions, circle quadrature, heights
-(height_T reads heights.ReducedNorm), Weil functions, proximity averages,
-and the log-derivative comparison.
+(height_T reads heights.ReducedNorm), proximity averages, and the
+log-derivative comparison.  The Weil function of a wedge form L_I has one
+route, the selector's: SelectorContext.minors gives the exact minors of the
+selected tuple's forms, and level_lambda_mean and pair_lambda_mean average
+their Weil functions over the nodes.
 
 Quadrature is a composite midpoint rule with node doubling; midpoint nodes
 sit at half-steps so they never land on theta = 2*pi*k/N.  A row with a
@@ -29,7 +32,7 @@ from typing import Callable, Dict, Sequence, Tuple
 import numpy as np
 
 from .curve import CurveLift, associated_family, level_divisor, level_polys
-from .exterior import WedgeForm, multi_indices, next_layer
+from .exterior import multi_indices, next_layer
 from .gauss import QUAD_NODE_CAP, QUAD_TOL, Divisor, GaussPoly, PackedRows
 from .heights import ReducedNorm, validate_radii
 
@@ -42,7 +45,6 @@ __all__ = [
     "adaptive_midpoint",
     "height_bar",
     "height_T",
-    "weil",
     "SelectorContext",
     "Evaluator",
     "proximity_m",
@@ -161,25 +163,6 @@ def height_T(x: CurveLift, d: int, r: float, tol: float = QUAD_TOL) -> float:
     if d == 0:
         return 0.0
     return ReducedNorm(Evaluator(x).level_polys(d)).height(r, tol)[0]
-
-
-def weil(F: WedgeForm, v) -> float:
-    """-log(|F(v)| / |v|) with Euclidean norms on Pluecker coordinates.
-
-    v is a complex coordinate vector in lexicographic multi-index order (or a
-    WedgeVector evaluated elsewhere).  Returns +inf when v lies on F = 0.
-    """
-    vec = np.asarray(v, dtype=complex).ravel()
-    coeffs = F.coeff_array()
-    if len(vec) != len(coeffs):
-        raise ValueError("coordinate count mismatch in Weil function")
-    norm = float(np.linalg.norm(vec))
-    if norm == 0:
-        raise ValueError("Weil function of the zero vector")
-    fv = abs(complex(coeffs @ vec))
-    if fv == 0.0:
-        return math.inf
-    return -math.log(fv / norm)
 
 
 class SelectorContext:

@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nevlab.gauss import GR_ONE, GR_ZERO, GaussPoly, GaussRational, parse_poly
@@ -38,6 +39,12 @@ def rand_forms(rng, n, count=None, span=3):
             return general_position_tuples(forms, n)
         except ValueError:
             continue
+
+
+def polyval(p, z):
+    """The float image of the GaussPoly p at the points z, by numpy's
+    polyval."""
+    return np.polynomial.polynomial.polyval(z, p.complex_coeffs())
 
 
 def monomial_lift(*exponents):

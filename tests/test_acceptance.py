@@ -14,13 +14,17 @@ import numpy as np
 import pytest
 
 from nevlab.curve import associated, leibniz_partner, normalize, ramification_divisor
-from nevlab.exterior import WedgeForm, multi_indices, two_row_identity_sign
-from nevlab.gauss import GaussPoly, GaussRational, roots
-from nevlab.harness import (
+from nevlab.exterior import (
+    WedgeForm,
     balanced_check,
     distance_one_collection,
-    mcquillan_monitor,
+    multi_indices,
     telescoping_identity,
+    two_row_identity_sign,
+)
+from nevlab.gauss import GaussPoly, GaussRational, roots
+from nevlab.harness import (
+    mcquillan_monitor,
     verify_cartan,
     verify_height_growth,
     verify_prop62,

@@ -359,20 +359,32 @@ class TestCsvHeader:
                             for row in rows)
 
 
+# Every --r refusal, of compute and of each radial verify, reads the one
+# radius rule, heights.validate_radii: (argv, id, message) per case.
+R_REFUSALS = [
+    (command + ["--r", r], f"{command[-1]}-r-{r}",
+     f"--r needs r > 0, a finite radius, not {shown}")
+    for command in (["compute"], ["verify", "cartan"], ["verify", "growth"],
+                    ["verify", "mcquillan"])
+    for r, shown in (("-2", "-2.0"), ("0", "0.0"), ("nan", "nan"),
+                     ("inf", "inf"))]
+
+
 class TestNonFinite:
-    @pytest.mark.parametrize("argv, flag", [
-        (["check", "--tol", "nan"], "--tol"),
-        (["verify", "cartan", "--r", "nan"], "--r"),
-        (["verify", "growth", "--r", "inf"], "--r"),
-    ], ids=["check-tol-nan", "cartan-r-nan", "growth-r-inf"])
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["check", "--tol", "nan"], "--tol must be finite",
+                     id="check-tol-nan"),
+        *(pytest.param(argv, message, id=name)
+          for argv, name, message in R_REFUSALS),
+    ])
     def test_command_line_number_is_exit_one(self, tmp_path, capsys, argv,
-                                             flag):
+                                             message):
         path = tmp_path / "cfg.ini"
         path.write_text(GOOD, encoding="utf-8")
         assert main(argv + ["--config", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"nevlab: error: {flag} must be finite\n"
+        assert captured.err == f"nevlab: error: {message}\n"
 
     @pytest.mark.parametrize("r", [math.nan, math.inf])
     def test_harness_rejects_radius(self, cfg, r):

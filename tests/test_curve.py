@@ -99,7 +99,8 @@ class TestAssociated:
 
 class TestRamification:
     def test_unramified_line(self):
-        assert ramification_divisor(monomial_lift(0, 1)).is_empty()
+        d = ramification_divisor(monomial_lift(0, 1))
+        assert (d.ord_at_zero, d.points) == (0, ())
 
     def test_double_cover_ramifies_at_origin(self):
         d = ramification_divisor(monomial_lift(0, 2))

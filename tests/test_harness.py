@@ -13,15 +13,14 @@ from scipy.integrate import quad
 from nevlab import nevanlinna
 from nevlab.cli import build, parse_config
 from nevlab.curve import normalize
+from nevlab.exterior import (balanced_check, distance_one_collection,
+                             telescoping_identity)
 from nevlab.gauss import GR_I, GR_ONE, GR_ZERO, GaussRational, parse_poly
 from nevlab.harness import (
     Evaluator,
-    balanced_check,
-    distance_one_collection,
     full_sweep,
     general_position_tuples,
     mcquillan_monitor,
-    telescoping_identity,
     verify_cartan,
     verify_height_growth,
     verify_lemma55,
@@ -30,7 +29,7 @@ from nevlab.harness import (
 from nevlab.nevanlinna import (QUAD_INITIAL_NODES, QUAD_TOL, NodeBatch,
                                SelectorContext)
 
-from conftest import corpus, monomial_lift, rand_rational, stress
+from conftest import corpus, monomial_lift, polyval, rand_rational, stress
 
 
 ONE, ZERO = GR_ONE, GR_ZERO
@@ -337,8 +336,8 @@ class TestMidpointReferences:
 
         def curve(theta):
             z = r * np.exp(1j * np.atleast_1d(theta))
-            return (np.vstack([p.eval_many(z) for p in x.coords]),
-                    np.vstack([p.derivative().eval_many(z) for p in x.coords]))
+            return (np.vstack([polyval(p, z) for p in x.coords]),
+                    np.vstack([polyval(p.derivative(), z) for p in x.coords]))
 
         def selected(theta):
             xv, _ = curve(theta)

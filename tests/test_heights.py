@@ -195,4 +195,7 @@ def test_constant_level_converges_on_the_third_grid():
 def test_harness_reexports_the_traced_growth():
     assert nevlab.harness.verify_height_growth is \
         nevlab.heights.verify_height_growth
-    assert nevlab.harness.SweepReport is nevlab.heights.SweepReport
+    # and binds none of the exact layer's or the report module's records
+    for name in ("HyperplaneConfig", "BalancedResult", "balanced_check",
+                 "PairCollection", "telescoping_identity", "SweepReport"):
+        assert not hasattr(nevlab.harness, name)

@@ -2,9 +2,11 @@
 that need no numpy (``check``, ``verify identities`` and ``verify growth``,
 whose Jensen heights use ``math`` alone) never load numpy, nor
 ``dataclasses`` and the ``inspect`` it pulls in, and the numeric layer
-(nevanlinna, harness) loads on first use.  Each case runs in a fresh
-interpreter, since the test process has long loaded everything."""
+(nevanlinna, harness) loads on first use.  Each command case runs in a
+fresh interpreter, since the test process has long loaded everything;
+exterior, which has no float boundary at all, is checked on its source."""
 
+import ast
 from pathlib import Path
 
 import pytest
@@ -46,3 +48,14 @@ print(json.dumps(["numpy" in sys.modules,
 """)
     assert result == [False, True, True, True]
 
+
+def test_exterior_imports_no_numpy():
+    """The exact layer's exterior module has no float boundary: no numpy
+    import at module level, inside a function or under TYPE_CHECKING."""
+    tree = ast.parse((ROOT / "src" / "nevlab" / "exterior.py").read_text(
+        encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert not [m for m in imported if m.split(".")[0] == "numpy"]

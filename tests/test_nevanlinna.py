@@ -10,10 +10,8 @@ from scipy.integrate import quad
 
 from nevlab import nevanlinna
 from nevlab.curve import associated, associated_family, normalize
-from nevlab.exterior import WedgeForm, multi_indices
-from nevlab.gauss import (GR_I, GR_ONE, GR_ZERO, Divisor, GaussPoly,
-                          parse_poly, roots)
-from nevlab.harness import distance_one_collection
+from nevlab.exterior import WedgeForm, distance_one_collection, multi_indices
+from nevlab.gauss import GR_ONE, GR_ZERO, Divisor, GaussPoly, parse_poly, roots
 from nevlab.heights import ReducedNorm, level_norms
 from nevlab.nevanlinna import (
     QUAD_INITIAL_NODES,
@@ -30,11 +28,10 @@ from nevlab.nevanlinna import (
     pointwise_logderiv_check,
     proximity_hyperplane,
     proximity_m,
-    weil,
 )
 
 from conftest import (STRESS_FORMS, corpus, lift_config, monomial_lift,
-                      rand_forms, stress)
+                      polyval, rand_forms, stress)
 
 
 ONE, ZERO = GR_ONE, GR_ZERO
@@ -179,22 +176,6 @@ class TestHeightT:
             0.0, *(norm.height(2.0)[0] for norm in level_norms(x))]
 
 
-class TestWeil:
-    def test_positive_away_from_hyperplane(self):
-        F = WedgeForm(1, ((ONE, ZERO),))
-        # v = (1, 3): |F(v)|/|v| < 1 so the Weil function is positive
-        assert weil(F, [1, 3]) > 0
-
-    def test_infinite_on_hyperplane(self):
-        F = WedgeForm(1, ((ONE, ZERO),))
-        assert weil(F, [0, 1]) == math.inf
-
-    def test_scaling_invariance(self):
-        F = WedgeForm(1, ((ONE, GR_I),))
-        v = np.array([1 + 2j, 0.5 - 1j])
-        assert weil(F, v) == pytest.approx(weil(F, 10 * v), abs=1e-12)
-
-
 class TestProximity:
     def setup_method(self):
         self.x, self.cfg = corpus()["conic"]
@@ -220,7 +201,7 @@ class TestProximity:
         # must dominate at every sampled point
         theta = np.linspace(0.1, 6.2, 50)
         z = 3.0 * np.exp(1j * theta)
-        xv = np.vstack([p.eval_many(z) for p in self.x.coords])
+        xv = np.vstack([polyval(p, z) for p in self.x.coords])
         scores = _scores(self.ctx, xv)
         sel, smax = self.ctx.select(xv)
         assert np.all(smax >= scores - 1e-12)
@@ -355,10 +336,18 @@ class TestSelectorOracles:
     rebuilds of the same quantities."""
 
     @staticmethod
-    def _per_tuple_minors(n, cfg, d):
+    def _coeffs(F):
+        """The float image of a WedgeForm's exact Pluecker coordinates,
+        one complex() per minor."""
+        return np.array([complex(c) for c in F.pluecker_coords()],
+                        dtype=complex)
+
+    @classmethod
+    def _per_tuple_minors(cls, n, cfg, d):
         return np.array([
-            [WedgeForm(n, tuple(cfg.forms[t[i]] for i in ia.elements)
-                       ).coeff_array() for ia in multi_indices(n, d)]
+            [cls._coeffs(WedgeForm(n, tuple(cfg.forms[t[i]]
+                                            for i in ia.elements)))
+             for ia in multi_indices(n, d)]
             for t in cfg.tuples
         ], dtype=complex)
 
@@ -384,7 +373,7 @@ class TestSelectorOracles:
                 for ia, coeffs in zip(multi_indices(x.n, d), row):
                     S = [t[i] for i in ia.elements]
                     want = WedgeForm(x.n, [cfg.forms[j] for j in S])
-                    assert np.array_equal(coeffs, want.coeff_array())
+                    assert np.array_equal(coeffs, self._coeffs(want))
 
     def test_minor_layers_built_once_per_form_subset(self, monkeypatch):
         # every form subset's minor layer is one next_layer step from its
@@ -437,7 +426,7 @@ class TestSelectorOracles:
         x, cfg = stress(STRESS_FORMS[:6] + ((-1, -1, -1, -1, -1),)
                          + STRESS_FORMS[6:])
         ctx = SelectorContext.from_config(cfg)
-        xv = np.vstack([p.eval_many(_nodes(r)) for p in x.coords])
+        xv = np.vstack([polyval(p, _nodes(r)) for p in x.coords])
         sel, smax = ctx.select(xv)
         want_sel, want_max = self._brute_select(cfg.forms, cfg.tuples, xv)
         assert np.array_equal(sel, want_sel)
@@ -477,7 +466,7 @@ class TestSelectorOracles:
             order = rng.permutation(len(cfg.tuples))
             ctx = SelectorContext(cfg.n, cfg.forms,
                                   [cfg.tuples[k] for k in order])
-        xv = np.vstack([p.eval_many(_nodes(1.8, 64)) for p in x.coords])
+        xv = np.vstack([polyval(p, _nodes(1.8, 64)) for p in x.coords])
         if kind == "vanishing":
             xv = rng.integers(-1, 2, size=(5, 200)) + 0j
         elif kind == "nonfinite":
@@ -504,8 +493,8 @@ class TestSelectorOracles:
         x, cfg = stress()
         ctx = SelectorContext.from_config(cfg)
         z = _nodes(r, 8)
-        xv = np.vstack([p.eval_many(z) for p in x.coords])
-        xpv = np.vstack([p.derivative().eval_many(z) for p in x.coords])
+        xv = np.vstack([polyval(p, z) for p in x.coords])
+        xpv = np.vstack([polyval(p.derivative(), z) for p in x.coords])
         got = ctx.mumax(xv, xpv)
         for k, zk in enumerate(z):
             want = max(mu(x, [cfg.forms[i] for i in t], zk) for t in cfg.tuples)
@@ -956,8 +945,8 @@ class TestMumaxOracle:
     def _check(x, cfg, z):
         ctx = SelectorContext.from_config(cfg)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            xv = np.vstack([p.eval_many(z) for p in x.coords])
-            xpv = np.vstack([p.derivative().eval_many(z) for p in x.coords])
+            xv = np.vstack([polyval(p, z) for p in x.coords])
+            xpv = np.vstack([polyval(p.derivative(), z) for p in x.coords])
             got, want = ctx.mumax(xv, xpv), _mumax_oracle(ctx, xv, xpv)
         assert got.tobytes() == want.tobytes()
         return ctx, ctx.form_mat @ xv, ctx.form_mat @ xpv

@@ -84,7 +84,8 @@ class TestValidation:
     def test_divisor_fields(self):
         d = Divisor(ord_at_zero=2, points=((3 + 0j, 1),))
         assert (d.ord_at_zero, d.points) == (2, ((3 + 0j, 1),))
-        assert d.total_multiplicity() == 3 and Divisor.empty().is_empty()
+        empty = Divisor.empty()
+        assert (empty.ord_at_zero, empty.points) == (0, ())
 
     @pytest.mark.parametrize("args,message", [
         (((1, 1), 3), "strictly increasing"),
