@@ -12,10 +12,12 @@ nodes do not remove a singular value or a float overflow.
 
 Every circle average, height_bar and proximity_hyperplane included, is a
 row of NodeBatch components integrated by Evaluator.radial, the one caller
-of adaptive_midpoint, one chunk of at most _NODE_CHUNK nodes at a time, so
-per-node temporaries stay bounded however many nodes the quadrature needs;
-the rows of one radius share bit-identical chunks, and the first two grids
-of every radius are evaluated ahead, for groups of radii at once.
+of adaptive_midpoint, one chunk of at most _NODE_CHUNK nodes at a time, and
+adaptive_midpoint sums each grid leaf by leaf in numpy's pairwise order, so
+neither per-node temporaries nor the rows grow with the nodes the quadrature
+needs.  The rows of one radius share bit-identical chunks, each shared batch
+keeping only what a later rows function reads, and the first two grids of
+every radius are evaluated ahead, for groups of radii at once.
 
 A batch evaluates X^d and (X^d)' by Horner's rule in place and applies the
 selected tuple's minors per run of equal selection, for m(d) and pairlam(d)
@@ -88,9 +90,10 @@ def counting(D: Divisor, r: float) -> float:
     return total
 
 
-def _grid(n: int) -> np.ndarray:
-    """The n midpoint nodes (k + 1/2) 2 pi / n on the circle."""
-    return (np.arange(n) + 0.5) * (2 * math.pi / n)
+def _grid(n: int, lo: int, hi: int) -> np.ndarray:
+    """Nodes lo to hi - 1 of the n midpoint nodes (k + 1/2) 2 pi / n on the
+    circle."""
+    return (np.arange(lo, hi) + 0.5) * (2 * math.pi / n)
 
 
 def adaptive_midpoint(
@@ -104,15 +107,30 @@ def adaptive_midpoint(
     Returns (values, converged, nodes_used) with per-component flags.  A
     non-finite value counts as 0 in its row's mean, flags the row
     unconverged and ends the doubling.
+
+    g is called on each grid leaf by leaf, in order: a leaf is the largest
+    power of two nodes <= _NODE_CHUNK, and at least 128.  Numpy's pairwise
+    summation splits a contiguous power-of-two row into halves down to
+    blocks of 128, so for rows that g returns row-major the leaf sums, added
+    in a balanced binary tree, have the bits of the mean over the whole
+    grid's rows, while no array as long as the grid is built.
     """
+    leaf = max(128, 1 << (_NODE_CHUNK.bit_length() - 1))
     prev, n = math.nan, QUAD_INITIAL_NODES  # no estimate yet: nothing converges
     while True:
-        vals = np.atleast_2d(np.asarray(g(_grid(n)), dtype=float))
-        finite = np.isfinite(vals)
-        clean = finite.all(axis=1)
-        if not clean.all():
-            vals = np.where(finite, vals, 0.0)
-        est = vals.mean(axis=1)
+        sums, clean = [], True
+        for lo in range(0, n, leaf):
+            vals = np.atleast_2d(np.asarray(g(_grid(n, lo, min(n, lo + leaf))),
+                                            dtype=float))
+            finite = np.isfinite(vals)
+            rows_clean = finite.all(axis=1)
+            if not rows_clean.all():
+                vals = np.where(finite, vals, 0.0)
+            sums.append(vals.sum(axis=1))
+            clean = clean & rows_clean
+        while len(sums) > 1:
+            sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
+        est = sums[0] / n
         converged = (np.abs(est - prev) < tol) & clean
         if converged.all() or not clean.all() or 2 * n > cap:
             return est, converged, n
@@ -318,9 +336,10 @@ class SelectorContext:
 class NodeBatch:
     """A chunk of nodes z = r e^{i theta} of an Evaluator; r may be per node.
     Each component method returns one value per node; the tuple selection,
-    |X^d|, m(d) and the log norm of X^d wedge (X^d)' are evaluated once per
-    batch; z, X^d, (X^d)' and the selected tuple's values of X^d and (X^d)'
-    (shared by m(d) and pairlam(d)) once until release()."""
+    |X^d| and m(d) are evaluated once per batch, until keep() drops them;
+    z, X^d, (X^d)', the selected tuple's values of X^d and (X^d)' (shared by
+    m(d) and pairlam(d)) and the log norm of X^d wedge (X^d)' once until
+    release()."""
 
     def __init__(self, ev: "Evaluator", r, theta: np.ndarray):
         self.ev = ev
@@ -329,17 +348,29 @@ class NodeBatch:
         # X^d and (X^d)' by Evaluator._coeffs key, and their tuple_values
         self._stacks: Dict[tuple, np.ndarray] = {}
         self._selected: Dict[tuple, np.ndarray] = {}
-        self._hbar: Dict[int, np.ndarray] = {}
-        self._m: Dict[int, np.ndarray] = {}
         self._pair_norm: Dict[int, np.ndarray] = {}
+        # |X^d| and m(d) by ('hbar', d) and ('m', d), and the keys asked for
+        self._results: Dict[tuple, np.ndarray] = {}
+        self.reads: set = set()
 
     def release(self) -> None:
-        """Drop z, X^d, (X^d)' and their tuple values, the complex arrays of
-        the batch, until needed again; what stays is the per-node component
-        results."""
+        """Drop z, X^d, (X^d)', their tuple values and the pair log norms
+        until needed again; what stays is the selection, |X^d| and m(d)."""
         self.__dict__.pop("z", None)
         self._stacks.clear()
         self._selected.clear()
+        self._pair_norm.clear()
+
+    def keep(self, keys: set) -> None:
+        """Drop every |X^d| and m(d) whose key is not in keys."""
+        for key in self._results.keys() - keys:
+            del self._results[key]
+
+    def _result(self, key: tuple, compute: Callable[[], np.ndarray]):
+        self.reads.add(key)
+        if key not in self._results:
+            self._results[key] = compute()
+        return self._results[key]
 
     @cached_property
     def z(self) -> np.ndarray:
@@ -380,19 +411,15 @@ class NodeBatch:
         """log |X^d|; identically zero at d = 0."""
         if d == 0:
             return np.zeros(len(self.theta))
-        if d not in self._hbar:
-            self._hbar[d] = _log_norm(self.wedge(d))
-        return self._hbar[d]
+        return self._result(("hbar", d), lambda: _log_norm(self.wedge(d)))
 
     def m(self, d: int) -> np.ndarray:
         """Mean level-d Weil function of the selected tuple; zero at d = 0."""
         ctx = self._ctx()
         if d == 0:
             return np.zeros(len(self.theta))
-        if d not in self._m:
-            self._m[d] = ctx.level_lambda_mean(self._tuple_values(("w", d)),
-                                               self.hbar(d))
-        return self._m[d]
+        return self._result(("m", d), lambda: ctx.level_lambda_mean(
+            self._tuple_values(("w", d)), self.hbar(d)))
 
     def cartan(self) -> np.ndarray:
         """The largest level-1 tuple Weil sum."""
@@ -489,46 +516,56 @@ class Evaluator:
         groups of radii filling half a chunk (no wider than the 2048-node grid
         smooth radii reach, so peak memory does not grow); a radius whose first
         grid is not finite drops its second.  The rows functions of one radius
-        share each bit-identical later chunk's batch until the radius is done.
-        Kernels work node by node, except the selected tuple's minors
-        product (SelectorContext.tuple_values), one BLAS product per tuple
-        and batch; the tests check that grouping and chunk size change no
-        value."""
-        first = np.concatenate([_grid(QUAD_INITIAL_NODES),
-                                _grid(2 * QUAD_INITIAL_NODES)])
+        share each bit-identical later chunk's batch until the radius is done;
+        after each rows function a shared batch keeps only the |X^d| and m(d)
+        that a later rows function reads, as learned on the batches ahead,
+        where every rows function runs.  Kernels work node by node, except
+        the selected tuple's minors product (SelectorContext.tuple_values),
+        one BLAS product per tuple and batch; the tests check that grouping
+        and chunk size change no value."""
+        first = np.concatenate([
+            _grid(n, 0, n) for n in (QUAD_INITIAL_NODES, 2 * QUAD_INITIAL_NODES)])
         size = max(1, _NODE_CHUNK // (2 * len(first)))
         out = []
         for lo in range(0, len(radii), size):
             group = np.asarray(radii[lo:lo + size], dtype=float)
-            ahead = self._evaluate(np.repeat(group, len(first)),
-                                   np.tile(first, len(group)), each)
+            ahead, reads = self._evaluate(np.repeat(group, len(first)),
+                                          np.tile(first, len(group)), each,
+                                          None, None)
+            keep = [set().union(*reads[k + 1:]) for k in range(len(each))]
             for k, r in enumerate(group):
                 shared = {} if len(each) > 1 else None
                 cols = slice(k * len(first), (k + 1) * len(first))
                 out.append([adaptive_midpoint(
-                    self._integrand(r, rows, shared, v[:, cols]), tol=self.tol)
-                    for rows, v in zip(each, ahead)])
+                    self._integrand(r, rows, shared, kept, v[:, cols]),
+                    tol=self.tol) for rows, kept, v in zip(each, keep, ahead)])
         return out
 
-    def _integrand(self, r: float, rows: Callable, shared, ahead):
-        """adaptive_midpoint's g for rows at radius r: the first two grids
-        once each from their values ahead, later grids evaluated."""
-        grids = {QUAD_INITIAL_NODES: ahead[:, :QUAD_INITIAL_NODES],
-                 2 * QUAD_INITIAL_NODES: ahead[:, QUAD_INITIAL_NODES:]}
+    def _integrand(self, r: float, rows: Callable, shared, keep: set, ahead):
+        """adaptive_midpoint's g for rows at radius r: the first two grids,
+        which it asks for first and leaf by leaf in order, from their values
+        ahead, later grids evaluated."""
+        done = 0
 
         def g(theta: np.ndarray) -> np.ndarray:
-            if len(theta) in grids:
-                return grids.pop(len(theta))
-            return self._evaluate(r, theta, [rows], shared)[0]
+            nonlocal done
+            if done < ahead.shape[1]:
+                done += len(theta)
+                return ahead[:, done - len(theta):done]
+            return self._evaluate(r, theta, [rows], shared, [keep])[0][0]
 
         return g
 
-    def _evaluate(self, r, theta: np.ndarray, each, shared=None) -> list:
+    def _evaluate(self, r, theta: np.ndarray, each, shared, keep) -> tuple:
         """One (rows, nodes) array per rows function, from one NodeBatch per
-        chunk (r one radius or one per node); shared, if a dict, keeps the
-        batches by chunk bytes, with z, X^d and (X^d)' released."""
+        chunk (r one radius or one per node), and per rows function the keys
+        of the |X^d| and m(d) it read.  shared, if a dict, keeps the batches
+        by chunk bytes, each holding after rows function k only the results
+        keep[k] names; z, X^d and (X^d)' are released after every rows
+        function."""
         rs = np.broadcast_to(r, theta.shape)
         out = [None] * len(each)
+        reads = [set() for _ in each]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for lo in range(0, len(theta), _NODE_CHUNK):
                 chunk = slice(lo, lo + _NODE_CHUNK)
@@ -541,12 +578,15 @@ class Evaluator:
                                                 np.frombuffer(key))
                     at = shared[key]
                 for k, rows in enumerate(each):
+                    at.reads = reads[k]
                     vals = rows(at)
                     at.release()
+                    if shared is not None:
+                        at.keep(keep[k])
                     if out[k] is None:
                         out[k] = np.empty((len(vals), len(theta)))
                     out[k][:, chunk] = vals
-        return out
+        return out, reads
 
 
 def _radial_value(ev: Evaluator, r: float,

@@ -8,7 +8,6 @@ fixed seed so the suite is reproducible.
 import math
 import random
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest

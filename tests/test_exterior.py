@@ -1,12 +1,11 @@
 import itertools
 import math
-from fractions import Fraction
 
 import pytest
 import sympy
 from sympy.combinatorics import Permutation
 from sympy.polys.matrices import DomainMatrix
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from nevlab import exterior
 from nevlab.exterior import (
@@ -20,7 +19,7 @@ from nevlab.exterior import (
     two_row_identity_sign,
     wedge_rows,
 )
-from nevlab.gauss import (GR_ONE, GR_ZERO, GaussPoly, GaussRational,
+from nevlab.gauss import (GR_ZERO, GaussPoly, GaussRational,
                           products_sum_to_zero)
 
 from conftest import rand_poly, rand_rational

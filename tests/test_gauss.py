@@ -11,12 +11,10 @@ from nevlab.gauss import (
     GR_I,
     GR_ONE,
     GR_ZERO,
-    Divisor,
     GaussPoly,
     GaussRational,
     PackedRows,
     PolyParseError,
-    RootFindingError,
     linear_combination,
     parse_poly,
     parse_rational,

@@ -12,10 +12,9 @@ from scipy.integrate import quad
 
 from nevlab import nevanlinna
 from nevlab.cli import build, parse_config
-from nevlab.curve import normalize
 from nevlab.exterior import (balanced_check, distance_one_collection,
                              telescoping_identity)
-from nevlab.gauss import GR_I, GR_ONE, GR_ZERO, GaussRational, parse_poly
+from nevlab.gauss import GR_I, GR_ONE, GR_ZERO, GaussRational
 from nevlab.harness import (
     Evaluator,
     full_sweep,
@@ -29,7 +28,7 @@ from nevlab.harness import (
 from nevlab.nevanlinna import (QUAD_INITIAL_NODES, QUAD_TOL, NodeBatch,
                                SelectorContext)
 
-from conftest import corpus, monomial_lift, polyval, rand_rational, stress
+from conftest import corpus, polyval, rand_rational, stress
 
 
 ONE, ZERO = GR_ONE, GR_ZERO

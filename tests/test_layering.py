@@ -4,7 +4,9 @@ whose Jensen heights use ``math`` alone) never load numpy, nor
 ``dataclasses`` and the ``inspect`` it pulls in, and the numeric layer
 (nevanlinna, harness) loads on first use.  Each command case runs in a
 fresh interpreter, since the test process has long loaded everything;
-exterior, which has no float boundary at all, is checked on its source."""
+exterior, which has no float boundary at all, is checked on its source.
+Every module-level import in src/nevlab, tests and scripts binds a name its
+module uses; perfbench is left to its own files."""
 
 import ast
 from pathlib import Path
@@ -59,3 +61,54 @@ def test_exterior_imports_no_numpy():
     imported += [node.module or "" for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom)]
     assert not [m for m in imported if m.split(".")[0] == "numpy"]
+
+
+def _module_imports(tree):
+    """(line, bound name) of each import at module level, in an if or try
+    block there included; __future__ imports are compiler directives."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.If, ast.Try)):
+            stack += node.body + node.orelse + getattr(node, "finalbody", [])
+            stack += [s for h in getattr(node, "handlers", []) for s in h.body]
+        elif isinstance(node, ast.Import):
+            yield from ((node.lineno, a.asname or a.name.split(".")[0])
+                        for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((node.lineno, a.asname or a.name) for a in node.names)
+
+
+def _used_names(tree) -> set:
+    """Every name the module reads, in quoted annotations too, and the
+    entries of its __all__."""
+    annotations = [node.annotation for node in ast.walk(tree)
+                   if isinstance(node, (ast.arg, ast.AnnAssign))]
+    annotations += [node.returns for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef))]
+    trees = [tree] + [ast.parse(c.value, mode="eval")
+                      for a in annotations if a is not None
+                      for c in ast.walk(a)
+                      if isinstance(c, ast.Constant) and isinstance(c.value, str)]
+    used = {n.id for t in trees for n in ast.walk(t) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__"
+                        for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    return used
+
+
+def test_no_unused_module_imports():
+    """Every name a module-level import binds in src/nevlab, tests and
+    scripts is used in its module (or listed in its __all__)."""
+    unused = []
+    for folder in ("src/nevlab", "tests", "scripts"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            used = _used_names(tree)
+            unused += [f"{path.relative_to(ROOT)}:{line} {name}"
+                       for line, name in _module_imports(tree)
+                       if name not in used]
+    assert not unused

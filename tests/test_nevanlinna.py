@@ -15,6 +15,7 @@ from nevlab.gauss import GR_ONE, GR_ZERO, Divisor, GaussPoly, parse_poly, roots
 from nevlab.heights import ReducedNorm, level_norms
 from nevlab.nevanlinna import (
     QUAD_INITIAL_NODES,
+    QUAD_NODE_CAP,
     QUAD_TOL,
     Evaluator,
     NodeBatch,
@@ -60,6 +61,21 @@ class TestCounting:
     def test_needs_positive_radius(self):
         with pytest.raises(ValueError):
             counting(Divisor.empty(), 0.0)
+
+
+def _whole_grid_midpoint(g, tol, cap=QUAD_NODE_CAP):
+    """Oracle for adaptive_midpoint: each grid's rows in one array, their
+    non-finite entries zeroed, averaged by vals.mean(axis=1)."""
+    prev, n = math.nan, QUAD_INITIAL_NODES
+    while True:
+        vals = np.asarray(g((np.arange(n) + 0.5) * (2 * math.pi / n)))
+        finite = np.isfinite(vals)
+        clean = finite.all(axis=1)
+        est = np.where(finite, vals, 0.0).mean(axis=1)
+        converged = (np.abs(est - prev) < tol) & clean
+        if converged.all() or not clean.all() or 2 * n > cap:
+            return est, converged, n
+        prev, n = est, 2 * n
 
 
 class TestQuadrature:
@@ -111,6 +127,44 @@ class TestQuadrature:
         values, converged, nodes = adaptive_midpoint(g, tol=1e-12, cap=1024)
         assert not converged.all()
         assert nodes <= 1024
+
+    @pytest.mark.parametrize("chunk", [64, 1000, 4096])
+    @pytest.mark.parametrize("spoiled", [None, 256, 8192, 2 ** 16])
+    def test_leaf_sums_keep_the_whole_grid_mean(self, chunk, spoiled,
+                                                monkeypatch):
+        # rows of random terms spanning 16 decades, whose sum depends on the
+        # order of its additions, on grids 256 .. 2^16; on the grid
+        # `spoiled` rows 1 to 3 hold a nan, an inf and a -inf, which ends the
+        # doubling there.  Row 0 is smooth and converges; the random rows
+        # never do.  Estimates, flags and node counts equal the whole-grid
+        # mean's bit for bit at every leaf size (128, 512 and 4096 nodes).
+        rng = np.random.default_rng(22)
+        tables = {}
+
+        def g(theta):
+            n = round(2 * math.pi / (theta[1] - theta[0]))
+            if n not in tables:
+                rows = rng.standard_normal((4, n)) * 10.0 ** rng.uniform(
+                    -8, 8, (4, n))
+                if n == spoiled:
+                    for row, bad in zip(rows[1:], (np.nan, np.inf, -np.inf)):
+                        row[rng.integers(n)] = bad
+                tables[n] = rows
+            # row-major rows, as Evaluator's integrands return them
+            out = np.empty((4, len(theta)))
+            out[0] = np.exp(np.cos(theta))
+            out[1:] = tables[n][1:, np.rint(theta * (n / (2 * math.pi))
+                                            - 0.5).astype(int)]
+            return out
+
+        want = _whole_grid_midpoint(g, 1e-9, 2 ** 16)
+        monkeypatch.setattr(nevanlinna, "_NODE_CHUNK", chunk)
+        values, converged, nodes = adaptive_midpoint(g, 1e-9, 2 ** 16)
+        assert nodes == want[2] == (spoiled or 2 ** 16)
+        assert values.tobytes() == want[0].tobytes()
+        # row 0 has no earlier estimate to agree with on the first grid
+        assert converged.tolist() == want[1].tolist() == [
+            spoiled != QUAD_INITIAL_NODES, False, False, False]
 
 
 class TestHeightBar:
@@ -615,6 +669,32 @@ class TestNodeBatch:
             assert v.tobytes() == w.tobytes()
             assert np.array_equal(c, e) and n == m
 
+    def test_shared_batch_keeps_only_what_later_rows_read(self, monkeypatch):
+        # after each rows function a shared batch keeps the |X^d| and m(d)
+        # that a later one reads, as learned on the batches ahead: m(2), not
+        # |X^1| or |X^2| after the first, nor m(3) or |X^3| after the second,
+        # and nothing after the last.  All three run to 8,192 nodes, so each
+        # leaves five later batches: one for each of the 1,024-, 2,048- and
+        # 4,096-node grids and two for the 8,192-node grid.
+        x, cfg = stress()
+        kept = []
+        keep = NodeBatch.keep
+
+        def recorded(self, keys):
+            keep(self, keys)
+            kept.append(sorted(self._results))
+
+        monkeypatch.setattr(NodeBatch, "keep", recorded)
+        each = [lambda at: [at.m(2), at.hbar(1)], lambda at: [at.m(3)],
+                lambda at: [at.m(2), at.cartan()]]
+        [got] = Evaluator(x, cfg, 3e-5).radial([0.54], each)
+        assert [n for _, _, n in got] == [8192] * 3
+        assert kept == [[("m", 2)]] * 10 + [[]] * 5
+        for rows, (v, c, n) in zip(each, got):
+            [[(w, e, m)]] = Evaluator(x, cfg, 3e-5).radial([0.54], [rows])
+            assert v.tobytes() == w.tobytes()
+            assert np.array_equal(c, e) and n == m
+
     @staticmethod
     def _per_radius(ev, radii, each):
         """Oracle for Evaluator.radial: one adaptive_midpoint per radius and
@@ -731,6 +811,37 @@ class TestNodeBatch:
         nodes, chunked = traced_peak()
         assert nodes == 32768 and chunked < bound
         monkeypatch.setattr(nevanlinna, "_NODE_CHUNK", nodes)
+        assert traced_peak()[1] > bound
+
+    def test_shared_batches_keep_what_later_levels_read(self, monkeypatch):
+        # prop62's four level rows on stress at r = 0.54 run to 8,192, 8,192,
+        # 32,768 and 32,768 nodes on shared batches.  Summed leaf by leaf,
+        # with each batch keeping only the |X^d| and m(d) of later levels,
+        # the traced peak stays below 11.5 MiB (about 9.9 MiB); the bound
+        # sits 15% above that and 23% below the 14.9 MiB of whole-grid rows
+        # and batches that keep every result.  With the leaf widened to the
+        # whole grid it goes over (about 13.0 MiB).
+        x, cfg = stress()
+        bound = 11.5 * 2 ** 20
+        each = [
+            lambda at, d=d, pos=distance_one_collection(x.n, d).positions():
+            [at.m(d - 1), at.m(d), at.m(d + 1), at.hbar(d - 1), at.hbar(d),
+             at.hbar(d + 1), at.pairlam(d, pos), at.hbarpair(d)]
+            for d in range(1, x.n + 1)]
+
+        def traced_peak():
+            tracemalloc.start()
+            try:
+                [levels] = Evaluator(x, cfg, 3e-5).radial([0.54], each)
+                return ([n for _, _, n in levels],
+                        tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+        nodes, leaves = traced_peak()
+        assert nodes == [8192, 8192, 32768, 32768] and leaves < bound
+        monkeypatch.setattr(nevanlinna, "adaptive_midpoint",
+                            _whole_grid_midpoint)
         assert traced_peak()[1] > bound
 
 
