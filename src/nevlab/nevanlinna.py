@@ -7,17 +7,18 @@ their Weil functions over the nodes.
 
 Quadrature is a composite midpoint rule with node doubling; midpoint nodes
 sit at half-steps so they never land on theta = 2*pi*k/N.  A row with a
-non-finite value is flagged unconverged and ends the doubling, since more
-nodes do not remove a singular value or a float overflow.
+non-finite value keeps the non-finite estimate its sum gives, is flagged
+unconverged and ends the doubling, since more nodes do not remove a
+singular value or a float overflow.
 
 Every circle average, height_bar and proximity_hyperplane included, is a
 row of NodeBatch components integrated by Evaluator.radial, the one caller
 of adaptive_midpoint, one chunk of at most _NODE_CHUNK nodes at a time, and
 adaptive_midpoint sums each grid leaf by leaf in numpy's pairwise order, so
 neither per-node temporaries nor the rows grow with the nodes the quadrature
-needs.  The rows of one radius share bit-identical chunks, each shared batch
-keeping only what a later rows function reads, and the first two grids of
-every radius are evaluated ahead, for groups of radii at once.
+needs.  The first two grids of every radius are evaluated ahead, for
+groups of radii at once; every later chunk is a batch the rows of one radius
+share, trimmed after each rows function to the results a later one reads.
 
 A batch evaluates X^d and (X^d)' by Horner's rule in place and applies the
 selected tuple's minors per run of equal selection, for m(d) and pairlam(d)
@@ -105,32 +106,26 @@ def adaptive_midpoint(
 
     g maps an array of theta nodes to an array of shape (k, len(nodes)).
     Returns (values, converged, nodes_used) with per-component flags.  A
-    non-finite value counts as 0 in its row's mean, flags the row
-    unconverged and ends the doubling.
+    row that meets a non-finite value gets the non-finite estimate its sum
+    gives, is flagged unconverged and ends the doubling.
 
     g is called on each grid leaf by leaf, in order: a leaf is the largest
     power of two nodes <= _NODE_CHUNK, and at least 128.  Numpy's pairwise
     summation splits a contiguous power-of-two row into halves down to
-    blocks of 128, so for rows that g returns row-major the leaf sums, added
-    in a balanced binary tree, have the bits of the mean over the whole
-    grid's rows, while no array as long as the grid is built.
+    blocks of 128, so the leaf sums of rows made C-contiguous, added in a
+    balanced binary tree, have the bits of the mean over the whole grid's
+    rows in any memory layout, while no array as long as the grid is built.
     """
     leaf = max(128, 1 << (_NODE_CHUNK.bit_length() - 1))
     prev, n = math.nan, QUAD_INITIAL_NODES  # no estimate yet: nothing converges
     while True:
-        sums, clean = [], True
-        for lo in range(0, n, leaf):
-            vals = np.atleast_2d(np.asarray(g(_grid(n, lo, min(n, lo + leaf))),
-                                            dtype=float))
-            finite = np.isfinite(vals)
-            rows_clean = finite.all(axis=1)
-            if not rows_clean.all():
-                vals = np.where(finite, vals, 0.0)
-            sums.append(vals.sum(axis=1))
-            clean = clean & rows_clean
+        sums = [np.ascontiguousarray(np.atleast_2d(
+                    g(_grid(n, lo, min(n, lo + leaf)))), dtype=float).sum(axis=1)
+                for lo in range(0, n, leaf)]
         while len(sums) > 1:
             sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
         est = sums[0] / n
+        clean = np.isfinite(est)
         converged = (np.abs(est - prev) < tol) & clean
         if converged.all() or not clean.all() or 2 * n > cap:
             return est, converged, n
@@ -335,46 +330,37 @@ class SelectorContext:
 
 class NodeBatch:
     """A chunk of nodes z = r e^{i theta} of an Evaluator; r may be per node.
-    Each component method returns one value per node; the tuple selection,
-    |X^d| and m(d) are evaluated once per batch, until keep() drops them;
-    z, X^d, (X^d)', the selected tuple's values of X^d and (X^d)' (shared by
-    m(d) and pairlam(d)) and the log norm of X^d wedge (X^d)' once until
-    release()."""
+    Each component method returns one value per node.  The batch keeps
+    every value it computes, in one dict keyed by tuples, until trim drops
+    it: z, X^d, (X^d)', the selected tuple's values of X^d and (X^d)'
+    (shared by m(d) and pairlam(d)), the log norm of X^d wedge (X^d)', and
+    its results, the tuple selection, |X^d| and m(d), whose keys it adds to
+    reads when a component asks for them."""
 
     def __init__(self, ev: "Evaluator", r, theta: np.ndarray):
         self.ev = ev
         self.r = r
         self.theta = theta
-        # X^d and (X^d)' by Evaluator._coeffs key, and their tuple_values
-        self._stacks: Dict[tuple, np.ndarray] = {}
-        self._selected: Dict[tuple, np.ndarray] = {}
-        self._pair_norm: Dict[int, np.ndarray] = {}
-        # |X^d| and m(d) by ('hbar', d) and ('m', d), and the keys asked for
-        self._results: Dict[tuple, np.ndarray] = {}
+        self._cache: Dict[tuple, object] = {}
         self.reads: set = set()
 
-    def release(self) -> None:
-        """Drop z, X^d, (X^d)', their tuple values and the pair log norms
-        until needed again; what stays is the selection, |X^d| and m(d)."""
-        self.__dict__.pop("z", None)
-        self._stacks.clear()
-        self._selected.clear()
-        self._pair_norm.clear()
+    def trim(self, keep: set) -> None:
+        """Drop every value whose key is not in keep."""
+        for key in self._cache.keys() - keep:
+            del self._cache[key]
 
-    def keep(self, keys: set) -> None:
-        """Drop every |X^d| and m(d) whose key is not in keys."""
-        for key in self._results.keys() - keys:
-            del self._results[key]
+    def _cached(self, key: tuple, compute: Callable[[], object]):
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
 
-    def _result(self, key: tuple, compute: Callable[[], np.ndarray]):
+    def _result(self, key: tuple, compute: Callable[[], object]):
         self.reads.add(key)
-        if key not in self._results:
-            self._results[key] = compute()
-        return self._results[key]
+        return self._cached(key, compute)
 
-    @cached_property
+    @property
     def z(self) -> np.ndarray:
-        return self.r * np.exp(1j * self.theta)
+        return self._cached(("z",), lambda: self.r * np.exp(1j * self.theta))
 
     def _ctx(self) -> SelectorContext:
         if self.ev.ctx is None:
@@ -382,9 +368,8 @@ class NodeBatch:
         return self.ev.ctx
 
     def _stack(self, key: tuple) -> np.ndarray:
-        if key not in self._stacks:
-            self._stacks[key] = _eval_stack(self.ev._coeffs(key), self.z)
-        return self._stacks[key]
+        return self._cached(key, lambda: _eval_stack(self.ev._coeffs(key),
+                                                     self.z))
 
     def wedge(self, d: int) -> np.ndarray:
         """X^d, one row per Pluecker coordinate."""
@@ -397,15 +382,14 @@ class NodeBatch:
     def _tuple_values(self, key: tuple) -> np.ndarray:
         """The selected tuple's level-d minors applied at every node to X^d
         for key ('w', d), to (X^d)' for ('p', d)."""
-        if key not in self._selected:
-            self._selected[key] = self._ctx().tuple_values(
-                key[1], self.selection[0], self._stack(key))
-        return self._selected[key]
+        return self._cached(("tuple",) + key, lambda: self._ctx().tuple_values(
+            key[1], self.selection[0], self._stack(key)))
 
-    @cached_property
+    @property
     def selection(self):
         """The selected tuple at each node and its level-1 Weil sum."""
-        return self._ctx().select(self.wedge(1))
+        return self._result(("selection",),
+                            lambda: self._ctx().select(self.wedge(1)))
 
     def hbar(self, d: int) -> np.ndarray:
         """log |X^d|; identically zero at d = 0."""
@@ -441,13 +425,14 @@ class NodeBatch:
         """log |y wedge y'| for y = X^d; the squared Pluecker coordinates
         |G_a H_b - G_b H_a|^2 are added pair by pair in triu_indices order,
         the order of _log_norm's sum."""
-        if d not in self._pair_norm:
+        def compute():
             G, H = self.wedge(d), self.partner(d)
             sq = np.zeros(len(self.theta))
             for a, b in zip(*np.triu_indices(len(G), 1)):
                 sq += np.abs(G[a] * H[b] - G[b] * H[a]) ** 2
-            self._pair_norm[d] = 0.5 * np.log(sq)
-        return self._pair_norm[d]
+            return 0.5 * np.log(sq)
+
+        return self._cached(("hbarpair", d), compute)
 
 
 class Evaluator:
@@ -515,14 +500,15 @@ class Evaluator:
         evaluates the second.  Both are evaluated ahead, a radius per node, for
         groups of radii filling half a chunk (no wider than the 2048-node grid
         smooth radii reach, so peak memory does not grow); a radius whose first
-        grid is not finite drops its second.  The rows functions of one radius
-        share each bit-identical later chunk's batch until the radius is done;
-        after each rows function a shared batch keeps only the |X^d| and m(d)
-        that a later rows function reads, as learned on the batches ahead,
-        where every rows function runs.  Kernels work node by node, except
-        the selected tuple's minors product (SelectorContext.tuple_values),
-        one BLAS product per tuple and batch; the tests check that grouping
-        and chunk size change no value."""
+        grid is not finite drops its second.  Every later chunk of a radius
+        is a batch in the radius's shared dict, keyed by node bytes: after
+        rows function k it is trimmed to keep[k], the results (selection,
+        |X^d| and m(d)) that a later rows function read on the batches
+        ahead, where every rows function runs, and it leaves the dict once it
+        keeps nothing, so a single rows function holds no batch.  Kernels
+        work node by node, except the selected tuple's minors product
+        (SelectorContext.tuple_values), one BLAS product per tuple and batch;
+        the tests check that grouping and chunk size change no value."""
         first = np.concatenate([
             _grid(n, 0, n) for n in (QUAD_INITIAL_NODES, 2 * QUAD_INITIAL_NODES)])
         size = max(1, _NODE_CHUNK // (2 * len(first)))
@@ -530,11 +516,10 @@ class Evaluator:
         for lo in range(0, len(radii), size):
             group = np.asarray(radii[lo:lo + size], dtype=float)
             ahead, reads = self._evaluate(np.repeat(group, len(first)),
-                                          np.tile(first, len(group)), each,
-                                          None, None)
+                                          np.tile(first, len(group)), each)
             keep = [set().union(*reads[k + 1:]) for k in range(len(each))]
             for k, r in enumerate(group):
-                shared = {} if len(each) > 1 else None
+                shared = {}
                 cols = slice(k * len(first), (k + 1) * len(first))
                 out.append([adaptive_midpoint(
                     self._integrand(r, rows, shared, kept, v[:, cols]),
@@ -544,7 +529,8 @@ class Evaluator:
     def _integrand(self, r: float, rows: Callable, shared, keep: set, ahead):
         """adaptive_midpoint's g for rows at radius r: the first two grids,
         which it asks for first and leaf by leaf in order, from their values
-        ahead, later grids evaluated."""
+        ahead; later grids from the radius's shared batches, by chunk bytes,
+        each trimmed to keep after rows and dropped once it keeps nothing."""
         done = 0
 
         def g(theta: np.ndarray) -> np.ndarray:
@@ -552,37 +538,36 @@ class Evaluator:
             if done < ahead.shape[1]:
                 done += len(theta)
                 return ahead[:, done - len(theta):done]
-            return self._evaluate(r, theta, [rows], shared, [keep])[0][0]
+            out = np.empty((len(ahead), len(theta)))
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                for lo in range(0, len(theta), _NODE_CHUNK):
+                    key = theta[lo:lo + _NODE_CHUNK].tobytes()
+                    if key not in shared:
+                        shared[key] = NodeBatch(self, r, np.frombuffer(key))
+                    at = shared[key]
+                    out[:, lo:lo + _NODE_CHUNK] = rows(at)
+                    at.trim(keep)
+                    if not at._cache:
+                        del shared[key]
+            return out
 
         return g
 
-    def _evaluate(self, r, theta: np.ndarray, each, shared, keep) -> tuple:
+    def _evaluate(self, r: np.ndarray, theta: np.ndarray, each) -> tuple:
         """One (rows, nodes) array per rows function, from one NodeBatch per
-        chunk (r one radius or one per node), and per rows function the keys
-        of the |X^d| and m(d) it read.  shared, if a dict, keeps the batches
-        by chunk bytes, each holding after rows function k only the results
-        keep[k] names; z, X^d and (X^d)' are released after every rows
-        function."""
-        rs = np.broadcast_to(r, theta.shape)
+        chunk (r one radius per node), and per rows function the keys of the
+        results it read; after each rows function a batch keeps only the
+        results read so far."""
         out = [None] * len(each)
         reads = [set() for _ in each]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for lo in range(0, len(theta), _NODE_CHUNK):
                 chunk = slice(lo, lo + _NODE_CHUNK)
-                if shared is None:
-                    at = NodeBatch(self, rs[chunk], theta[chunk])
-                else:
-                    key = theta[chunk].tobytes()
-                    if key not in shared:
-                        shared[key] = NodeBatch(self, rs[chunk],
-                                                np.frombuffer(key))
-                    at = shared[key]
+                at = NodeBatch(self, r[chunk], theta[chunk])
                 for k, rows in enumerate(each):
                     at.reads = reads[k]
                     vals = rows(at)
-                    at.release()
-                    if shared is not None:
-                        at.keep(keep[k])
+                    at.trim(set().union(*reads[:k + 1]))
                     if out[k] is None:
                         out[k] = np.empty((len(vals), len(theta)))
                     out[k][:, chunk] = vals

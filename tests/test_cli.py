@@ -400,7 +400,8 @@ class TestFloatOverflow:
     """verify growth at radii where |x|^2 overflows a float: the Jensen
     heights scale the reduced norm by r^{-2D}, so every row converges,
     within tol of the mpmath oracle, with no warning and no midpoint
-    quadrature."""
+    quadrature.  A midpoint mean that meets the overflow prints as
+    non-finite."""
 
     @staticmethod
     def _growth(tmp_path, monkeypatch, capsys, r):
@@ -436,3 +437,15 @@ class TestFloatOverflow:
         # T_1 is 80 log r to every printed digit: |x| = r^80 (1 + O(r^-80))
         cells = self._growth(tmp_path, monkeypatch, capsys, 1e6)
         assert cells["T_1"] == f"{80 * math.log(1e6):.12g}"
+
+    def test_mcquillan_overflow_prints_non_finite_mu(self, tmp_path, capsys):
+        # mumax's chart products overflow at every midpoint node at
+        # r = 200, so the mu row's mean is not finite, and mu_int says so
+        path = tmp_path / "huge.ini"
+        path.write_text(HUGE_RADIUS)
+        code = main(["verify", "mcquillan", "--r", "200",
+                     "--config", str(path)])
+        header, row = capsys.readouterr().out.splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert (code, cells["converged"]) == (2, "0")
+        assert not math.isfinite(float(cells["mu_int"]))

@@ -64,14 +64,13 @@ class TestCounting:
 
 
 def _whole_grid_midpoint(g, tol, cap=QUAD_NODE_CAP):
-    """Oracle for adaptive_midpoint: each grid's rows in one array, their
-    non-finite entries zeroed, averaged by vals.mean(axis=1)."""
+    """Oracle for adaptive_midpoint: each grid's rows in one array, averaged
+    by vals.mean(axis=1); a row whose mean is not finite is not clean."""
     prev, n = math.nan, QUAD_INITIAL_NODES
     while True:
         vals = np.asarray(g((np.arange(n) + 0.5) * (2 * math.pi / n)))
-        finite = np.isfinite(vals)
-        clean = finite.all(axis=1)
-        est = np.where(finite, vals, 0.0).mean(axis=1)
+        est = vals.mean(axis=1)
+        clean = np.isfinite(est)
         converged = (np.abs(est - prev) < tol) & clean
         if converged.all() or not clean.all() or 2 * n > cap:
             return est, converged, n
@@ -165,6 +164,34 @@ class TestQuadrature:
         # row 0 has no earlier estimate to agree with on the first grid
         assert converged.tolist() == want[1].tolist() == [
             spoiled != QUAD_INITIAL_NODES, False, False, False]
+
+    def test_row_layout_does_not_change_the_estimates(self):
+        # the same rows, returned C-ordered and Fortran-ordered: row 0 is
+        # smooth and converges, rows 1 and 2 hold random terms spanning 16
+        # decades, whose sum depends on the order of its additions, and never
+        # converge on grids 256 .. 2^14.  Estimates, flags and node counts
+        # are equal bit for bit.
+        rng = np.random.default_rng(23)
+        tables = {}
+
+        def rows(order):
+            def g(theta):
+                n = round(2 * math.pi / (theta[1] - theta[0]))
+                if n not in tables:
+                    tables[n] = rng.standard_normal((2, n)) * 10.0 ** (
+                        rng.uniform(-8, 8, (2, n)))
+                out = np.empty((3, len(theta)), order=order)
+                out[0] = np.exp(np.cos(theta))
+                out[1:] = tables[n][:, np.rint(theta * (n / (2 * math.pi))
+                                               - 0.5).astype(int)]
+                return out
+            return g
+
+        want = adaptive_midpoint(rows("C"), 1e-9, 2 ** 14)
+        got = adaptive_midpoint(rows("F"), 1e-9, 2 ** 14)
+        assert got[2] == want[2] == 2 ** 14
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tolist() == want[1].tolist() == [True, False, False]
 
 
 class TestHeightBar:
@@ -670,26 +697,31 @@ class TestNodeBatch:
             assert np.array_equal(c, e) and n == m
 
     def test_shared_batch_keeps_only_what_later_rows_read(self, monkeypatch):
-        # after each rows function a shared batch keeps the |X^d| and m(d)
-        # that a later one reads, as learned on the batches ahead: m(2), not
-        # |X^1| or |X^2| after the first, nor m(3) or |X^3| after the second,
-        # and nothing after the last.  All three run to 8,192 nodes, so each
-        # leaves five later batches: one for each of the 1,024-, 2,048- and
-        # 4,096-node grids and two for the 8,192-node grid.
+        # after each rows function a shared batch keeps the results that a
+        # later one reads, as learned on the batch ahead: m(2) and the
+        # selection, not |X^1| or |X^2| after the first, nor m(3) or |X^3|
+        # after the second, and nothing after the last.  All three run to
+        # 8,192 nodes, so each leaves five later batches: one for each of the
+        # 1,024-, 2,048- and 4,096-node grids and two for the 8,192-node
+        # grid.  The batch ahead, where every rows function runs, keeps every
+        # result read so far.
         x, cfg = stress()
         kept = []
-        keep = NodeBatch.keep
+        trim = NodeBatch.trim
 
         def recorded(self, keys):
-            keep(self, keys)
-            kept.append(sorted(self._results))
+            trim(self, keys)
+            kept.append(sorted(self._cache))
 
-        monkeypatch.setattr(NodeBatch, "keep", recorded)
+        monkeypatch.setattr(NodeBatch, "trim", recorded)
         each = [lambda at: [at.m(2), at.hbar(1)], lambda at: [at.m(3)],
                 lambda at: [at.m(2), at.cartan()]]
         [got] = Evaluator(x, cfg, 3e-5).radial([0.54], each)
         assert [n for _, _, n in got] == [8192] * 3
-        assert kept == [[("m", 2)]] * 10 + [[]] * 5
+        first = [("hbar", 1), ("hbar", 2), ("m", 2), ("selection",)]
+        ahead = sorted(first + [("hbar", 3), ("m", 3)])
+        assert kept == [first, ahead, ahead] + [
+            [("m", 2), ("selection",)]] * 10 + [[]] * 5
         for rows, (v, c, n) in zip(each, got):
             [[(w, e, m)]] = Evaluator(x, cfg, 3e-5).radial([0.54], [rows])
             assert v.tobytes() == w.tobytes()
@@ -940,8 +972,9 @@ class TestTupleValues:
         x, cfg = stress()
         at = NodeBatch(Evaluator(x, cfg), 1.8, self.FIRST)
         m2 = at.m(2)
-        at.release()
-        assert not at._selected and not at._stacks
+        assert ("tuple", "w", 2) in at._cache and ("w", 2) in at._cache
+        at.trim({("m", 2)})
+        assert list(at._cache) == [("m", 2)]
         assert at.m(2) is m2
 
 
