@@ -102,7 +102,8 @@ def verify_prop62(x: CurveLift, config: HyperplaneConfig,
     through the pair collection on the level-d derived curve.  route_gap
     records their disagreement.  One Evaluator.radial call serves all levels
     and radii, the levels of one radius sharing their node batches; the rows
-    are stacked level by level behind a leading d column."""
+    are stacked level by level behind a leading d column.  A level row
+    evaluates m(d+1) last, as a batch keeps one level's work arrays."""
     levels = list(levels)
     if not levels:
         raise ValueError("empty level list")
@@ -114,9 +115,10 @@ def verify_prop62(x: CurveLift, config: HyperplaneConfig,
                  for d in levels}
 
     def level_row(d, at):
-        return [at.m(d - 1), at.m(d), at.m(d + 1),
-                at.hbar(d - 1), at.hbar(d), at.hbar(d + 1),
-                at.pairlam(d, positions[d]), at.hbarpair(d)]
+        below, here = at.m(d - 1), at.m(d)
+        pair = [at.pairlam(d, positions[d]), at.hbarpair(d)]
+        return [below, here, at.m(d + 1),
+                at.hbar(d - 1), at.hbar(d), at.hbar(d + 1), *pair]
 
     radii = validate_radii(radii, "radius grid")
     each = [functools.partial(level_row, d) for d in levels]

@@ -18,7 +18,8 @@ adaptive_midpoint sums each grid leaf by leaf in numpy's pairwise order, so
 neither per-node temporaries nor the rows grow with the nodes the quadrature
 needs.  The first two grids of every radius are evaluated ahead, for
 groups of radii at once; every later chunk is a batch the rows of one radius
-share, trimmed after each rows function to the results a later one reads.
+share, keyed by grid position, holding one level's work arrays at a time and
+trimmed after each rows function to the results a later one reads.
 
 A batch evaluates X^d and (X^d)' by Horner's rule in place and applies the
 selected tuple's minors per run of equal selection, for m(d) and pairlam(d)
@@ -238,12 +239,12 @@ class SelectorContext:
 
     def select(self, xvals: np.ndarray):
         """The tuple with the largest level-1 Weil sum sum_i lambda_i(x) at
-        each node, and that sum, in one pass over the tuples: strict > keeps
-        the lowest index on a tie, and the first NaN sum wins, as in
-        np.argmax.  Each form's log|L_j(x)| is computed once; a tuple sums
-        its rows in order, and tuples that share leading forms share those
-        partial sums, so in the lexicographic order of
-        exterior.general_position_tuples most tuples cost one addition."""
+        each node, in the narrowest unsigned type, and that sum, in one pass
+        over the tuples: strict > keeps the lowest index on a tie, and the
+        first NaN sum wins, as in np.argmax.  Each form's log|L_j(x)| is
+        computed once; a tuple sums its rows in order, and tuples that share
+        leading forms share those partial sums, so in the lexicographic order
+        of exterior.general_position_tuples most tuples cost one addition."""
         scaled = (self.n + 1) * _log_norm(xvals)
         with np.errstate(divide="ignore"):
             logf = np.log(np.abs(self.form_mat @ xvals))
@@ -255,7 +256,7 @@ class SelectorContext:
         partial = np.zeros((self.n + 2, nodes))
         best, s = np.empty(nodes), np.empty(nodes)
         take = np.empty(nodes, dtype=bool)
-        sel = np.zeros(nodes, dtype=np.intp)
+        sel = np.zeros(nodes, dtype=np.min_scalar_type(len(self.tuples) - 1))
         for k, (t, lead) in enumerate(zip(self.tuples, self._shared_lead)):
             for j in range(lead, self.n + 1):
                 np.add(partial[j], logf[t[j]], out=partial[j + 1])
@@ -329,20 +330,26 @@ class SelectorContext:
 
 
 class NodeBatch:
-    """A chunk of nodes z = r e^{i theta} of an Evaluator; r may be per node.
-    Each component method returns one value per node.  The batch keeps
-    every value it computes, in one dict keyed by tuples, until trim drops
-    it: z, X^d, (X^d)', the selected tuple's values of X^d and (X^d)'
-    (shared by m(d) and pairlam(d)), the log norm of X^d wedge (X^d)', and
-    its results, the tuple selection, |X^d| and m(d), whose keys it adds to
-    reads when a component asks for them."""
+    """A chunk of nodes z = r e^{i theta} of an Evaluator; r may be per node,
+    theta an array or a grid position (n, lo, hi) that _grid rebuilds.  Each
+    component method returns one value per node.  The batch keeps every
+    value it computes, in one dict keyed by tuples, until trim drops it: z,
+    one level e's work arrays (X^e, (X^e)', the selected tuple's values of
+    each, for m(e) and pairlam(e), and the log norm of X^e wedge (X^e)'), and
+    its results, the selection, the level-1 maximum, |X^d| and m(d), whose
+    keys it adds to reads when a component asks for them."""
 
-    def __init__(self, ev: "Evaluator", r, theta: np.ndarray):
+    def __init__(self, ev: "Evaluator", r, theta):
         self.ev = ev
         self.r = r
-        self.theta = theta
+        self._theta = theta
         self._cache: Dict[tuple, object] = {}
         self.reads: set = set()
+
+    @property
+    def theta(self) -> np.ndarray:
+        t = self._theta
+        return _grid(*t) if isinstance(t, tuple) else t
 
     def trim(self, keep: set) -> None:
         """Drop every value whose key is not in keep."""
@@ -358,6 +365,14 @@ class NodeBatch:
         self.reads.add(key)
         return self._cached(key, compute)
 
+    def _work(self, key: tuple, compute: Callable[[], np.ndarray]):
+        """The work array key of level key[-1]; the batch first drops those
+        of every other level, so it holds one level's at a time."""
+        for k in [k for k in self._cache if k[-1] != key[-1]
+                  and k[0] in ("w", "p", "tuple", "hbarpair")]:
+            del self._cache[k]
+        return self._cached(key, compute)
+
     @property
     def z(self) -> np.ndarray:
         return self._cached(("z",), lambda: self.r * np.exp(1j * self.theta))
@@ -368,8 +383,8 @@ class NodeBatch:
         return self.ev.ctx
 
     def _stack(self, key: tuple) -> np.ndarray:
-        return self._cached(key, lambda: _eval_stack(self.ev._coeffs(key),
-                                                     self.z))
+        return self._work(key, lambda: _eval_stack(self.ev._coeffs(key),
+                                                   self.z))
 
     def wedge(self, d: int) -> np.ndarray:
         """X^d, one row per Pluecker coordinate."""
@@ -381,15 +396,24 @@ class NodeBatch:
 
     def _tuple_values(self, key: tuple) -> np.ndarray:
         """The selected tuple's level-d minors applied at every node to X^d
-        for key ('w', d), to (X^d)' for ('p', d)."""
-        return self._cached(("tuple",) + key, lambda: self._ctx().tuple_values(
-            key[1], self.selection[0], self._stack(key)))
+        for key ('w', d), to (X^d)' for ('p', d); the selection comes first,
+        since X^1 is a work array of level 1."""
+        sel = self.selection
+        return self._work(("tuple",) + key, lambda: self._ctx().tuple_values(
+            key[1], sel, self._stack(key)))
+
+    def _select(self, key: tuple) -> np.ndarray:
+        """The result ('selection',) or ('cartan',), both from one select."""
+        self.reads.add(key)
+        if key not in self._cache:
+            (self._cache[("selection",)],
+             self._cache[("cartan",)]) = self._ctx().select(self.wedge(1))
+        return self._cache[key]
 
     @property
-    def selection(self):
-        """The selected tuple at each node and its level-1 Weil sum."""
-        return self._result(("selection",),
-                            lambda: self._ctx().select(self.wedge(1)))
+    def selection(self) -> np.ndarray:
+        """The index of the selected tuple at each node."""
+        return self._select(("selection",))
 
     def hbar(self, d: int) -> np.ndarray:
         """log |X^d|; identically zero at d = 0."""
@@ -407,7 +431,7 @@ class NodeBatch:
 
     def cartan(self) -> np.ndarray:
         """The largest level-1 tuple Weil sum."""
-        return self.selection[1]
+        return self._select(("cartan",))
 
     def mumax(self) -> np.ndarray:
         """The largest tuple mu."""
@@ -427,12 +451,12 @@ class NodeBatch:
         the order of _log_norm's sum."""
         def compute():
             G, H = self.wedge(d), self.partner(d)
-            sq = np.zeros(len(self.theta))
+            sq = np.zeros(G.shape[1])
             for a, b in zip(*np.triu_indices(len(G), 1)):
                 sq += np.abs(G[a] * H[b] - G[b] * H[a]) ** 2
             return 0.5 * np.log(sq)
 
-        return self._cached(("hbarpair", d), compute)
+        return self._work(("hbarpair", d), compute)
 
 
 class Evaluator:
@@ -501,12 +525,12 @@ class Evaluator:
         groups of radii filling half a chunk (no wider than the 2048-node grid
         smooth radii reach, so peak memory does not grow); a radius whose first
         grid is not finite drops its second.  Every later chunk of a radius
-        is a batch in the radius's shared dict, keyed by node bytes: after
+        is a batch in the radius's shared dict, keyed by grid position: after
         rows function k it is trimmed to keep[k], the results (selection,
-        |X^d| and m(d)) that a later rows function read on the batches
-        ahead, where every rows function runs, and it leaves the dict once it
-        keeps nothing, so a single rows function holds no batch.  Kernels
-        work node by node, except the selected tuple's minors product
+        level-1 maximum, |X^d|, m(d)) that a later rows function read on the
+        batches ahead, where every rows function runs, and it leaves the dict
+        once it keeps nothing, so a single rows function holds no batch.
+        Kernels work node by node, except the selected tuple's minors product
         (SelectorContext.tuple_values), one BLAS product per tuple and batch;
         the tests check that grouping and chunk size change no value."""
         first = np.concatenate([
@@ -527,25 +551,29 @@ class Evaluator:
         return out
 
     def _integrand(self, r: float, rows: Callable, shared, keep: set, ahead):
-        """adaptive_midpoint's g for rows at radius r: the first two grids,
-        which it asks for first and leaf by leaf in order, from their values
-        ahead; later grids from the radius's shared batches, by chunk bytes,
-        each trimmed to keep after rows and dropped once it keeps nothing."""
-        done = 0
+        """adaptive_midpoint's g for rows at radius r.  g tracks the grid
+        position (n, lo) of each leaf, which it is asked for in order: the
+        first two grids come from their values ahead, later ones from the
+        radius's shared batches, keyed by (n, lo) of their chunk, each
+        trimmed to keep after rows and dropped once it keeps nothing."""
+        n, lo = QUAD_INITIAL_NODES, 0
 
         def g(theta: np.ndarray) -> np.ndarray:
-            nonlocal done
+            nonlocal n, lo
+            grid, start, stop = n, lo, lo + len(theta)
+            n, lo = (n, stop) if stop < n else (2 * n, 0)
+            done = grid - QUAD_INITIAL_NODES + start  # nodes asked for before
             if done < ahead.shape[1]:
-                done += len(theta)
-                return ahead[:, done - len(theta):done]
+                return ahead[:, done:done + len(theta)]
             out = np.empty((len(ahead), len(theta)))
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                for lo in range(0, len(theta), _NODE_CHUNK):
-                    key = theta[lo:lo + _NODE_CHUNK].tobytes()
+                for a in range(start, stop, _NODE_CHUNK):
+                    key = (grid, a)
                     if key not in shared:
-                        shared[key] = NodeBatch(self, r, np.frombuffer(key))
+                        shared[key] = NodeBatch(
+                            self, r, (grid, a, min(stop, a + _NODE_CHUNK)))
                     at = shared[key]
-                    out[:, lo:lo + _NODE_CHUNK] = rows(at)
+                    out[:, a - start:a - start + _NODE_CHUNK] = rows(at)
                     at.trim(keep)
                     if not at._cache:
                         del shared[key]

@@ -634,6 +634,23 @@ class TestNodeBatch:
             got = at.hbarpair(x.n + 1)
         assert np.all(got == -np.inf)
 
+    def test_selection_is_narrowest_tuple_index(self):
+        # select gives, and a batch keeps, the tuple index in the narrowest
+        # unsigned type that holds every tuple's: a byte for stress's 111
+        # tuples, two for the 276 pairs of 24 forms on a line, where it
+        # reaches 275 near theta = pi at r = 1/22.5; the level-1 maximum is
+        # select's sum
+        for (x, cfg), r, dtype in ((stress(), 1.8, np.uint8),
+                                   (lift_config(("1", "z"), [
+                                       (1, k) for k in range(24)]),
+                                    1 / 22.5, np.uint16)):
+            at = NodeBatch(Evaluator(x, cfg), r, _thetas())
+            sel, best = at.ev.ctx.select(at.wedge(1))
+            assert at.selection.dtype == dtype
+            assert np.array_equal(at.selection, sel)
+            assert at.cartan().tobytes() == best.tobytes()
+        assert len(cfg.tuples) == 276 and sel.max() == 275
+
     def test_single_row_radial_keeps_no_batch(self):
         x, cfg = corpus()["conic"]
         seen = []
@@ -698,13 +715,14 @@ class TestNodeBatch:
 
     def test_shared_batch_keeps_only_what_later_rows_read(self, monkeypatch):
         # after each rows function a shared batch keeps the results that a
-        # later one reads, as learned on the batch ahead: m(2) and the
-        # selection, not |X^1| or |X^2| after the first, nor m(3) or |X^3|
-        # after the second, and nothing after the last.  All three run to
-        # 8,192 nodes, so each leaves five later batches: one for each of the
-        # 1,024-, 2,048- and 4,096-node grids and two for the 8,192-node
-        # grid.  The batch ahead, where every rows function runs, keeps every
-        # result read so far.
+        # later one reads, as learned on the batch ahead: after the first,
+        # m(2), the selection and the level-1 maximum, not |X^1| or |X^2|;
+        # after the second, m(2) and the maximum, not m(3), |X^3| or the
+        # selection, which the last does not read; nothing after the last.
+        # All three run to 8,192 nodes, so each leaves five later batches:
+        # one for each of the 1,024-, 2,048- and 4,096-node grids and two for
+        # the 8,192-node grid.  The batch ahead, where every rows function
+        # runs, keeps every result read so far; the maximum is read last.
         x, cfg = stress()
         kept = []
         trim = NodeBatch.trim
@@ -720,8 +738,9 @@ class TestNodeBatch:
         assert [n for _, _, n in got] == [8192] * 3
         first = [("hbar", 1), ("hbar", 2), ("m", 2), ("selection",)]
         ahead = sorted(first + [("hbar", 3), ("m", 3)])
-        assert kept == [first, ahead, ahead] + [
-            [("m", 2), ("selection",)]] * 10 + [[]] * 5
+        assert kept == [first, ahead, [("cartan",)] + ahead] + [
+            [("cartan",), ("m", 2), ("selection",)]] * 5 + [
+            [("cartan",), ("m", 2)]] * 5 + [[]] * 5
         for rows, (v, c, n) in zip(each, got):
             [[(w, e, m)]] = Evaluator(x, cfg, 3e-5).radial([0.54], [rows])
             assert v.tobytes() == w.tobytes()
@@ -848,13 +867,14 @@ class TestNodeBatch:
     def test_shared_batches_keep_what_later_levels_read(self, monkeypatch):
         # prop62's four level rows on stress at r = 0.54 run to 8,192, 8,192,
         # 32,768 and 32,768 nodes on shared batches.  Summed leaf by leaf,
-        # with each batch keeping only the |X^d| and m(d) of later levels,
-        # the traced peak stays below 11.5 MiB (about 9.9 MiB); the bound
-        # sits 15% above that and 23% below the 14.9 MiB of whole-grid rows
-        # and batches that keep every result.  With the leaf widened to the
-        # whole grid it goes over (about 13.0 MiB).
+        # with each batch keeping only the one-byte selection and the |X^d|
+        # and m(d) of later levels, and one level's work arrays at a time,
+        # the traced peak stays below 7.5 MiB (about 6.4 MiB, where batches
+        # holding nodes, an 8-byte selection and the level-1 maximum took
+        # about 9.9 MiB).  With the leaf widened to the whole grid it goes
+        # over (about 9.2 MiB); the bound sits 18% from each.
         x, cfg = stress()
-        bound = 11.5 * 2 ** 20
+        bound = 7.5 * 2 ** 20
         each = [
             lambda at, d=d, pos=distance_one_collection(x.n, d).positions():
             [at.m(d - 1), at.m(d), at.m(d + 1), at.hbar(d - 1), at.hbar(d),
@@ -945,7 +965,7 @@ class TestTupleValues:
         ev = Evaluator(x, cfg)
         at = NodeBatch(ev, r, theta)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            sel, best = at.selection
+            sel, best = at.selection, at.cartan()
             for d in range(1, x.n + 2):
                 want = _masked_level_mean(ev.ctx, d, at.wedge(d), sel)
                 assert at.m(d).tobytes() == want.tobytes()

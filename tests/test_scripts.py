@@ -1,8 +1,11 @@
 """scripts/run_sweep.py runs every verification on one config and prints a
 summary line per check; no other test runs it.  scripts/bench_pairs.py's
-summary of paired benchmark runs is checked on synthetic runs."""
+summary of paired benchmark runs is checked on synthetic runs, and
+scripts/peak_rss.py on one fast command."""
 
 import importlib.util
+import json
+import os
 import re
 import subprocess
 import sys
@@ -186,3 +189,32 @@ def test_same_outputs_runs_every_base_command(tmp_path):
         "scripts/run_sweep.py", str(CONFIGS / "twisted_cubic.ini")]
     assert f"{cubic}: compute --r 10" in todo
     assert sum(key.endswith(": check") for key in todo) == 11
+
+
+def test_peak_rss_reports_one_fresh_command(tmp_path):
+    # the command's CSV is the one nevlab writes itself; its exit code is
+    # both the script's and the JSON line's
+    out = tmp_path / "prop62.csv"
+    args = ["verify", "prop62", "--config", str(CONFIGS / "ramified_line.ini")]
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "peak_rss.py"), "--", *args,
+         "--out", str(out)], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    usage = json.loads(proc.stdout)
+    assert sorted(usage) == ["exit", "minor_faults", "peak_rss_mb", "sys_s",
+                             "user_s", "wall_s"]
+    assert usage["exit"] == 0 and usage["minor_faults"] > 0
+    assert 0 < usage["user_s"] + usage["sys_s"] and 0 < usage["wall_s"]
+    assert 5 < usage["peak_rss_mb"] < 500
+    direct = subprocess.run(
+        [sys.executable, "-m", "nevlab.cli", *args], capture_output=True,
+        text=True, timeout=60, cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.read_text(encoding="utf-8") == direct.stdout
+
+    missing = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "peak_rss.py"), "--",
+         "verify", "prop62", "--config", str(tmp_path / "none.ini")],
+        capture_output=True, text=True, timeout=60)
+    assert missing.returncode == json.loads(missing.stdout)["exit"] == 1
+    assert "none.ini" in missing.stderr
