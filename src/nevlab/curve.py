@@ -115,7 +115,11 @@ def associated_family(x: CurveLift) -> list:
 
 
 def level_polys(family: Sequence[WedgeVector], d: int) -> list:
-    """X^d's coordinates in an associated_family list, refusing a zero X^d."""
+    """X^d's coordinates in an associated_family list, refusing a level out
+    of range or a zero X^d."""
+    if not 0 <= d < len(family):
+        raise ValueError(f"associated level d={d} out of range "
+                         f"0..{len(family) - 1}")
     if family[d].is_zero():
         raise DegenerateCurveError(f"curve degenerate at level d={d}")
     return family[d].polys()

@@ -11,15 +11,15 @@ non-finite value keeps the non-finite estimate its sum gives, is flagged
 unconverged and ends the doubling, since more nodes do not remove a
 singular value or a float overflow.
 
-Every circle average, height_bar and proximity_hyperplane included, is a
-row of NodeBatch components integrated by Evaluator.radial, the one caller
-of adaptive_midpoint, one chunk of at most _NODE_CHUNK nodes at a time, and
-adaptive_midpoint sums each grid leaf by leaf in numpy's pairwise order, so
-neither per-node temporaries nor the rows grow with the nodes the quadrature
-needs.  The first two grids of every radius are evaluated ahead, for
-groups of radii at once; every later chunk is a batch the rows of one radius
-share, keyed by grid position, holding one level's work arrays at a time and
-trimmed after each rows function to the results a later one reads.
+Every circle average but height_bar's and proximity_hyperplane's, Jensen
+means, is a row of NodeBatch components integrated by Evaluator.radial, the
+one caller of adaptive_midpoint, one chunk of at most _NODE_CHUNK nodes at a
+time, and adaptive_midpoint sums each grid leaf by leaf in numpy's pairwise
+order, so neither per-node temporaries nor the rows grow with the nodes the
+quadrature needs.  The first two grids of every radius are evaluated ahead,
+for groups of radii at once; every later chunk is a batch the rows of one
+radius share, keyed by grid position, holding one level's work arrays at a
+time and trimmed after each rows function to the results a later one reads.
 
 A batch evaluates X^d and (X^d)' by Horner's rule in place and applies the
 selected tuple's minors per run of equal selection, for m(d) and pairlam(d)
@@ -37,7 +37,8 @@ import numpy as np
 
 from .curve import CurveLift, associated_family, level_divisor, level_polys
 from .exterior import multi_indices, next_layer
-from .gauss import QUAD_NODE_CAP, QUAD_TOL, Divisor, GaussPoly, PackedRows
+from .gauss import (QUAD_NODE_CAP, QUAD_TOL, Divisor, GaussPoly, PackedRows,
+                    linear_combination)
 from .heights import ReducedNorm, validate_radii
 
 __all__ = [
@@ -158,17 +159,24 @@ def _form_matrix(forms) -> np.ndarray:
     return np.array([[complex(c) for c in f] for f in forms], dtype=complex)
 
 
+def _jensen_mean(polys: Sequence, r: float, tol: float) -> RadialValue:
+    """Circle mean of log |v(r e^{i theta})| for polys v, not all zero: T of
+    v's reduced norm (converged if its error < tol) plus N of v's gcd."""
+    value, err, nodes = ReducedNorm(polys).height(r, tol)
+    return RadialValue(r=r, value=value + counting(level_divisor(polys), r),
+                       quadrature_nodes=nodes, converged=err < tol)
+
+
 def height_bar(X, r: float, tol: float = QUAD_TOL) -> RadialValue:
     """Circle average of log |X(r e^{i theta})| (Euclidean norm of the
-    Pluecker coordinates).  X may be a WedgeVector or a bare GaussPoly; its
-    coordinates are integrated as a lift, a GaussPoly as a lift in P^0."""
+    Pluecker coordinates) by Jensen's formula.  X may be a WedgeVector or a
+    bare GaussPoly."""
     validate_radii([r], "height_bar")
     if X.is_zero():
         kind = "polynomial" if isinstance(X, GaussPoly) else "wedge"
         raise ValueError(f"height of the zero {kind}")
-    polys = [X] if isinstance(X, GaussPoly) else X.polys()
-    lift = CurveLift(n=len(polys) - 1, coords=tuple(polys))
-    return _radial_value(Evaluator(lift, None, tol), r, lambda at: at.hbar(1))
+    return _jensen_mean([X] if isinstance(X, GaussPoly) else X.polys(), r,
+                        tol)
 
 
 def height_T(x: CurveLift, d: int, r: float, tol: float = QUAD_TOL) -> float:
@@ -176,7 +184,8 @@ def height_T(x: CurveLift, d: int, r: float, tol: float = QUAD_TOL) -> float:
     validate_radii([r], "height")
     if d == 0:
         return 0.0
-    return ReducedNorm(Evaluator(x).level_polys(d)).height(r, tol)[0]
+    polys = x.coords if d == 1 else level_polys(associated_family(x), d)
+    return ReducedNorm(polys).height(r, tol)[0]
 
 
 class SelectorContext:
@@ -377,11 +386,6 @@ class NodeBatch:
     def z(self) -> np.ndarray:
         return self._cached(("z",), lambda: self.r * np.exp(1j * self.theta))
 
-    def _ctx(self) -> SelectorContext:
-        if self.ev.ctx is None:
-            raise ValueError("component needs a hyperplane config")
-        return self.ev.ctx
-
     def _stack(self, key: tuple) -> np.ndarray:
         return self._work(key, lambda: _eval_stack(self.ev._coeffs(key),
                                                    self.z))
@@ -399,7 +403,7 @@ class NodeBatch:
         for key ('w', d), to (X^d)' for ('p', d); the selection comes first,
         since X^1 is a work array of level 1."""
         sel = self.selection
-        return self._work(("tuple",) + key, lambda: self._ctx().tuple_values(
+        return self._work(("tuple",) + key, lambda: self.ev.ctx.tuple_values(
             key[1], sel, self._stack(key)))
 
     def _select(self, key: tuple) -> np.ndarray:
@@ -407,7 +411,7 @@ class NodeBatch:
         self.reads.add(key)
         if key not in self._cache:
             (self._cache[("selection",)],
-             self._cache[("cartan",)]) = self._ctx().select(self.wedge(1))
+             self._cache[("cartan",)]) = self.ev.ctx.select(self.wedge(1))
         return self._cache[key]
 
     @property
@@ -423,10 +427,9 @@ class NodeBatch:
 
     def m(self, d: int) -> np.ndarray:
         """Mean level-d Weil function of the selected tuple; zero at d = 0."""
-        ctx = self._ctx()
         if d == 0:
             return np.zeros(len(self.theta))
-        return self._result(("m", d), lambda: ctx.level_lambda_mean(
+        return self._result(("m", d), lambda: self.ev.ctx.level_lambda_mean(
             self._tuple_values(("w", d)), self.hbar(d)))
 
     def cartan(self) -> np.ndarray:
@@ -435,13 +438,13 @@ class NodeBatch:
 
     def mumax(self) -> np.ndarray:
         """The largest tuple mu."""
-        return self._ctx().mumax(self.wedge(1), self.partner(1))
+        return self.ev.ctx.mumax(self.wedge(1), self.partner(1))
 
     def pairlam(self, d: int,
                 positions: Sequence[Tuple[int, int]]) -> np.ndarray:
         """Mean pair Weil function on y wedge y' for y = X^d over the pair
         positions (in the lexicographic multi-index order of level d)."""
-        return self._ctx().pair_lambda_mean(
+        return self.ev.ctx.pair_lambda_mean(
             self._tuple_values(("w", d)), self._tuple_values(("p", d)),
             self.hbarpair(d), positions)
 
@@ -461,19 +464,16 @@ class NodeBatch:
 
 class Evaluator:
     """Caches the derived-curve data of one lift and integrates any rows of
-    NodeBatch components on shared quadrature nodes.
+    NodeBatch components on shared quadrature nodes, for a hyperplane
+    configuration config (n, forms and general-position tuples, as in
+    exterior.HyperplaneConfig)."""
 
-    config is None or a hyperplane configuration (n, forms and
-    general-position tuples, as in exterior.HyperplaneConfig); components
-    that select tuples need one."""
-
-    def __init__(self, x: CurveLift, config=None, tol: float = QUAD_TOL):
-        if config is not None and config.n != x.n:
+    def __init__(self, x: CurveLift, config, tol: float = QUAD_TOL):
+        if config.n != x.n:
             raise ValueError("hyperplane configuration dimension mismatch")
         self.x = x
         self.tol = tol
-        self.ctx = (None if config is None
-                    else SelectorContext.from_config(config))
+        self.ctx = SelectorContext.from_config(config)
         self._arrays: Dict[tuple, list] = {}
         self._divisors: Dict[int, Divisor] = {}
 
@@ -489,9 +489,6 @@ class Evaluator:
         level 1 builds no derived level."""
         if d == 1:
             return list(self.x.coords)
-        if not 0 <= d <= self.x.n + 1:
-            raise ValueError(f"associated level d={d} out of range "
-                             f"0..{self.x.n + 1}")
         return level_polys(self._family, d)
 
     def _coeffs(self, key) -> list:
@@ -602,15 +599,6 @@ class Evaluator:
         return out, reads
 
 
-def _radial_value(ev: Evaluator, r: float,
-                  row: Callable[[NodeBatch], np.ndarray]) -> RadialValue:
-    """The circle average at radius r of one NodeBatch component row, for
-    example ``lambda at: at.hbar(1)``, through Evaluator.radial."""
-    [[((value,), converged, nodes)]] = ev.radial([r], [lambda at: [row(at)]])
-    return RadialValue(r=r, value=float(value), quadrature_nodes=nodes,
-                       converged=bool(converged[0]))
-
-
 def proximity_m(x: CurveLift, d: int, L, r: float,
                 tol: float = QUAD_TOL) -> RadialValue:
     """m_{d,f}(L, r): circle average of the mean over all size-d subsets I of
@@ -620,17 +608,24 @@ def proximity_m(x: CurveLift, d: int, L, r: float,
     validate_radii([r], "proximity")
     if d == 0:
         return RadialValue(r=r, value=0.0, quadrature_nodes=0, converged=True)
-    return _radial_value(Evaluator(x, L, tol), r, lambda at: at.m(d))
+    [[((value,), converged, nodes)]] = Evaluator(x, L, tol).radial(
+        [r], [lambda at: [at.m(d)]])
+    return RadialValue(r=r, value=float(value), quadrature_nodes=nodes,
+                       converged=bool(converged[0]))
 
 
 def proximity_hyperplane(x: CurveLift, form, r: float,
                          tol: float = QUAD_TOL) -> RadialValue:
-    """Classical single-hyperplane proximity m_f(H, r) for a linear form."""
+    """Classical single-hyperplane proximity m_f(H, r) for a linear form L,
+    by the First Main Theorem: the Jensen mean of log |x| less that of
+    log |L o x|, whose reduced norm is a constant, so exact."""
     validate_radii([r], "proximity")
-    coeffs = _form_matrix([form])[0]
-    return _radial_value(
-        Evaluator(x, None, tol), r,
-        lambda at: at.hbar(1) - np.log(np.abs(coeffs @ at.wedge(1))))
+    lx = linear_combination(form, x.coords)
+    if lx.is_zero():
+        raise ValueError("curve lies in the hyperplane: L o x is zero")
+    whole = _jensen_mean(x.coords, r, tol)
+    whole.value -= _jensen_mean([lx], r, tol).value
+    return whole
 
 
 def _chart_rows(y: np.ndarray, yd: np.ndarray) -> np.ndarray:

@@ -12,28 +12,25 @@ import time
 import numpy as np
 import pytest
 
-from nevlab.curve import associated, leibniz_partner, normalize, ramification_divisor
+from nevlab.curve import (CurveLift, associated, leibniz_partner, normalize,
+                          ramification_divisor)
 from nevlab.exterior import (
     WedgeForm,
     balanced_check,
     distance_one_collection,
+    general_position_tuples,
     multi_indices,
     telescoping_identity,
     two_row_identity_sign,
 )
-from nevlab.gauss import GaussPoly, GaussRational, roots
+from nevlab.gauss import GR_ONE, GaussPoly, GaussRational, roots
 from nevlab.harness import (
     mcquillan_monitor,
     verify_cartan,
     verify_height_growth,
     verify_prop62,
 )
-from nevlab.nevanlinna import (
-    counting,
-    height_T,
-    height_bar,
-    proximity_hyperplane,
-)
+from nevlab.nevanlinna import Evaluator, counting, height_T
 
 from conftest import corpus, rand_poly, rand_rational
 
@@ -146,18 +143,24 @@ def test_criterion_03_telescoping():
 
 
 def test_criterion_04_jensen():
+    # the midpoint mean of log|p| that verify lemma55 and verify prop62
+    # print as hbar_1, here at.hbar(1) of the lift (p) in P^0, against
+    # Jensen's log|p(0)| + N(r)
     rng = random.Random(11)
     start = time.monotonic()
     worst = 0.0
+    radii = (0.5, 1.0, 2.0, 10.0)
+    cfg = general_position_tuples([(GR_ONE,)], 0)
     for _ in range(50):
         p = rand_poly(rng, max_deg=10, span=4, nonzero=True)
         if not p.coeff(0):
             p = p + GaussPoly.one()
         zeros = np.roots(p.complex_coeffs()[::-1]) if p.degree >= 1 else []
         log_p0 = math.log(abs(p.eval(0.0)))
-        for r in (0.5, 1.0, 2.0, 10.0):
+        ev = Evaluator(CurveLift(0, (p,)), cfg, QUADRATURE_TOL)
+        for r, [((got,), _, _)] in zip(
+                radii, ev.radial(radii, [lambda at: [at.hbar(1)]])):
             n_r = sum(math.log(r / abs(z)) for z in zeros if abs(z) <= r)
-            got = height_bar(p, r, tol=QUADRATURE_TOL).value
             worst = max(worst, abs(got - (log_p0 + n_r)))
     elapsed = time.monotonic() - start
     ok = worst < 1e-5 and elapsed < 60
@@ -166,17 +169,22 @@ def test_criterion_04_jensen():
 
 
 def test_criterion_05_fmt_constancy(curves):
+    # the midpoint mean of log|x| - log|L(x)|, from the hbar(1) that verify
+    # lemma55 and verify prop62 print, one Evaluator.radial row per form
     worst = 0.0
     for name in ("line", "conic"):
         x, cfg = curves[name]
+        ev = Evaluator(x, cfg, QUADRATURE_TOL)
         for form in cfg.forms:
             lx = GaussPoly.zero()
             for c, p in zip(form, x.coords):
                 lx = lx + p.scale(c)
             div = roots(lx) if not lx.is_constant() else None
+            coeffs = np.array([complex(c) for c in form])
+            rows = ev.radial(GRID20, [lambda at: [
+                at.hbar(1) - np.log(np.abs(coeffs @ at.wedge(1)))]])
             vals = []
-            for r in GRID20:
-                m = proximity_hyperplane(x, form, r, tol=QUADRATURE_TOL).value
+            for r, [((m,), _, _)] in zip(GRID20, rows):
                 n_r = counting(div, r) if div is not None else 0.0
                 vals.append(m + n_r - height_T(x, 1, r, tol=QUADRATURE_TOL))
             worst = max(worst, max(vals) - min(vals))

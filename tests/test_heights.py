@@ -68,8 +68,8 @@ def test_heights_match_midpoint_height_T(name):
     # labelled cross-engine oracle: the midpoint mean of log|X^d|, each level
     # its own Evaluator.radial row, minus the counting function of the roots
     # of X^d's coordinate gcd
-    x, _ = corpus()[name]
-    ev = Evaluator(x, None, TOL)
+    x, cfg = corpus()[name]
+    ev = Evaluator(x, cfg, TOL)
     levels = range(1, x.n + 2)
     radii = (0.3, 1.0, 2.0, 10.0, 100.0)
     midpoint = ev.radial(radii, [lambda at, d=d: [at.hbar(d)] for d in levels])
