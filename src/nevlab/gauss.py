@@ -548,6 +548,11 @@ class PackedRows:
         """The scalar minor of the first k rows packed in value."""
         return _rational(value[0], value[1], self.scales[k])
 
+    def scalar_of(self, value: tuple, rows: Sequence[int]) -> GaussRational:
+        """The exact scalar minor of the given rows packed in value."""
+        return _rational(value[0], value[1],
+                         math.prod(self.dens[i] for i in rows))
+
     def scalar_complex(self, value: tuple, rows: Sequence[int]) -> complex:
         """complex() of the scalar minor of the given rows packed in value,
         one int/int true division per part (see GaussPoly.complex_coeffs)."""
@@ -606,14 +611,50 @@ def poly_gcd(p: GaussPoly, q: GaussPoly) -> GaussPoly:
     return a.monic()
 
 
+# A prime = 1 mod 4 and a square root of -1 modulo it (3 is a primitive
+# root): a + b i -> a + b * _MOD_I is a ring map from Z[i] onto F_p.
+_MOD_PRIME = 998244353
+_MOD_I = pow(3, (_MOD_PRIME - 1) // 4, _MOD_PRIME)
+
+
+def _squarefree_mod_prime(nums: Sequence[tuple]) -> bool:
+    """Whether the Gaussian-integer polynomial nums stays of its degree and
+    is squarefree (gcd with its derivative a constant) modulo _MOD_PRIME
+    under a + b i -> a + b * _MOD_I.  Then it is squarefree over Q(i): a
+    repeated primitive factor G of it has a leading coefficient that divides
+    nums's, so G reduces to a repeated factor of the same degree."""
+    q = _MOD_PRIME
+    f = [(a + b * _MOD_I) % q for a, b in nums]
+    if not f[-1]:
+        return False
+    a, b = f, [k * c % q for k, c in enumerate(f)][1:]
+    while b and b[-1] == 0:
+        b.pop()
+    while b:
+        a = a[:]
+        inv = pow(b[-1], q - 2, q)
+        while len(a) >= len(b):
+            c, shift = a[-1] * inv % q, len(a) - len(b)
+            for k, v in enumerate(b):
+                a[shift + k] = (a[shift + k] - c * v) % q
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
 def squarefree_decomposition(p: GaussPoly) -> list:
     """Yun's algorithm: returns [(factor, multiplicity)] with monic squarefree,
-    pairwise coprime factors whose weighted product equals p up to a unit."""
+    pairwise coprime factors whose weighted product equals p up to a unit.
+    A polynomial squarefree modulo _MOD_PRIME is returned whole, with no
+    gcd over Q(i)."""
     if p.is_zero():
         raise ValueError("squarefree decomposition of the zero polynomial")
     if p.is_constant():
         return []
     p = p.monic()
+    if _squarefree_mod_prime(p.nums):
+        return [(p, 1)]
     g = poly_gcd(p, p.derivative())
     if g.is_constant():
         return [(p, 1)]

@@ -16,7 +16,12 @@ means, is a row of NodeBatch components integrated by Evaluator.radial, the
 one caller of adaptive_midpoint, one chunk of at most _NODE_CHUNK nodes at a
 time, and adaptive_midpoint sums each grid leaf by leaf in numpy's pairwise
 order, so neither per-node temporaries nor the rows grow with the nodes the
-quadrature needs.  The first two grids of every radius are evaluated ahead,
+quadrature needs.  The midpoint rule runs up to the _NODE_CHUNK-node grid; a
+row still unconverged there, or stopped on a non-finite value, takes the
+closed-form means over the selector's arcs (nevlab.arcs, loaded only then)
+instead.  A row that asks for mumax, a radius on a tie circle and a row
+whose closed form is not finite keep the midpoint doubling up to
+QUAD_NODE_CAP.  The first two grids of every radius are evaluated ahead,
 for groups of radii at once; every later chunk is a batch the rows of one
 radius share, keyed by grid position, holding one level's work arrays at a
 time and trimmed after each rows function to the results a later one reads.
@@ -246,6 +251,12 @@ class SelectorContext:
             self._minors[d] = np.array(mats, dtype=complex)
         return self._minors[d]
 
+    def wedge_form(self, S: tuple) -> list:
+        """The exact coefficients of the wedge of the forms S (ascending) on
+        the Pluecker coordinates of level len(S): the entries of minors'
+        rows for the subset S."""
+        return [self._packed.scalar_of(v, S) for v in self._layer(S).values()]
+
     def select(self, xvals: np.ndarray):
         """The tuple with the largest level-1 Weil sum sum_i lambda_i(x) at
         each node, in the narrowest unsigned type, and that sum, in one pass
@@ -437,7 +448,10 @@ class NodeBatch:
         return self._select(("cartan",))
 
     def mumax(self) -> np.ndarray:
-        """The largest tuple mu."""
+        """The largest tuple mu; a row that asks for it is integrated by the
+        midpoint rule up to QUAD_NODE_CAP, so the batch adds ('mumax',) to
+        reads."""
+        self.reads.add(("mumax",))
         return self.ev.ctx.mumax(self.wedge(1), self.partner(1))
 
     def pairlam(self, d: int,
@@ -476,6 +490,7 @@ class Evaluator:
         self.ctx = SelectorContext.from_config(config)
         self._arrays: Dict[tuple, list] = {}
         self._divisors: Dict[int, Divisor] = {}
+        self._closed = None
 
     # -- exact/cached data ---------------------------------------------
 
@@ -514,7 +529,8 @@ class Evaluator:
         """Integrate at each radius the component rows that each rows
         function in each returns for a NodeBatch at, for example ``lambda
         at: [at.cartan(), at.hbar(1), at.m(1)]``.  Returns per radius one
-        adaptive_midpoint (values, converged, nodes) per rows function.
+        (values, converged, nodes) per rows function: adaptive_midpoint's up
+        to the _NODE_CHUNK-node grid, else the closed form's (_means).
 
         No row converges on adaptive_midpoint's first grid, whose estimate has
         no predecessor, so every radius whose first grid is finite also
@@ -542,10 +558,49 @@ class Evaluator:
             for k, r in enumerate(group):
                 shared = {}
                 cols = slice(k * len(first), (k + 1) * len(first))
-                out.append([adaptive_midpoint(
-                    self._integrand(r, rows, shared, kept, v[:, cols]),
-                    tol=self.tol) for rows, kept, v in zip(each, keep, ahead)])
+                out.append([self._means(r, rows, shared, kept, v[:, cols],
+                                        ("mumax",) in read)
+                            for rows, kept, v, read in zip(each, keep, ahead,
+                                                           reads)])
         return out
+
+    def _means(self, r: float, rows: Callable, shared, keep: set, ahead,
+               deep: bool):
+        """One (values, converged, nodes) of rows at radius r: the midpoint
+        rule up to _NODE_CHUNK nodes, then, for a row still unconverged or
+        not finite there, the closed-form means over the selector's arcs.  A
+        deep row (one that asks for mumax), a radius on a tie circle and a
+        closed form that is not finite keep the midpoint doubling up to
+        QUAD_NODE_CAP."""
+        def midpoint(cap):
+            return adaptive_midpoint(
+                self._integrand(r, rows, shared, keep, ahead), tol=self.tol,
+                cap=cap)
+
+        if deep:
+            return midpoint(QUAD_NODE_CAP)
+        got = midpoint(_NODE_CHUNK)
+        if got[1].all():
+            return got
+        return self._closed_form(r, rows, got[2]) or midpoint(QUAD_NODE_CAP)
+
+    def _closed_form(self, r: float, rows: Callable, nodes: int):
+        """rows on arcs.CircleMeans at radius r, converged where the largest
+        error estimate of the components it read is below tol, with the
+        midpoint's nodes; None on a tie circle or where a value is not
+        finite."""
+        from . import arcs
+
+        if self._closed is None:
+            self._closed = arcs.ClosedForm(self)
+        at = self._closed.at(r)
+        if at is None:
+            return None
+        at.worst = 0.0
+        values = np.array(rows(at), dtype=float)
+        if not np.isfinite(values).all():
+            return None
+        return values, np.full(len(values), at.worst < self.tol), nodes
 
     def _integrand(self, r: float, rows: Callable, shared, keep: set, ahead):
         """adaptive_midpoint's g for rows at radius r.  g tracks the grid

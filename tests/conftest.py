@@ -102,6 +102,18 @@ def stress(forms=STRESS_FORMS):
     return lift_config(STRESS_COORDS, forms)
 
 
+def full_cap(monkeypatch):
+    """Make Evaluator.radial run the midpoint rule up to QUAD_NODE_CAP
+    whatever cap it asks for, so no row leaves it for the closed-form means
+    after _NODE_CHUNK nodes: the tests of the midpoint engine's batches
+    drive it on the deep rows it still runs for mumax and tie circles."""
+    from nevlab import nevanlinna
+
+    quadrature = nevanlinna.adaptive_midpoint
+    monkeypatch.setattr(nevanlinna, "adaptive_midpoint",
+                        lambda g, tol, cap: quadrature(g, tol))
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 

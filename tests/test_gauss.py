@@ -365,6 +365,33 @@ class TestSquarefree:
                 prod = prod * f.monic() ** m
             assert prod == p.monic().scale(p.coeffs[-1])
 
+    def test_modular_test_agrees_with_the_gcd(self, rng):
+        # the test modulo the prime says squarefree only where the exact gcd
+        # with the derivative is a constant: on random products, squares
+        # among them, and on a polynomial whose leading numerator the prime
+        # divides (not decided there, so the gcd decides)
+        assert pow(gauss._MOD_I, 2, gauss._MOD_PRIME) == gauss._MOD_PRIME - 1
+        cases = []
+        for _ in range(60):
+            p = rand_poly(rng, max_deg=3, nonzero=True)
+            q = rand_poly(rng, max_deg=2, nonzero=True)
+            cases += [p * q, p * q * q]
+        prime = gauss._MOD_PRIME
+        cases.append(parse_poly(f"{prime}z^2 + z + 1"))
+        decided = 0
+        for p in cases:
+            if p.is_constant():
+                continue
+            modular = gauss._squarefree_mod_prime(p.monic().nums)
+            if poly_gcd(p, p.derivative()).is_constant():
+                assert squarefree_decomposition(p) == [(p.monic(), 1)]
+                decided += modular
+            else:
+                assert not modular
+        assert decided > 40
+        assert not gauss._squarefree_mod_prime(cases[-1].nums)
+        assert squarefree_decomposition(cases[-1]) == [(cases[-1].monic(), 1)]
+
 
 class TestRoots:
     def test_multiplicities_and_values(self):

@@ -28,7 +28,7 @@ from nevlab.harness import (
 from nevlab.nevanlinna import (QUAD_INITIAL_NODES, QUAD_TOL, NodeBatch,
                                SelectorContext)
 
-from conftest import corpus, polyval, rand_rational, stress
+from conftest import corpus, full_cap, polyval, rand_rational, stress
 
 
 ONE, ZERO = GR_ONE, GR_ZERO
@@ -216,8 +216,8 @@ class TestVerifiers:
             calls.append(xvals.shape[1])
             return select(self, xvals)
 
-        def recorded(g, tol):
-            values, converged, nodes = quadrature(g, tol)
+        def recorded(g, tol, cap):
+            values, converged, nodes = quadrature(g, tol, cap)
             used.append(nodes)
             return values, converged, nodes
 
@@ -303,7 +303,8 @@ class TestVerifiers:
         kept, leaves = [], []
         trim, quadrature = NodeBatch.trim, nevanlinna.adaptive_midpoint
 
-        def recorded(g, tol):
+        def recorded(g, tol, cap):
+            # up to QUAD_NODE_CAP, so that the rows keep to the midpoint
             def leaf(theta):
                 leaves.append(theta)
                 return g(theta)
@@ -357,6 +358,7 @@ class TestVerifiers:
         monkeypatch.setattr(Evaluator, "_coeffs", named)
         monkeypatch.setattr(nevanlinna, "_eval_stack", counted)
         monkeypatch.setattr(SelectorContext, "tuple_values", counted_values)
+        full_cap(monkeypatch)
         verify_prop62(x, cfg, range(1, x.n + 1), [0.54, 1.8, 6.0], tol=3e-5)
         want = {}
         for key, counts in ((("w",), [73984, 98816, 98816, 140800, 66816]),

@@ -1,14 +1,16 @@
 """Import layering: the exact layer (gauss, exterior, curve) and the commands
 that need no numpy (``check``, ``verify identities`` and ``verify growth``,
 whose Jensen heights use ``math`` alone) never load numpy, nor
-``dataclasses`` and the ``inspect`` it pulls in, and the numeric layer
-(nevanlinna, harness) loads on first use.  Each command case runs in a
+``dataclasses`` and the ``inspect`` it pulls in, nor the closed-form means
+(``nevlab.arcs``), which no command on the shipped configs loads either,
+and the numeric layer (nevanlinna, harness) loads on first use.  Each command case runs in a
 fresh interpreter, since the test process has long loaded everything;
 exterior, which has no float boundary at all, is checked on its source.
 Every module-level import in src/nevlab, tests and scripts binds a name its
 module uses; perfbench is left to its own files."""
 
 import ast
+import json
 from pathlib import Path
 
 import pytest
@@ -26,7 +28,7 @@ EXACT_COMMANDS = {"check": ["check"], "identities": ["verify", "identities"],
 @pytest.mark.parametrize("command,module", [
     pytest.param(command, module,
                  id=command if module == "numpy" else f"{command}-{module}")
-    for module in ("numpy", "dataclasses", "inspect")
+    for module in ("numpy", "dataclasses", "inspect", "nevlab.arcs")
     for command in EXACT_COMMANDS])
 def test_exact_commands_load_no_numpy(tmp_path, command, module):
     result = run_fresh(f"""
@@ -37,6 +39,28 @@ print(json.dumps([code, {module!r} in sys.modules]))
 """, *EXACT_COMMANDS[command], "--config", str(SHIPPED),
         "--out", str(tmp_path / "out.txt"))
     assert result == [0, False]
+
+
+def test_shipped_commands_load_no_closed_form(tmp_path):
+    """Every row of every command on the three shipped configs converges
+    within one node chunk, so none loads the closed-form means: their
+    outputs stay those of the midpoint rule, bit for bit."""
+    shipped = json.loads((ROOT / "perfbench" / "data" / "shipped.json")
+                         .read_text(encoding="utf-8"))["configs"]
+    runs = []
+    for name, config in shipped.items():
+        path = tmp_path / f"{name}.ini"
+        path.write_text(config["ini"], encoding="utf-8")
+        runs += [[*command, "--config", str(path), "--out",
+                  str(tmp_path / "out.txt")] for command in config["commands"]]
+    assert len(runs) == 21
+    result = run_fresh("""
+import json, sys
+from nevlab.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, "nevlab.arcs" in sys.modules]))
+""", json.dumps(runs))
+    assert result == [[0] * 21, False]
 
 
 def test_import_loads_no_numpy():

@@ -31,8 +31,8 @@ from nevlab.nevanlinna import (
     proximity_m,
 )
 
-from conftest import (STRESS_FORMS, corpus, lift_config, monomial_lift,
-                      polyval, rand_forms, stress)
+from conftest import (STRESS_FORMS, corpus, full_cap, lift_config,
+                      monomial_lift, polyval, rand_forms, stress)
 
 
 ONE, ZERO = GR_ONE, GR_ZERO
@@ -727,6 +727,7 @@ class TestNodeBatch:
 
     def test_radials_share_batches_of_one_radius(self, monkeypatch):
         x, cfg = stress()
+        full_cap(monkeypatch)
         calls, means = [], []
         select = SelectorContext.select
         level_mean = SelectorContext.level_lambda_mean
@@ -784,6 +785,7 @@ class TestNodeBatch:
         # the 8,192-node grid.  The batch ahead, where every rows function
         # runs, keeps every result read so far; the maximum is read last.
         x, cfg = stress()
+        full_cap(monkeypatch)
         kept = []
         trim = NodeBatch.trim
 
@@ -832,11 +834,12 @@ class TestNodeBatch:
                 assert np.array_equal(c, e) and n == m
         return got
 
-    def test_batched_first_grids_match_per_radius(self):
+    def test_batched_first_grids_match_per_radius(self, monkeypatch):
         # the first two grids of every radius are evaluated ahead, a group
         # of radii per batch; values, flags and node counts are bit-equal to
         # a quadrature per radius and rows function
         x, cfg = stress()
+        full_cap(monkeypatch)
         levels = range(1, x.n + 2)
         sweep = [lambda at: [at.hbar(d) for d in levels]
                  + [at.m(d) for d in levels] + [at.cartan()]]
@@ -856,18 +859,34 @@ class TestNodeBatch:
             x, cfg, radii, [lambda at: [at.hbar(1), at.hbar(2), at.mumax()]])
         assert all(c.all() for ((_, c, _),) in got)
 
-        # |X^2| overflows at r = 53: that radius stops after its first grid,
-        # and its second, evaluated ahead in the group of r = 2, is dropped
+        # |X^2| overflows at r = 53: that radius's midpoint rule stops after
+        # its first grid, and its second, evaluated ahead in the group of
+        # r = 2, is dropped; the row then takes the closed-form means, which
+        # are finite and converged there
         x, cfg = lift_config(("1", "z^40", "z^80 + 1"),
                              ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
+        rows = [lambda at: [at.hbar(d) for d in range(1, x.n + 2)]]
+        midpoint = []
+
+        def recorded(g, tol, cap):
+            midpoint.append(adaptive_midpoint(g, tol))
+            return midpoint[-1]
+
+        monkeypatch.setattr(nevanlinna, "adaptive_midpoint", recorded)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = self._assert_matches_per_radius(
-                x, cfg, (2.0, 53.0),
-                [lambda at: [at.hbar(d) for d in range(1, x.n + 2)]])
-        assert [n for ((_, _, n),) in got] == [2 * QUAD_INITIAL_NODES,
+            got = Evaluator(x, cfg).radial((2.0, 53.0), rows)
+        want = self._per_radius(Evaluator(x, cfg), (2.0, 53.0), rows)
+        assert len(midpoint) == 2
+        for (v, c, n), [(w, e, m)] in zip(midpoint, want):
+            assert v.tobytes() == w.tobytes()
+            assert np.array_equal(c, e) and n == m
+        assert [n for _, _, n in midpoint] == [2 * QUAD_INITIAL_NODES,
                                                QUAD_INITIAL_NODES]
-        assert got[0][0][1].all() and not got[1][0][1].all()
+        assert midpoint[0][1].all() and not midpoint[1][1].all()
+        assert got[0][0] is midpoint[0]
+        (v, c, n), = got[1]
+        assert np.isfinite(v).all() and c.all() and n == QUAD_INITIAL_NODES
 
     @pytest.mark.parametrize("r", [0.54, 6.0])
     def test_chunk_size_does_not_change_results(self, r, monkeypatch):
@@ -876,6 +895,7 @@ class TestNodeBatch:
         # a ragged last chunk).  At r = 0.54 the rows run to 8,192 nodes,
         # two default chunks; at r = 6 to 512.
         x, cfg = stress()
+        full_cap(monkeypatch)
         positions = distance_one_collection(x.n, 1).positions()
 
         def run():
@@ -909,6 +929,7 @@ class TestNodeBatch:
         # traced peak stays below 4 MiB (about 2.2 MiB); as one chunk of
         # all nodes it goes over (about 12.9 MiB).
         x, cfg = stress()
+        full_cap(monkeypatch)
         bound = 4 * 2 ** 20
 
         def traced_peak():
@@ -935,6 +956,7 @@ class TestNodeBatch:
         # about 9.9 MiB).  With the leaf widened to the whole grid it goes
         # over (about 9.2 MiB); the bound sits 18% from each.
         x, cfg = stress()
+        full_cap(monkeypatch)
         bound = 7.5 * 2 ** 20
         each = [
             lambda at, d=d, pos=distance_one_collection(x.n, d).positions():
@@ -954,8 +976,31 @@ class TestNodeBatch:
         nodes, leaves = traced_peak()
         assert nodes == [8192, 8192, 32768, 32768] and leaves < bound
         monkeypatch.setattr(nevanlinna, "adaptive_midpoint",
-                            _whole_grid_midpoint)
+                            lambda g, tol, cap: _whole_grid_midpoint(g, tol))
         assert traced_peak()[1] > bound
+
+    @pytest.mark.parametrize("r", [0.54, 1.8, 6.0])
+    def test_prop62_level_rows_agree_on_each_m(self, r):
+        # one value per integral: prop62's level rows read m(d) as m(d+1),
+        # m(d) and m(d-1) of up to three rows, each flagged within tol of
+        # the one integral, so any two agree within 2 tol.  The midpoint
+        # rule alone gave m_3 at r = 0.54 3.0 tol apart in rows 2 and 3.
+        x, cfg = stress()
+        tol = 3e-5
+        each = [
+            lambda at, d=d, pos=distance_one_collection(x.n, d).positions():
+            [at.m(d - 1), at.m(d), at.m(d + 1), at.hbar(d - 1), at.hbar(d),
+             at.hbar(d + 1), at.pairlam(d, pos), at.hbarpair(d)]
+            for d in range(1, x.n + 1)]
+        [levels] = Evaluator(x, cfg, tol).radial([r], each)
+        seen = {}
+        for d, (vals, conv, _) in enumerate(levels, 1):
+            assert conv.all()
+            for e, v in zip((d - 1, d, d + 1), vals[:3]):
+                seen.setdefault(e, []).append(v)
+        spread = {e: max(v) - min(v) for e, v in seen.items() if len(v) > 1}
+        assert sorted(spread) == [1, 2, 3, 4]
+        assert max(spread.values()) <= 2 * tol
 
 
 def _masked_level_mean(ctx, d, G, sel):
