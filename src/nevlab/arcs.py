@@ -5,9 +5,10 @@ minimum-weight basis of the forms for the weights log|y_j|, y_j = L_j o x.
 On |z| = r the greedy basis changes only where two moduli |y_i| and |y_j|
 cross.  With |y_j(r e^{i theta})|^2 = sum_m c_m e^{i m theta}, c_m = sum_k
 a_{k+m} conj(a_k) r^{2k+m} (the lag products, as in heights), the crossings
-of a pair are unit-circle roots of w^D (c^(i) - c^(j))(w).  The selection at
-the middle of each interval between candidate angles, neighbours of one
-tuple merged, gives the arcs; a boundary where the tuple changes is polished
+of a pair are unit-circle roots of w^D (c^(i) - c^(j))(w).  The selector's
+tuple loop at the middle of each interval between candidate angles, on
+log|y_j| summed from the rooted y_j (so no power of r over- or underflows),
+neighbours of one tuple merged, gives the arcs; a boundary where the tuple changes is polished
 by Newton's method on |y_i|^2 - |y_j|^2.  A pair whose difference vanishes
 identically marks a tie circle, decided exactly: a float radius is dyadic
 and the coefficients lie in Q(i).
@@ -15,7 +16,10 @@ and the coefficients lie in Q(i).
 Between boundaries each selected component is a sum of log|p| over exact
 polynomials p, the wedge form L_{t,I} of a form subset applied to X^e.  Each
 subset's polynomial is rooted once per command (exact squarefree factors,
-numeric simple roots), and its arc integral is, per root rho,
+numeric simple roots); the crossing polynomials of a radius, and the factors
+of every subset an A(e) needs, are rooted together, one stacked
+companion-matrix eigvals call per degree.  A subset's arc integral is, per
+root rho,
 
     |rho| < r:  (th2 - th1) log r + Im Li2((rho/r) e^{-i th2})
                                   - Im Li2((rho/r) e^{-i th1}),
@@ -36,7 +40,8 @@ log|L_{t,I}(X^e)|, and the components are
 
 The error estimate of A(e) adds, for each root, its Newton correction times
 a bound on (1/2pi) int dtheta / |z - rho|; for each arc boundary, its Newton
-correction times the jump of the integrand there; and a rounding bound.
+correction times the jump of the integrand there, all boundaries in one
+vectorised evaluation; and a rounding bound.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -52,7 +58,7 @@ from .curve import level_divisor
 from .exterior import distance_one_collection, multi_indices
 from .gauss import lag_products, linear_combination, squarefree_decomposition
 from .heights import ReducedNorm
-from .nevanlinna import _eval_stack, counting
+from .nevanlinna import counting
 
 __all__ = ["li2", "ClosedForm", "CircleMeans"]
 
@@ -132,50 +138,99 @@ def _circle_integral_bound(rho: np.ndarray, err: np.ndarray,
         return np.minimum(1.0 / s, (1.0 + np.log1p(2.0 * r / s)) / r)
 
 
-def _newton(desc: list, root: complex):
-    """(f(root), f'(root), sum |c_k| |root|^k) by Horner's rule, for the
-    coefficients desc of f, highest first."""
-    f = slope = 0j
-    size, a = 0.0, abs(root)
-    for c in desc:
-        slope = slope * root + f
-        f = f * root + c
-        size = size * a + abs(c)
+def _by_degree(descs: list) -> list:
+    """[(indices, stacked rows)] of the coefficient arrays descs of each
+    degree >= 1."""
+    groups: dict = {}
+    for k, desc in enumerate(descs):
+        if len(desc) > 1:
+            groups.setdefault(len(desc), []).append(k)
+    return [(ks, np.array([descs[k] for k in ks])) for ks in groups.values()]
+
+
+def _eigvals(P: np.ndarray) -> np.ndarray:
+    """np.roots of each row of P (highest first, leading and trailing
+    coefficient nonzero, one degree) from one stacked companion-matrix
+    eigvals call."""
+    count, degree = P.shape[0], P.shape[1] - 1
+    companion = np.zeros((count, degree, degree), dtype=complex)
+    companion[:, 0, :] = -P[:, 1:] / P[:, :1]
+    companion[:, np.arange(1, degree), np.arange(degree - 1)] = 1
+    return np.linalg.eigvals(companion)
+
+
+def _newton(P: np.ndarray, w: np.ndarray):
+    """(f(w), f'(w), sum |c_k| |w|^k) by Horner's rule, elementwise, for
+    the coefficient rows P of f, highest first, and a root row w each."""
+    f = np.zeros_like(w)
+    slope = np.zeros_like(w)
+    size, a = np.zeros(w.shape), np.abs(w)
+    for c in P.T[:, :, None]:
+        slope = slope * w + f
+        f = f * w + c
+        size = size * a + np.abs(c)
     return f, slope, size
 
 
+def _polished_roots(descs: list) -> list:
+    """(roots, error bounds) of each squarefree coefficient array (highest
+    first, nonzero constant term): the eigenvalues polished by two Newton
+    steps, and per root its next Newton correction plus the rounding of the
+    polynomial's value there over its slope; one eigvals call and
+    vectorised Newton steps per degree."""
+    out = [(np.empty(0, dtype=complex), np.empty(0))] * len(descs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for ks, P in _by_degree(descs):
+            w = _eigvals(P)
+            for _ in range(2):
+                f, slope, _ = _newton(P, w)
+                w = w - np.where(slope != 0, f / slope, 0)
+            f, slope, size = _newton(P, w)
+            err = np.where(slope != 0, (np.abs(f) + 4 * P.shape[1] * _EPS
+                                        * size) / np.abs(slope), math.inf)
+            for k, wk, ek in zip(ks, w, err):
+                out[k] = (wk, ek)
+    return out
+
+
 class _Rooted:
-    """One form subset's polynomial p = lc z^ord prod (z - rho)^mult: the
-    numeric roots of each exact squarefree factor, polished by two Newton
-    steps, with a bound err on each root's error, its next Newton
-    correction plus the rounding of the factor's value there."""
+    """One polynomial p = lc z^ord prod (z - rho)^mult, from log|lc|, ord
+    and its squarefree factors' (roots, error bounds) with their
+    multiplicities (_polished_roots)."""
 
     __slots__ = ("log_lc", "order", "rho", "mult", "err")
 
-    def __init__(self, p):
-        self.order = p.ord_at_zero()
-        self.log_lc = math.log(abs(complex(p.coeff(p.degree))))
-        rho, mult, err = [], [], []
-        for factor, m in squarefree_decomposition(p.shift_down(self.order)):
-            desc = factor.complex_coeffs()[::-1]
-            coeffs = desc.tolist()
-            for root in np.roots(desc).tolist():
-                for _ in range(2):
-                    f, slope, _ = _newton(coeffs, root)
-                    root -= f / slope if slope else 0
-                f, slope, size = _newton(coeffs, root)
-                rho.append(root)
-                mult.append(m)
-                err.append((abs(f) + 4 * len(coeffs) * _EPS * size)
-                           / abs(slope) if slope else math.inf)
-        self.rho = np.array(rho, dtype=complex)
-        self.mult = np.array(mult, dtype=float)
-        self.err = np.array(err)
+    def __init__(self, log_lc: float, order: int, factors: list):
+        self.log_lc, self.order = log_lc, order
+        self.rho = np.concatenate([np.empty(0, dtype=complex)]
+                                  + [w for (w, _), _ in factors])
+        self.err = np.concatenate([np.empty(0)]
+                                  + [err for (_, err), _ in factors])
+        self.mult = np.concatenate([np.empty(0)] + [
+            np.full(len(w), float(m)) for (w, _), m in factors])
 
-    def log_abs(self, z: complex) -> float:
-        """log|p(z)|."""
-        return (self.log_lc + self.order * math.log(abs(z))
-                + float(self.mult @ np.log(np.abs(z - self.rho))))
+    def log_abs(self, z: np.ndarray) -> np.ndarray:
+        """log|p(z)| at the points z, an array."""
+        with np.errstate(divide="ignore"):
+            return (self.log_lc + self.order * np.log(np.abs(z))
+                    + self.mult @ np.log(np.abs(z[None, :]
+                                                - self.rho[:, None])))
+
+
+def _root_all(polys: list) -> list:
+    """The _Rooted of each nonzero exact polynomial, the squarefree factors
+    of all of them rooted together."""
+    descs, plans = [], []
+    for p in polys:
+        order = p.ord_at_zero()
+        factors = squarefree_decomposition(p.shift_down(order))
+        plans.append((math.log(abs(complex(p.coeff(p.degree)))), order,
+                      [(len(descs) + k, m) for k, (_, m) in enumerate(factors)]))
+        descs.extend(f.complex_coeffs()[::-1] for f, _ in factors)
+    found = _polished_roots(descs)
+    return [_Rooted(log_lc, order, [(found[k], m) for k, m in parts])
+            for log_lc, order, parts in plans]
+
 
 class ClosedForm:
     """The radius-free data of an Evaluator's closed-form means: the form
@@ -229,14 +284,28 @@ class ClosedForm:
             seen.add(key)
         return False
 
-    def rooted(self, S: tuple):
-        """The rooted polynomial L_S(X^e), e = len(S), of the form subset S
-        (None where it vanishes identically)."""
-        if S not in self._rooted:
-            p = linear_combination(self.ev.ctx.wedge_form(S),
-                                   self.ev.level_polys(len(S)))
-            self._rooted[S] = None if p.is_zero() else _Rooted(p)
-        return self._rooted[S]
+    def rooted(self, subsets: list) -> list:
+        """The rooted polynomial L_S(X^e), e = len(S), of each form subset S
+        (None where it vanishes identically); those not rooted before are
+        rooted together."""
+        new = [S for S in dict.fromkeys(subsets) if S not in self._rooted]
+        if not new:
+            return [self._rooted[S] for S in subsets]
+        polys = [linear_combination(self.ev.ctx.wedge_form(S),
+                                    self.ev.level_polys(len(S))) for S in new]
+        self._rooted.update(dict.fromkeys(new))
+        live = [k for k, p in enumerate(polys) if not p.is_zero()]
+        self._rooted.update(zip([new[k] for k in live],
+                                _root_all([polys[k] for k in live])))
+        return [self._rooted[S] for S in subsets]
+
+    @cached_property
+    def form_roots(self):
+        """The rooted y_j of every form, or None where some y_j vanishes
+        identically."""
+        if any(y.is_zero() for y in self.ys):
+            return None
+        return _root_all(self.ys)
 
     def norm(self, key: tuple):
         """(ReducedNorm, gcd divisor) of X^d for key ('w', d), of X^d wedge
@@ -290,10 +359,20 @@ class CircleMeans:
         boundary, and [(theta, error, left tuple, right tuple)] per boundary
         where the selection changes; None where a form value at a selection
         angle is zero or not finite."""
+        polys = list(self.cf.crossing_polys(self.r))
+        descs = []
+        for d in polys:
+            # highest first; np.roots drops leading zeros and makes trailing
+            # ones roots at 0, which lie off the circle
+            desc = np.concatenate([np.conj(d[:0:-1]), d])[::-1]
+            live = np.flatnonzero(desc)
+            descs.append(desc[live[0]:live[-1] + 1])
+        found = [np.empty(0, dtype=complex)] * len(descs)
+        for ks, P in _by_degree(descs):
+            for k, w in zip(ks, _eigvals(P)):
+                found[k] = w
         cands, pairs = [], []
-        for d in self.cf.crossing_polys(self.r):
-            poly = np.concatenate([np.conj(d[:0:-1]), d])
-            w = np.roots(poly[::-1])
+        for d, w in zip(polys, found):
             w = w[np.abs(np.abs(w) - 1.0) < _ON_CIRCLE]
             cands.extend(np.mod(np.angle(w), 2 * math.pi))
             pairs.extend([d] * len(w))
@@ -320,19 +399,18 @@ class CircleMeans:
         return arcs, boundaries
 
     def _select(self, theta: np.ndarray):
-        """ctx.select's tuple index at the angles theta, on x scaled by
-        r^{-deg} where r >= 1 (the selection ignores a common scale); None
+        """ctx.select's tuple index at the angles theta, from log|y_j| by
+        the rooted y_j, so that no power of r over- or underflows; None
         where a form value is zero or not finite."""
-        ev, r = self.cf.ev, self.r
-        coeffs = ev._coeffs(("w", 1))
-        top = max(len(a) for a in coeffs) - 1
-        scaled = [a * (r ** (np.arange(len(a)) - top) if r >= 1.0
-                       else r ** np.arange(len(a))) for a in coeffs]
-        xv = _eval_stack(scaled, np.exp(1j * theta))
-        y = ev.ctx.form_mat @ xv
-        if not (np.isfinite(y) & (y != 0)).all():
+        forms = self.cf.form_roots
+        if forms is None:
             return None
-        return ev.ctx.select(xv)[0].tolist()
+        z = self.r * np.exp(1j * theta)
+        logf = np.array([p.log_abs(z) for p in forms])
+        if not np.isfinite(logf).all():
+            return None
+        return self.cf.ev.ctx.select_logs(np.zeros(len(theta)),
+                                          logf)[0].tolist()
 
     def _polish(self, theta: float, d: np.ndarray):
         """(angle, error) of a zero of g = |y_i|^2 - |y_j|^2 near theta by
@@ -397,46 +475,64 @@ class CircleMeans:
         if self.arcs is None:
             return math.nan, math.inf
         r, cf = self.r, self.cf
-        tuples = cf.ev.ctx.tuples
         index = [ia.elements for ia in multi_indices(self.cf.n, e)]
         uses: dict = {}
         for k, (_, _, t) in enumerate(self.arcs):
-            for ia in index:
-                S = tuple(tuples[t][i] for i in ia)
+            for S in self._subsets(t, index):
                 uses.setdefault(S, []).append(k)
+        rooted = cf.rooted(list(uses))
+        if None in rooted:
+            return math.nan, math.inf
         span = np.array([b - a for a, b, _ in self.arcs])
         lo = np.array([a for a, _, _ in self.arcs])
         hi = np.array([b for _, b, _ in self.arcs])
-        flat, root_err, rho, weight, arc = 0.0, 0.0, [], [], []
-        for S, ks in uses.items():
-            p = cf.rooted(S)
-            if p is None:
-                return math.nan, math.inf
-            ks = np.array(ks)
+        flat, rho, weight, err, arc = 0.0, [], [], [], []
+        for ks, p in zip(uses.values(), rooted):
             flat += span[ks].sum() * (p.log_lc + p.order * math.log(r))
-            bound = _circle_integral_bound(p.rho, p.err, r)
-            root_err += len(ks) * float(p.mult @ (p.err * bound))
             rho.append(np.tile(p.rho, len(ks)))
             weight.append(np.tile(p.mult, len(ks)))
+            err.append(np.tile(p.err, len(ks)))
             arc.append(np.repeat(ks, len(p.rho)))
-        rho, weight, arc = map(np.concatenate, (rho, weight, arc))
+        rho, weight, err, arc = map(np.concatenate, (rho, weight, err, arc))
         terms = weight * _arc_log_integrals(rho, lo[arc], hi[arc], r)
         scale = 2 * math.pi * len(index)
         value = (flat + terms.sum()) / scale
+        root_err = weight @ (err * _circle_integral_bound(rho, err, r))
         rounding = 8 * _EPS * (abs(flat) + np.abs(terms).sum()) / scale
-        switch = sum(err * abs(self._integrand(left, e, theta)
-                               - self._integrand(right, e, theta))
-                     for theta, err, left, right in self.boundaries)
-        return value, (root_err / len(index) + rounding
-                       + switch / (2 * math.pi))
+        return value, (float(root_err) / len(index) + rounding
+                       + self._switch_error(index) / scale)
 
-    def _integrand(self, t: int, e: int, theta: float) -> float:
-        """The mean over I of log|L_{t,I}(X^e)| at r e^{i theta}."""
-        z = self.r * complex(math.cos(theta), math.sin(theta))
+    def _subsets(self, t: int, index: list) -> list:
+        """The form subsets t[I] of tuple t for the index sets index."""
         tup = self.cf.ev.ctx.tuples[t]
-        index = multi_indices(self.cf.n, e)
-        return sum(self.cf.rooted(tuple(tup[i] for i in ia.elements))
-                   .log_abs(z) for ia in index) / len(index)
+        return [tuple(tup[i] for i in ia) for ia in index]
+
+    def _switch_error(self, index: list) -> float:
+        """The sum over boundaries of the angle's error times the jump of
+        the sum over index of log|L_{t,I}(X^e)| there, from one vectorised
+        log|p| evaluation over every boundary."""
+        count = len(self.boundaries)
+        if not count:
+            return 0.0
+        sides = [(k, t, sign) for k, (_, _, left, right)
+                 in enumerate(self.boundaries)
+                 for t, sign in ((left, 1.0), (right, -1.0))]
+        rooted = self.cf.rooted([S for _, t, _ in sides
+                                 for S in self._subsets(t, index)])
+        # the boundary and sign of each rooted polynomial, then of each root
+        at = np.repeat([k for k, _, _ in sides], len(index))
+        sign = np.repeat([s for _, _, s in sides], len(index))
+        roots = [len(p.rho) for p in rooted]
+        root_at = np.repeat(at, roots)
+        z = self.r * np.exp(1j * np.array([b[0] for b in self.boundaries]))
+        logs = (np.repeat(sign, roots)
+                * np.concatenate([p.mult for p in rooted])
+                * np.log(np.abs(z[root_at]
+                                - np.concatenate([p.rho for p in rooted]))))
+        flat = sign * [p.log_lc + p.order * math.log(self.r) for p in rooted]
+        jump = (np.bincount(at, flat, minlength=count)
+                + np.bincount(root_at, logs, minlength=count))
+        return float(np.array([b[1] for b in self.boundaries]) @ np.abs(jump))
 
     # -- the NodeBatch components -------------------------------------------
 

@@ -342,7 +342,10 @@ class GaussPoly:
         return len(self.nums) <= 1
 
     def coeff(self, k: int) -> GaussRational:
-        return self.coeffs[k] if 0 <= k < len(self.nums) else GR_ZERO
+        """Coefficient k, built alone."""
+        if not 0 <= k < len(self.nums):
+            return GR_ZERO
+        return _rational(*self.nums[k], self.den)
 
     def __add__(self, other: "GaussPoly") -> "GaussPoly":
         return linear_combination((GR_ONE, GR_ONE), (self, other))

@@ -8,10 +8,10 @@ too, because the benchmark tracer wraps them as harness names.
 
 All radial functionals for one row of the other checks are integrated on
 shared quadrature nodes, so identities that hold pointwise in theta survive
-to the reported numbers up to float rounding.  A row the midpoint rule has
-not converged within one node chunk takes every component from the
-closed-form circle means instead (nevlab.arcs), which are linear in a few
-means per radius: m(d) = hbar(d) - A(d), and prop62's pair route is
+to the reported numbers up to float rounding.  A radius where the midpoint
+rule has not converged some row on its widest grid takes every component of
+every row from the closed-form circle means instead (nevlab.arcs), which are
+linear in a few means per radius, each computed once: m(d) = hbar(d) - A(d), and prop62's pair route is
 hbarpair(d) - A(d-1) - A(d+1), by the two-row identity and the balance of
 the distance-one collection, so its route_gap stays at rounding there too.
 Every T_d column is instead the Jensen mean of heights.ReducedNorm that
@@ -108,7 +108,9 @@ def verify_prop62(x: CurveLift, config: HyperplaneConfig,
     through the pair collection on the level-d derived curve.  route_gap
     records their disagreement.  A level row on the closed-form means forms
     the pair route as hbarpair(d) - A(d-1) - A(d+1) (nevlab.arcs), whose
-    agreement with the direct route is the two-row identity.  One Evaluator.radial call serves all levels
+    agreement with the direct route is the two-row identity, and every
+    level row of such a radius reads one value of each m(d).  One
+    Evaluator.radial call serves all levels
     and radii, the levels of one radius sharing their node batches; the rows
     are stacked level by level behind a leading d column.  A level row
     evaluates m(d+1) last, as a batch keeps one level's work arrays."""

@@ -16,15 +16,18 @@ means, is a row of NodeBatch components integrated by Evaluator.radial, the
 one caller of adaptive_midpoint, one chunk of at most _NODE_CHUNK nodes at a
 time, and adaptive_midpoint sums each grid leaf by leaf in numpy's pairwise
 order, so neither per-node temporaries nor the rows grow with the nodes the
-quadrature needs.  The midpoint rule runs up to the _NODE_CHUNK-node grid; a
-row still unconverged there, or stopped on a non-finite value, takes the
-closed-form means over the selector's arcs (nevlab.arcs, loaded only then)
-instead.  A row that asks for mumax, a radius on a tie circle and a row
-whose closed form is not finite keep the midpoint doubling up to
-QUAD_NODE_CAP.  The first two grids of every radius are evaluated ahead,
-for groups of radii at once; every later chunk is a batch the rows of one
-radius share, keyed by grid position, holding one level's work arrays at a
-time and trimmed after each rows function to the results a later one reads.
+quadrature needs.  At each radius the midpoint rule runs up to the
+_MIDPOINT_NODES-node grid; once a row is still unconverged there, or stopped
+on a non-finite value, the radius switches to the closed-form means over the
+selector's arcs (nevlab.arcs, loaded only then), and every row of the radius,
+those integrated before it included, takes them, reporting the node count of
+the grid the radius switched on.  A row that asks for mumax, a radius on a
+tie circle and a row whose closed form is not finite keep the midpoint
+doubling up to QUAD_NODE_CAP.
+The first two grids of every radius are evaluated ahead, for groups of radii
+at once; every later chunk is a batch the rows of one radius share, keyed by
+grid position, holding one level's work arrays at a time and trimmed after
+each rows function to the results a later one reads.
 
 A batch evaluates X^d and (X^d)' by Horner's rule in place and applies the
 selected tuple's minors per run of equal selection, for m(d) and pairlam(d)
@@ -67,6 +70,9 @@ QUAD_INITIAL_NODES = 256
 # Nodes per NodeBatch.  Transient memory grows with the chunk, not with the
 # node count; much smaller chunks cost run time in per-chunk overhead.
 _NODE_CHUNK = 4096
+# The widest midpoint grid at a radius that can switch to the closed form:
+# every row of the shipped configs converges on it.
+_MIDPOINT_NODES = 2048
 
 
 class RadialValue:
@@ -268,10 +274,15 @@ class SelectorContext:
         scaled = (self.n + 1) * _log_norm(xvals)
         with np.errstate(divide="ignore"):
             logf = np.log(np.abs(self.form_mat @ xvals))
+        return self.select_logs(scaled, logf)
+
+    def select_logs(self, scaled: np.ndarray, logf: np.ndarray):
+        """select's tuple loop, from (n+1) log|x| per node, or any value
+        common to every tuple, and log|L_j(x)|, one row per form."""
         # a sum is NaN only where the log norm is not finite or a form value
         # is NaN or +inf
         nan_free = np.isfinite(scaled).all() and (logf < np.inf).all()
-        nodes = xvals.shape[1]
+        nodes = logf.shape[1]
         # partial[j]: the sum of the current tuple's first j form rows
         partial = np.zeros((self.n + 2, nodes))
         best, s = np.empty(nodes), np.empty(nodes)
@@ -529,73 +540,91 @@ class Evaluator:
         """Integrate at each radius the component rows that each rows
         function in each returns for a NodeBatch at, for example ``lambda
         at: [at.cartan(), at.hbar(1), at.m(1)]``.  Returns per radius one
-        (values, converged, nodes) per rows function: adaptive_midpoint's up
-        to the _NODE_CHUNK-node grid, else the closed form's (_means).
+        (values, converged, nodes) per rows function (_means).
 
         No row converges on adaptive_midpoint's first grid, whose estimate has
         no predecessor, so every radius whose first grid is finite also
         evaluates the second.  Both are evaluated ahead, a radius per node, for
-        groups of radii filling half a chunk (no wider than the 2048-node grid
-        smooth radii reach, so peak memory does not grow); a radius whose first
-        grid is not finite drops its second.  Every later chunk of a radius
-        is a batch in the radius's shared dict, keyed by grid position: after
-        rows function k it is trimmed to keep[k], the results (selection,
-        level-1 maximum, |X^d|, m(d)) that a later rows function read on the
-        batches ahead, where every rows function runs, and it leaves the dict
-        once it keeps nothing, so a single rows function holds no batch.
-        Kernels work node by node, except the selected tuple's minors product
+        groups of radii as wide as the _MIDPOINT_NODES-node grid, so peak
+        memory does not grow; a radius whose first grid is not finite drops
+        its second.  Every later chunk of a radius is a batch in the radius's
+        shared dict, keyed by grid position: after rows function k it is
+        trimmed to keep[k], the results (selection, level-1 maximum, |X^d|,
+        m(d)) that a later rows function read on the batches ahead, where
+        every rows function runs, and it leaves the dict once it keeps
+        nothing, so a single rows function holds no batch.  Kernels work
+        node by node, except the selected tuple's minors product
         (SelectorContext.tuple_values), one BLAS product per tuple and batch;
         the tests check that grouping and chunk size change no value."""
         first = np.concatenate([
             _grid(n, 0, n) for n in (QUAD_INITIAL_NODES, 2 * QUAD_INITIAL_NODES)])
-        size = max(1, _NODE_CHUNK // (2 * len(first)))
+        size = max(1, _MIDPOINT_NODES // len(first))
         out = []
         for lo in range(0, len(radii), size):
             group = np.asarray(radii[lo:lo + size], dtype=float)
             ahead, reads = self._evaluate(np.repeat(group, len(first)),
                                           np.tile(first, len(group)), each)
             keep = [set().union(*reads[k + 1:]) for k in range(len(each))]
+            deep = [("mumax",) in read for read in reads]
             for k, r in enumerate(group):
-                shared = {}
                 cols = slice(k * len(first), (k + 1) * len(first))
-                out.append([self._means(r, rows, shared, kept, v[:, cols],
-                                        ("mumax",) in read)
-                            for rows, kept, v, read in zip(each, keep, ahead,
-                                                           reads)])
+                out.append(self._means(r, each, keep,
+                                       [v[:, cols] for v in ahead], deep))
         return out
 
-    def _means(self, r: float, rows: Callable, shared, keep: set, ahead,
-               deep: bool):
-        """One (values, converged, nodes) of rows at radius r: the midpoint
-        rule up to _NODE_CHUNK nodes, then, for a row still unconverged or
-        not finite there, the closed-form means over the selector's arcs.  A
-        deep row (one that asks for mumax), a radius on a tie circle and a
-        closed form that is not finite keep the midpoint doubling up to
-        QUAD_NODE_CAP."""
-        def midpoint(cap):
+    def _means(self, r: float, each: Sequence[Callable], keep: list,
+               ahead: list, deep: list) -> list:
+        """One (values, converged, nodes) per rows function at radius r.  The
+        midpoint rule runs up to the _MIDPOINT_NODES-node grid until a row
+        is still unconverged or not finite there: the radius then switches,
+        drops its shared batches, and every row of it, before and after that
+        one, takes the closed-form means (_closed_form), reporting the nodes
+        that row's midpoint stopped at.  A deep row (one that asks for
+        mumax), that row and every later one on a tie circle, and a row
+        whose closed form is not finite keep the midpoint doubling up to
+        QUAD_NODE_CAP, which a row converged before the switch has ended."""
+        shared, out, cap, at = {}, [], _MIDPOINT_NODES, None
+
+        def midpoint(k, cap):
             return adaptive_midpoint(
-                self._integrand(r, rows, shared, keep, ahead), tol=self.tol,
-                cap=cap)
+                self._integrand(r, each[k], shared, keep[k], ahead[k]),
+                tol=self.tol, cap=cap)
 
-        if deep:
-            return midpoint(QUAD_NODE_CAP)
-        got = midpoint(_NODE_CHUNK)
-        if got[1].all():
-            return got
-        return self._closed_form(r, rows, got[2]) or midpoint(QUAD_NODE_CAP)
+        for k, rows in enumerate(each):
+            if at is not None and not deep[k]:
+                out.append(self._closed_form(at, rows, nodes)
+                           or midpoint(k, QUAD_NODE_CAP))
+                continue
+            got = midpoint(k, QUAD_NODE_CAP if deep[k] else cap)
+            if got[1].all() or deep[k] or cap == QUAD_NODE_CAP:
+                out.append(got)
+                continue
+            at = self._circle_means(r)
+            if at is None:  # a tie circle
+                cap = QUAD_NODE_CAP
+                out.append(midpoint(k, cap))
+                continue
+            shared.clear()
+            nodes = got[2]
+            out = [done if deep[j] else
+                   self._closed_form(at, each[j], nodes) or done
+                   for j, done in enumerate(out)]
+            out.append(self._closed_form(at, rows, nodes)
+                       or midpoint(k, QUAD_NODE_CAP))
+        return out
 
-    def _closed_form(self, r: float, rows: Callable, nodes: int):
-        """rows on arcs.CircleMeans at radius r, converged where the largest
-        error estimate of the components it read is below tol, with the
-        midpoint's nodes; None on a tie circle or where a value is not
-        finite."""
+    def _circle_means(self, r: float):
+        """The arcs.CircleMeans at radius r, None on a tie circle."""
         from . import arcs
 
         if self._closed is None:
             self._closed = arcs.ClosedForm(self)
-        at = self._closed.at(r)
-        if at is None:
-            return None
+        return self._closed.at(r)
+
+    def _closed_form(self, at, rows: Callable, nodes: int):
+        """rows on the CircleMeans at, converged where the largest error
+        estimate of the components it read is below tol, with the given
+        nodes; None where a value is not finite."""
         at.worst = 0.0
         values = np.array(rows(at), dtype=float)
         if not np.isfinite(values).all():

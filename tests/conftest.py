@@ -104,9 +104,10 @@ def stress(forms=STRESS_FORMS):
 
 def full_cap(monkeypatch):
     """Make Evaluator.radial run the midpoint rule up to QUAD_NODE_CAP
-    whatever cap it asks for, so no row leaves it for the closed-form means
-    after _NODE_CHUNK nodes: the tests of the midpoint engine's batches
-    drive it on the deep rows it still runs for mumax and tie circles."""
+    whatever cap it asks for, so no radius leaves it for the closed-form
+    means after _MIDPOINT_NODES nodes: the tests of the midpoint engine's
+    batches drive it on the deep rows it still runs for mumax and tie
+    circles."""
     from nevlab import nevanlinna
 
     quadrature = nevanlinna.adaptive_midpoint

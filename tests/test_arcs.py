@@ -1,6 +1,6 @@
 """The closed-form circle means of nevlab.arcs, which Evaluator.radial takes
-for a row the midpoint rule has not converged within one node chunk,
-against oracles that do not use them: mpmath's dilogarithm, a scan of the
+at a radius where the midpoint rule has not converged some row within
+_MIDPOINT_NODES nodes, against oracles that do not use them: mpmath's dilogarithm, a scan of the
 selector, composite Gauss-Legendre over the arcs of that scan (switch
 points by bisection) on the midpoint engine's per-node integrand, and
 references from earlier two-route computations."""
@@ -20,7 +20,8 @@ from nevlab import nevanlinna
 from nevlab.arcs import ClosedForm, li2
 from nevlab.cli import build, main, parse_config
 from nevlab.exterior import distance_one_collection
-from nevlab.nevanlinna import _NODE_CHUNK, Evaluator, NodeBatch
+from nevlab.harness import full_sweep
+from nevlab.nevanlinna import _MIDPOINT_NODES, _NODE_CHUNK, Evaluator, NodeBatch
 
 from conftest import full_cap, stress
 
@@ -148,7 +149,7 @@ def test_stress_m3_reference_at_054():
     # ran this row to 8,192 or 32,768 nodes and missed it by 3.2 tol
     [[(vals, conv, nodes)]] = Evaluator(*stress(), 3e-5).radial(
         [0.54], [lambda at: [at.m(3)]])
-    assert conv.all() and nodes == _NODE_CHUNK
+    assert conv.all() and nodes == _MIDPOINT_NODES
     assert vals[0] == pytest.approx(1.4377877879, abs=1e-9)
 
 
@@ -225,9 +226,9 @@ def test_closed_form_rows_share_one_value_per_component(monkeypatch):
     calls = []
     closed_form = nevanlinna.Evaluator._closed_form
 
-    def counted(self, r, rows, nodes):
-        calls.append(r)
-        return closed_form(self, r, rows, nodes)
+    def counted(self, at, rows, nodes):
+        calls.append(at.r)
+        return closed_form(self, at, rows, nodes)
 
     monkeypatch.setattr(nevanlinna.Evaluator, "_closed_form", counted)
     ev = Evaluator(x, cfg, 3e-5)
@@ -260,3 +261,78 @@ def test_root_on_circle_matches_mpmath(r, roots):
     [[(vals, conv, _)]] = ev.radial([r], [lambda at: [at.m(1), at.cartan()]])
     assert conv.all()
     assert abs(vals[0] - want) < 1e-12 and abs(vals[1] - 2 * want) < 1e-12
+
+
+def _prop62_m(x, cfg, r):
+    """{e: [m(e) of each verify prop62 level row that reads it]} at r, every
+    row converged within _MIDPOINT_NODES nodes."""
+    each = [
+        lambda at, d=d, pos=distance_one_collection(x.n, d).positions():
+        [at.m(d - 1), at.m(d), at.m(d + 1), at.hbar(d - 1), at.hbar(d),
+         at.hbar(d + 1), at.pairlam(d, pos), at.hbarpair(d)]
+        for d in range(1, x.n + 1)]
+    [levels] = Evaluator(x, cfg, 3e-5).radial([r], each)
+    seen = {}
+    for d, (vals, conv, nodes) in enumerate(levels, 1):
+        assert conv.all() and nodes <= _MIDPOINT_NODES
+        for e, v in zip((d - 1, d, d + 1), vals[:3]):
+            seen.setdefault(e, []).append(v)
+    return seen
+
+
+@pytest.mark.parametrize("r", [0.54, 1.8])
+def test_switched_radius_gives_every_level_row_one_m(r):
+    # a radius where some prop62 level row has not converged on the
+    # _MIDPOINT_NODES grid takes every level row from one CircleMeans, so the
+    # level rows that read m(d) give it the same bits, within 1e-12 of the
+    # sweep's m_d
+    x, cfg = stress()
+    [row] = full_sweep(x, cfg, [r], 3e-5).rows
+    for e, values in _prop62_m(x, cfg, r).items():
+        assert len({v.tobytes() for v in values}) == 1
+        assert abs(values[0] - row[f"m_{e}"]) <= 1e-12
+
+
+def test_stress_m3_at_18_matches_gauss_legendre():
+    # the sweep's m_3 at r = 1.8 and every prop62 level row's, within tol of
+    # the arcwise oracle; the midpoint rule gave the level-4 row 2.84064630
+    # on 512 nodes, 1.2 tol off
+    x, cfg = stress()
+    [want] = _arcwise(Evaluator(x, cfg, 3e-5), 1.8,
+                      lambda at: [at.m(3)], 64)
+    [row] = full_sweep(x, cfg, [1.8], 3e-5).rows
+    got = [row["m_3"], *_prop62_m(x, cfg, 1.8)[3]]
+    assert row["converged"] and len(got) == 4
+    assert max(abs(v - want) for v in got) < 3e-5
+
+
+def test_huge_radius_selects_in_the_log_domain(tmp_path):
+    # at r = 1e6 the selection on x scaled by r^-80 underflowed, so compute
+    # printed nan m_1..m_3 and exited 2.  From the rooted form values it
+    # exits 0, and m_1 matches mpmath.quad over the arcs: with u = z^40 =
+    # R e^{i phi}, R = 1e240, the integrand depends on phi alone, and the
+    # selection switches where |z^80 + 1| = |z^80 + z^40 + 2|, within 1e-240
+    # of phi = pi/2 and 3 pi/2
+    ini = json.loads((ROOT / "perfbench" / "data" / "edges.json").read_text(
+        encoding="utf-8"))["configs"]["huge_radius"]["ini"]
+    config = tmp_path / "huge.ini"
+    config.write_text(ini, encoding="utf-8")
+    code, text = _run("compute", "--r", "1000000", "--config", str(config))
+    assert code == 0 and "nan" not in text
+    x, hp = build(parse_config(ini))
+    assert len(hp.tuples) == 4  # every 3 of the 4 forms
+    [[(vals, conv, _)]] = Evaluator(x, hp).radial(
+        [1e6], [lambda at: [at.m(1)]])
+
+    def m1(phi):
+        u = mpmath.mpf(10) ** 240 * mpmath.expj(phi)
+        logs = [mpmath.mpf(0), mpmath.log(abs(u)), mpmath.log(abs(u * u + 1)),
+                mpmath.log(abs(u * u + u + 2))]
+        norm = mpmath.log(1 + abs(u) ** 2 + abs(u * u + 1) ** 2) / 2
+        # the selected tuple leaves out the form of largest modulus
+        return norm - (mpmath.fsum(logs) - max(logs)) / 3
+
+    with mpmath.workdps(30):
+        want = float(mpmath.quad(m1, [0, mpmath.pi / 2, 3 * mpmath.pi / 2,
+                                      2 * mpmath.pi]) / (2 * mpmath.pi))
+    assert conv.all() and abs(vals[0] - want) < 1e-9
