@@ -110,10 +110,10 @@ def verify_prop62(x: CurveLift, config: HyperplaneConfig,
     the pair route as hbarpair(d) - A(d-1) - A(d+1) (nevlab.arcs), whose
     agreement with the direct route is the two-row identity, and every
     level row of such a radius reads one value of each m(d).  One
-    Evaluator.radial call serves all levels
-    and radii, the levels of one radius sharing their node batches; the rows
-    are stacked level by level behind a leading d column.  A level row
-    evaluates m(d+1) last, as a batch keeps one level's work arrays."""
+    Evaluator.radial call serves all levels and radii, the levels of one
+    radius sharing the batch of its first two grids; the rows are stacked
+    level by level behind a leading d column.  A level row evaluates m(d+1)
+    last, as a batch keeps one level's work arrays."""
     levels = list(levels)
     if not levels:
         raise ValueError("empty level list")

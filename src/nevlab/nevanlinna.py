@@ -13,21 +13,20 @@ singular value or a float overflow.
 
 Every circle average but height_bar's and proximity_hyperplane's, Jensen
 means, is a row of NodeBatch components integrated by Evaluator.radial, the
-one caller of adaptive_midpoint, one chunk of at most _NODE_CHUNK nodes at a
-time, and adaptive_midpoint sums each grid leaf by leaf in numpy's pairwise
-order, so neither per-node temporaries nor the rows grow with the nodes the
-quadrature needs.  At each radius the midpoint rule runs up to the
-_MIDPOINT_NODES-node grid; once a row is still unconverged there, or stopped
-on a non-finite value, the radius switches to the closed-form means over the
-selector's arcs (nevlab.arcs, loaded only then), and every row of the radius,
-those integrated before it included, takes them, reporting the node count of
-the grid the radius switched on.  A row that asks for mumax, a radius on a
-tie circle and a row whose closed form is not finite keep the midpoint
-doubling up to QUAD_NODE_CAP.
-The first two grids of every radius are evaluated ahead, for groups of radii
-at once; every later chunk is a batch the rows of one radius share, keyed by
-grid position, holding one level's work arrays at a time and trimmed after
-each rows function to the results a later one reads.
+one caller of adaptive_midpoint, which sums each grid leaf by leaf (at most
+_NODE_CHUNK nodes) in numpy's pairwise order, so neither per-node
+temporaries nor the rows grow with the nodes the quadrature needs.  At each
+radius the midpoint rule runs up to the _MIDPOINT_NODES-node grid; once a
+row is still unconverged there, or stopped on a non-finite value, the
+radius switches to the closed-form means over the selector's arcs
+(nevlab.arcs, loaded only then), and every row of the radius, those
+integrated before it included, takes them, reporting the node count of the
+grid the radius switched on.  A row that asks for mumax, a radius on a tie
+circle and a row whose closed form is not finite keep the midpoint doubling
+up to QUAD_NODE_CAP.  The first two grids of every radius are evaluated
+ahead, for groups of radii at once, in one batch that every rows function
+reads; every later grid leaf is a batch of its own, which one rows function
+reads and drops.  A batch holds one level's work arrays at a time.
 
 A batch evaluates X^d and (X^d)' by Horner's rule in place and applies the
 selected tuple's minors per run of equal selection, for m(d) and pairlam(d)
@@ -67,8 +66,9 @@ __all__ = [
 ]
 
 QUAD_INITIAL_NODES = 256
-# Nodes per NodeBatch.  Transient memory grows with the chunk, not with the
-# node count; much smaller chunks cost run time in per-chunk overhead.
+# The widest leaf of adaptive_midpoint, so of a NodeBatch past the grids
+# evaluated ahead.  Transient memory grows with the leaf, not with the node
+# count; much smaller leaves cost run time in per-leaf overhead.
 _NODE_CHUNK = 4096
 # The widest midpoint grid at a radius that can switch to the closed form:
 # every row of the shipped configs converges on it.
@@ -361,40 +361,25 @@ class SelectorContext:
 
 
 class NodeBatch:
-    """A chunk of nodes z = r e^{i theta} of an Evaluator; r may be per node,
-    theta an array or a grid position (n, lo, hi) that _grid rebuilds.  Each
-    component method returns one value per node.  The batch keeps every
-    value it computes, in one dict keyed by tuples, until trim drops it: z,
-    one level e's work arrays (X^e, (X^e)', the selected tuple's values of
-    each, for m(e) and pairlam(e), and the log norm of X^e wedge (X^e)'), and
-    its results, the selection, the level-1 maximum, |X^d| and m(d), whose
-    keys it adds to reads when a component asks for them."""
+    """Nodes z = r e^{i theta} of an Evaluator, theta an array and r one
+    radius or one per node.  Each component method returns one value per
+    node.  The batch keeps every value it computes in one dict keyed by
+    tuples: z, one level e's work arrays (X^e, (X^e)', the selected tuple's
+    values of each, for m(e) and pairlam(e), and the log norm of X^e wedge
+    (X^e)'), and its results, the selection, the level-1 maximum, |X^d| and
+    m(d).  deep records whether a component asked for mumax."""
 
-    def __init__(self, ev: "Evaluator", r, theta):
+    def __init__(self, ev: "Evaluator", r, theta: np.ndarray):
         self.ev = ev
         self.r = r
-        self._theta = theta
+        self.theta = theta
         self._cache: Dict[tuple, object] = {}
-        self.reads: set = set()
-
-    @property
-    def theta(self) -> np.ndarray:
-        t = self._theta
-        return _grid(*t) if isinstance(t, tuple) else t
-
-    def trim(self, keep: set) -> None:
-        """Drop every value whose key is not in keep."""
-        for key in self._cache.keys() - keep:
-            del self._cache[key]
+        self.deep = False
 
     def _cached(self, key: tuple, compute: Callable[[], object]):
         if key not in self._cache:
             self._cache[key] = compute()
         return self._cache[key]
-
-    def _result(self, key: tuple, compute: Callable[[], object]):
-        self.reads.add(key)
-        return self._cached(key, compute)
 
     def _work(self, key: tuple, compute: Callable[[], np.ndarray]):
         """The work array key of level key[-1]; the batch first drops those
@@ -430,7 +415,6 @@ class NodeBatch:
 
     def _select(self, key: tuple) -> np.ndarray:
         """The result ('selection',) or ('cartan',), both from one select."""
-        self.reads.add(key)
         if key not in self._cache:
             (self._cache[("selection",)],
              self._cache[("cartan",)]) = self.ev.ctx.select(self.wedge(1))
@@ -445,13 +429,13 @@ class NodeBatch:
         """log |X^d|; identically zero at d = 0."""
         if d == 0:
             return np.zeros(len(self.theta))
-        return self._result(("hbar", d), lambda: _log_norm(self.wedge(d)))
+        return self._cached(("hbar", d), lambda: _log_norm(self.wedge(d)))
 
     def m(self, d: int) -> np.ndarray:
         """Mean level-d Weil function of the selected tuple; zero at d = 0."""
         if d == 0:
             return np.zeros(len(self.theta))
-        return self._result(("m", d), lambda: self.ev.ctx.level_lambda_mean(
+        return self._cached(("m", d), lambda: self.ev.ctx.level_lambda_mean(
             self._tuple_values(("w", d)), self.hbar(d)))
 
     def cartan(self) -> np.ndarray:
@@ -460,9 +444,8 @@ class NodeBatch:
 
     def mumax(self) -> np.ndarray:
         """The largest tuple mu; a row that asks for it is integrated by the
-        midpoint rule up to QUAD_NODE_CAP, so the batch adds ('mumax',) to
-        reads."""
-        self.reads.add(("mumax",))
+        midpoint rule up to QUAD_NODE_CAP, so the batch sets deep."""
+        self.deep = True
         return self.ev.ctx.mumax(self.wedge(1), self.partner(1))
 
     def pairlam(self, d: int,
@@ -546,49 +529,44 @@ class Evaluator:
         no predecessor, so every radius whose first grid is finite also
         evaluates the second.  Both are evaluated ahead, a radius per node, for
         groups of radii as wide as the _MIDPOINT_NODES-node grid, so peak
-        memory does not grow; a radius whose first grid is not finite drops
-        its second.  Every later chunk of a radius is a batch in the radius's
-        shared dict, keyed by grid position: after rows function k it is
-        trimmed to keep[k], the results (selection, level-1 maximum, |X^d|,
-        m(d)) that a later rows function read on the batches ahead, where
-        every rows function runs, and it leaves the dict once it keeps
-        nothing, so a single rows function holds no batch.  Kernels work
-        node by node, except the selected tuple's minors product
+        memory does not grow, in one batch that every rows function reads;
+        there the rows functions of a radius share the selection, |X^d| and
+        m(d), and radial learns which rows functions ask for mumax.  A
+        radius whose first grid is not finite drops its second.  Every later
+        grid leaf is a batch of its own (_integrand).  Kernels work node by
+        node, except the selected tuple's minors product
         (SelectorContext.tuple_values), one BLAS product per tuple and batch;
-        the tests check that grouping and chunk size change no value."""
+        the tests check that grouping and leaf size change no value."""
         first = np.concatenate([
             _grid(n, 0, n) for n in (QUAD_INITIAL_NODES, 2 * QUAD_INITIAL_NODES)])
         size = max(1, _MIDPOINT_NODES // len(first))
         out = []
         for lo in range(0, len(radii), size):
             group = np.asarray(radii[lo:lo + size], dtype=float)
-            ahead, reads = self._evaluate(np.repeat(group, len(first)),
-                                          np.tile(first, len(group)), each)
-            keep = [set().union(*reads[k + 1:]) for k in range(len(each))]
-            deep = [("mumax",) in read for read in reads]
+            ahead, deep = self._evaluate(np.repeat(group, len(first)),
+                                         np.tile(first, len(group)), each)
             for k, r in enumerate(group):
                 cols = slice(k * len(first), (k + 1) * len(first))
-                out.append(self._means(r, each, keep,
-                                       [v[:, cols] for v in ahead], deep))
+                out.append(self._means(r, each, [v[:, cols] for v in ahead],
+                                       deep))
         return out
 
-    def _means(self, r: float, each: Sequence[Callable], keep: list,
-               ahead: list, deep: list) -> list:
+    def _means(self, r: float, each: Sequence[Callable], ahead: list,
+               deep: list) -> list:
         """One (values, converged, nodes) per rows function at radius r.  The
         midpoint rule runs up to the _MIDPOINT_NODES-node grid until a row
         is still unconverged or not finite there: the radius then switches,
-        drops its shared batches, and every row of it, before and after that
-        one, takes the closed-form means (_closed_form), reporting the nodes
-        that row's midpoint stopped at.  A deep row (one that asks for
+        and every row of it, before and after that one, takes the
+        closed-form means (_closed_form), reporting the nodes that row's
+        midpoint stopped at.  A deep row (one that asks for
         mumax), that row and every later one on a tie circle, and a row
         whose closed form is not finite keep the midpoint doubling up to
         QUAD_NODE_CAP, which a row converged before the switch has ended."""
-        shared, out, cap, at = {}, [], _MIDPOINT_NODES, None
+        out, cap, at = [], _MIDPOINT_NODES, None
 
         def midpoint(k, cap):
-            return adaptive_midpoint(
-                self._integrand(r, each[k], shared, keep[k], ahead[k]),
-                tol=self.tol, cap=cap)
+            return adaptive_midpoint(self._integrand(r, each[k], ahead[k]),
+                                     tol=self.tol, cap=cap)
 
         for k, rows in enumerate(each):
             if at is not None and not deep[k]:
@@ -604,7 +582,6 @@ class Evaluator:
                 cap = QUAD_NODE_CAP
                 out.append(midpoint(k, cap))
                 continue
-            shared.clear()
             nodes = got[2]
             out = [done if deep[j] else
                    self._closed_form(at, each[j], nodes) or done
@@ -631,56 +608,35 @@ class Evaluator:
             return None
         return values, np.full(len(values), at.worst < self.tol), nodes
 
-    def _integrand(self, r: float, rows: Callable, shared, keep: set, ahead):
-        """adaptive_midpoint's g for rows at radius r.  g tracks the grid
-        position (n, lo) of each leaf, which it is asked for in order: the
-        first two grids come from their values ahead, later ones from the
-        radius's shared batches, keyed by (n, lo) of their chunk, each
-        trimmed to keep after rows and dropped once it keeps nothing."""
-        n, lo = QUAD_INITIAL_NODES, 0
+    def _integrand(self, r: float, rows: Callable, ahead: np.ndarray):
+        """adaptive_midpoint's g for rows at radius r.  g is asked for the
+        grids in order, leaf by leaf, so the nodes asked for before a leaf
+        place it: the first two grids come from their values ahead, and
+        every later leaf is one NodeBatch, dropped when g returns."""
+        done = 0
 
         def g(theta: np.ndarray) -> np.ndarray:
-            nonlocal n, lo
-            grid, start, stop = n, lo, lo + len(theta)
-            n, lo = (n, stop) if stop < n else (2 * n, 0)
-            done = grid - QUAD_INITIAL_NODES + start  # nodes asked for before
-            if done < ahead.shape[1]:
-                return ahead[:, done:done + len(theta)]
-            out = np.empty((len(ahead), len(theta)))
+            nonlocal done
+            lo, done = done, done + len(theta)
+            if lo < ahead.shape[1]:
+                return ahead[:, lo:done]
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                for a in range(start, stop, _NODE_CHUNK):
-                    key = (grid, a)
-                    if key not in shared:
-                        shared[key] = NodeBatch(
-                            self, r, (grid, a, min(stop, a + _NODE_CHUNK)))
-                    at = shared[key]
-                    out[:, a - start:a - start + _NODE_CHUNK] = rows(at)
-                    at.trim(keep)
-                    if not at._cache:
-                        del shared[key]
-            return out
+                return rows(NodeBatch(self, r, theta))
 
         return g
 
     def _evaluate(self, r: np.ndarray, theta: np.ndarray, each) -> tuple:
-        """One (rows, nodes) array per rows function, from one NodeBatch per
-        chunk (r one radius per node), and per rows function the keys of the
-        results it read; after each rows function a batch keeps only the
-        results read so far."""
-        out = [None] * len(each)
-        reads = [set() for _ in each]
+        """One (rows, nodes) array per rows function, all from one NodeBatch
+        (r one radius per node), and per rows function whether it asked for
+        mumax."""
+        at = NodeBatch(self, r, theta)
+        out, deep = [], []
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for lo in range(0, len(theta), _NODE_CHUNK):
-                chunk = slice(lo, lo + _NODE_CHUNK)
-                at = NodeBatch(self, r[chunk], theta[chunk])
-                for k, rows in enumerate(each):
-                    at.reads = reads[k]
-                    vals = rows(at)
-                    at.trim(set().union(*reads[:k + 1]))
-                    if out[k] is None:
-                        out[k] = np.empty((len(vals), len(theta)))
-                    out[k][:, chunk] = vals
-        return out, reads
+            for rows in each:
+                at.deep = False
+                out.append(np.array(rows(at), dtype=float))
+                deep.append(at.deep)
+        return out, deep
 
 
 def proximity_m(x: CurveLift, d: int, L, r: float,

@@ -283,9 +283,10 @@ class TestVerifiers:
     @pytest.mark.parametrize("r", [0.54, 1.8])
     def test_prop62_shared_batches_match_single_levels(self, r,
                                                       monkeypatch):
-        # all levels of one radius share node batches; each level alone
-        # shares none, and the stacked text must not differ.  At the stress
-        # workload's tol the levels converge on different node counts.  The
+        # all levels of one radius share the batch of its first two grids;
+        # each level alone shares none, and the stacked text must not
+        # differ.  At the stress workload's tol the levels converge on
+        # different node counts.  The
         # midpoint rule runs to QUAD_NODE_CAP: a radius that switches to the
         # closed form in one run of all levels may not switch in a run of
         # one level, whose own row converges.
@@ -298,47 +299,13 @@ class TestVerifiers:
         assert both.to_csv() == single[0].to_csv() + "".join(
             s.to_csv().split("\n", 1)[1] for s in single[1:])
 
-    def test_prop62_batches_keep_results_and_no_nodes(self, monkeypatch):
-        # after each level row a batch that later levels share keeps only the
-        # selection, one byte a node for stress's 111 tuples, and the m(d)
-        # and |X^d| they read: not the level-1 maximum, which prop62 never
-        # reads, nor its nodes, which it rebuilds from its grid position
-        # with the bits of the leaf it serves
-        x, cfg = stress()
-        kept, leaves = [], []
-        trim, quadrature = NodeBatch.trim, nevanlinna.adaptive_midpoint
-
-        def recorded(g, tol, cap):
-            # up to QUAD_NODE_CAP, so that the rows keep to the midpoint
-            def leaf(theta):
-                leaves.append(theta)
-                return g(theta)
-            return quadrature(leaf, tol)
-
-        def recorded_trim(self, keys):
-            trim(self, keys)
-            if np.ndim(self.r) == 0 and self._cache:  # a shared batch
-                kept.append((
-                    {k[0] for k in self._cache},
-                    self._cache[("selection",)].dtype,
-                    [v for v in vars(self).values()
-                     if isinstance(v, np.ndarray)],
-                    self.theta.tobytes() == leaves[-1].tobytes()))
-
-        monkeypatch.setattr(nevanlinna, "adaptive_midpoint", recorded)
-        monkeypatch.setattr(NodeBatch, "trim", recorded_trim)
-        assert verify_prop62(x, cfg, range(1, x.n + 1), [0.54],
-                             tol=3e-5).all_converged()
-        assert kept and all(
-            names <= {"selection", "m", "hbar"} and dtype == np.uint8
-            and arrays == [] and same for names, dtype, arrays, same in kept)
-
     def test_prop62_computes_each_work_array_as_often(self, monkeypatch):
         # evaluated as m(d - 1), m(d), pairlam(d) and hbarpair(d), then
         # m(d + 1), a level row computes no work array more often with one
-        # level's at a time than with every level's kept until its end: the
-        # nodes at which X^d and (X^d)' are evaluated, and the selected
-        # tuple's values of each, are those of batches that keep them all
+        # level's at a time than with every level's kept until its batch is
+        # dropped: the nodes at which X^d and (X^d)' are evaluated, and the
+        # selected tuple's values of each, are those of batches that keep
+        # them all
         x, cfg = stress()
         names, stacks, nodes = {}, {}, {}
         coeffs, evaluate = Evaluator._coeffs, nevanlinna._eval_stack
@@ -360,19 +327,25 @@ class TestVerifiers:
             nodes[key] = nodes.get(key, 0) + v.shape[1]
             return tuple_values(self, d, sel, v)
 
+        def run():
+            nodes.clear()
+            verify_prop62(x, cfg, range(1, x.n + 1), [0.54, 1.8, 6.0],
+                          tol=3e-5)
+            return dict(nodes)
+
         monkeypatch.setattr(Evaluator, "_coeffs", named)
         monkeypatch.setattr(nevanlinna, "_eval_stack", counted)
         monkeypatch.setattr(SelectorContext, "tuple_values", counted_values)
         full_cap(monkeypatch)
-        verify_prop62(x, cfg, range(1, x.n + 1), [0.54, 1.8, 6.0], tol=3e-5)
-        want = {}
-        for key, counts in ((("w",), [73984, 98816, 98816, 140800, 66816]),
-                            (("tuple", "w"),
-                             [24832, 98816, 98816, 140800, 66816]),
-                            (("p",), [24832, 24832, 73984, 66816]),
-                            (("tuple", "p"), [24832, 24832, 73984, 66816])):
-            want.update({key + (d,): k for d, k in enumerate(counts, 1)})
-        assert nodes == want
+        one_level = run()
+        monkeypatch.setattr(NodeBatch, "_work",
+                            lambda self, key, compute: self._cached(key,
+                                                                    compute))
+        assert one_level == run()
+        assert set(one_level) == {
+            (*kind, d) for kind in (("w",), ("p",), ("tuple", "w"),
+                                    ("tuple", "p"))
+            for d in range(1, x.n + 2 if "w" in kind else x.n + 1)}
 
     def test_prop62_level_range(self):
         x, cfg = corpus()["line"]

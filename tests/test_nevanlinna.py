@@ -711,7 +711,23 @@ class TestNodeBatch:
             assert at.cartan().tobytes() == best.tobytes()
         assert len(cfg.tuples) == 276 and sel.max() == 275
 
-    def test_single_row_radial_keeps_no_batch(self):
+    def test_batch_ahead_learns_which_rows_ask_for_mumax(self):
+        # the batch ahead sets deep while a rows function reads mumax and
+        # clears it before the next, so each rows function's flag is its own
+        # in any order, and a mumax read does not change another's values
+        x, cfg = corpus()["conic"]
+        ev = Evaluator(x, cfg)
+        theta = _thetas()
+        r = np.full(len(theta), 1.8)
+        plain, deep = (lambda at: [at.m(1)]), (lambda at: [at.mumax()])
+        [alone], _ = ev._evaluate(r, theta, [plain])
+        for each in ([plain, deep, plain], [deep, plain]):
+            values, got = ev._evaluate(r, theta, each)
+            assert got == [rows is deep for rows in each]
+            assert all(v.tobytes() == alone.tobytes()
+                       for rows, v in zip(each, values) if rows is plain)
+
+    def test_single_row_radial_keeps_no_batch(self, monkeypatch):
         x, cfg = corpus()["conic"]
         seen = []
 
@@ -725,7 +741,45 @@ class TestNodeBatch:
         gc.collect()
         assert seen and all(ref() is None for ref in seen)
 
+        # prop62's four level rows on stress at r = 0.54, run to 8,192,
+        # 8,192, 32,768 and 32,768 nodes: once the quadrature has a leaf's
+        # rows, no batch is alive, the one evaluated ahead included
+        x, cfg = stress()
+        full_cap(monkeypatch)
+        quadrature = nevanlinna.adaptive_midpoint
+        seen, leaves = [], []
+
+        def checked(g, tol, cap):
+            def leaf(theta):
+                vals = g(theta)
+                gc.collect()
+                assert all(ref() is None for ref in seen)
+                leaves.append(len(theta))
+                return vals
+            return quadrature(leaf, tol, cap)
+
+        def level(d, pos):
+            def rows(at):
+                seen.append(weakref.ref(at))
+                return [at.m(d - 1), at.m(d), at.m(d + 1), at.hbar(d - 1),
+                        at.hbar(d), at.hbar(d + 1), at.pairlam(d, pos),
+                        at.hbarpair(d)]
+            return rows
+
+        monkeypatch.setattr(nevanlinna, "adaptive_midpoint", checked)
+        each = [level(d, distance_one_collection(x.n, d).positions())
+                for d in range(1, x.n + 1)]
+        [got] = Evaluator(x, cfg, 3e-5).radial([0.54], each)
+        assert [n for _, _, n in got] == [8192, 8192, 32768, 32768]
+        # the batch ahead serves all four rows functions, and each leaf of a
+        # later grid is a batch of its own
+        assert len(seen) == 4 + len(leaves) - 4 * 2
+
     def test_radials_share_batches_of_one_radius(self, monkeypatch):
+        # the rows functions of a radius share the batch of its first two
+        # grids, and each later leaf is a batch of one rows function: one
+        # selection per batch, one m(d) per batch and level, and level 2's
+        # row is the one a radial of it alone gives, bit for bit
         x, cfg = stress()
         full_cap(monkeypatch)
         calls, means = [], []
@@ -740,73 +794,31 @@ class TestNodeBatch:
             means.append([np.shape(a) for a in args])
             return level_mean(self, *args, **kwargs)
 
-        seen = {1: {}, 2: {}}
-        reused = []
+        read = {1: [], 2: []}
 
         def components(d, at):
             return [at.m(d), at.m(d + 1), at.hbar(d)]
 
         def level(d):
             def rows(at):
-                key = at.z.tobytes()
-                seen[d][key] = weakref.ref(at)
-                if d == 2 and key in seen[1]:
-                    assert seen[1][key]() is at
-                    reused.append(len(at.z))
+                read[d].append(at)
                 return components(d, at)
             return rows
 
         monkeypatch.setattr(SelectorContext, "select", counted)
         monkeypatch.setattr(SelectorContext, "level_lambda_mean", counted_mean)
         [shared] = Evaluator(x, cfg).radial([1.8], [level(1), level(2)])
-        # one selection per distinct batch and one m(d) per batch and level:
-        # level 2 reuses level 1's batches, their selections and m(2)
-        assert reused
-        assert len(calls) == len(seen[1].keys() | seen[2].keys())
-        assert len(means) == len({(d, k) for e in (1, 2) for k in seen[e]
-                                  for d in (e, e + 1)})
-        gc.collect()
-        assert all(ref() is None for refs in seen.values()
-                   for ref in refs.values())
-        for d, (v, c, n) in zip((1, 2), shared):
-            [[(w, e, m)]] = Evaluator(x, cfg).radial(
-                [1.8], [lambda at: components(d, at)])
-            assert v.tobytes() == w.tobytes()
-            assert np.array_equal(c, e) and n == m
-
-    def test_shared_batch_keeps_only_what_later_rows_read(self, monkeypatch):
-        # after each rows function a shared batch keeps the results that a
-        # later one reads, as learned on the batch ahead: after the first,
-        # m(2), the selection and the level-1 maximum, not |X^1| or |X^2|;
-        # after the second, m(2) and the maximum, not m(3), |X^3| or the
-        # selection, which the last does not read; nothing after the last.
-        # All three run to 8,192 nodes, so each leaves five later batches:
-        # one for each of the 1,024-, 2,048- and 4,096-node grids and two for
-        # the 8,192-node grid.  The batch ahead, where every rows function
-        # runs, keeps every result read so far; the maximum is read last.
-        x, cfg = stress()
-        full_cap(monkeypatch)
-        kept = []
-        trim = NodeBatch.trim
-
-        def recorded(self, keys):
-            trim(self, keys)
-            kept.append(sorted(self._cache))
-
-        monkeypatch.setattr(NodeBatch, "trim", recorded)
-        each = [lambda at: [at.m(2), at.hbar(1)], lambda at: [at.m(3)],
-                lambda at: [at.m(2), at.cartan()]]
-        [got] = Evaluator(x, cfg, 3e-5).radial([0.54], each)
-        assert [n for _, _, n in got] == [8192] * 3
-        first = [("hbar", 1), ("hbar", 2), ("m", 2), ("selection",)]
-        ahead = sorted(first + [("hbar", 3), ("m", 3)])
-        assert kept == [first, ahead, [("cartan",)] + ahead] + [
-            [("cartan",), ("m", 2), ("selection",)]] * 5 + [
-            [("cartan",), ("m", 2)]] * 5 + [[]] * 5
-        for rows, (v, c, n) in zip(each, got):
-            [[(w, e, m)]] = Evaluator(x, cfg, 3e-5).radial([0.54], [rows])
-            assert v.tobytes() == w.tobytes()
-            assert np.array_equal(c, e) and n == m
+        batches = {id(at) for at in read[1] + read[2]}
+        assert read[1][0] is read[2][0] and len(read[2]) > 1
+        assert len(batches) == len(read[1]) + len(read[2]) - 1
+        assert len(calls) == len(batches)
+        assert len(means) == len({(d, id(at)) for e in (1, 2)
+                                  for at in read[e] for d in (e, e + 1)})
+        [[alone]] = Evaluator(x, cfg).radial(
+            [1.8], [lambda at: components(2, at)])
+        (v, c, n), (w, e, m) = shared[1], alone
+        assert v.tobytes() == w.tobytes()
+        assert np.array_equal(c, e) and n == m
 
     @staticmethod
     def _per_radius(ev, radii, each):
@@ -890,10 +902,10 @@ class TestNodeBatch:
 
     @pytest.mark.parametrize("r", [0.54, 6.0])
     def test_chunk_size_does_not_change_results(self, r, monkeypatch):
-        # every per-node kernel sees one chunk of nodes at a time; values,
-        # flags and node counts are bit-equal at any chunk size (1000 leaves
-        # a ragged last chunk).  At r = 0.54 the rows run to 8,192 nodes,
-        # two default chunks; at r = 6 to 512.
+        # values, flags and node counts are bit-equal at any leaf size (a
+        # chunk of 64 gives leaves of 128 nodes, one of 1000 leaves of 512).
+        # At r = 0.54 the rows run to 8,192 nodes, two default leaves; at
+        # r = 6 to 512.
         x, cfg = stress()
         full_cap(monkeypatch)
         positions = distance_one_collection(x.n, 1).positions()
@@ -908,8 +920,7 @@ class TestNodeBatch:
                                              at.hbarpair(1)]])[0],
                 *ev.radial([r], [lambda at: [at.mumax()]])[0],
                 *ev.radial([r], levels)[0],
-                # two radii: one group at the default chunk, one group per
-                # radius at the smaller chunks
+                # two radii, one group
                 *(res for at_r in ev.radial([r, 2 * r],
                                             [lambda at: [at.m(1), at.hbar(2)],
                                              lambda at: [at.cartan()]])
@@ -946,15 +957,12 @@ class TestNodeBatch:
         monkeypatch.setattr(nevanlinna, "_NODE_CHUNK", nodes)
         assert traced_peak()[1] > bound
 
-    def test_shared_batches_keep_what_later_levels_read(self, monkeypatch):
+    def test_level_rows_memory_is_bounded(self, monkeypatch):
         # prop62's four level rows on stress at r = 0.54 run to 8,192, 8,192,
-        # 32,768 and 32,768 nodes on shared batches.  Summed leaf by leaf,
-        # with each batch keeping only the one-byte selection and the |X^d|
-        # and m(d) of later levels, and one level's work arrays at a time,
-        # the traced peak stays below 7.5 MiB (about 6.4 MiB, where batches
-        # holding nodes, an 8-byte selection and the level-1 maximum took
-        # about 9.9 MiB).  With the leaf widened to the whole grid it goes
-        # over (about 9.2 MiB); the bound sits 18% from each.
+        # 32,768 and 32,768 nodes.  Summed leaf by leaf, each leaf a batch
+        # of its own holding one level's work arrays at a time, the traced
+        # peak stays below 7.5 MiB (about 4.75 MiB).  With the leaf widened
+        # to the whole grid it goes over (about 30.7 MiB).
         x, cfg = stress()
         full_cap(monkeypatch)
         bound = 7.5 * 2 ** 20
@@ -1094,14 +1102,25 @@ class TestTupleValues:
             # a tuple selected in several runs gathers them
             assert most > 1
 
-    def test_release_drops_tuple_values(self):
+    def test_batch_holds_one_levels_work_arrays(self):
+        # a work array of level 3 drops every work array of level 2 (X^2,
+        # (X^2)', the tuple values of each and the pair log norm); z and the
+        # results, the selection, the level-1 maximum, |X^2| and m(2), stay
         x, cfg = stress()
         at = NodeBatch(Evaluator(x, cfg), 1.8, self.FIRST)
-        m2 = at.m(2)
-        assert ("tuple", "w", 2) in at._cache and ("w", 2) in at._cache
-        at.trim({("m", 2)})
-        assert list(at._cache) == [("m", 2)]
-        assert at.m(2) is m2
+        positions = distance_one_collection(x.n, 2).positions()
+        at.m(2), at.pairlam(2, positions)
+        work = {"w", "p", "tuple", "hbarpair"}
+        kept = {k: v for k, v in at._cache.items() if k[0] not in work}
+        assert {k for k in at._cache if k[0] in work} == {
+            ("w", 2), ("p", 2), ("tuple", "w", 2), ("tuple", "p", 2),
+            ("hbarpair", 2)}
+        assert set(kept) == {("z",), ("selection",), ("cartan",), ("hbar", 2),
+                             ("m", 2)}
+        at.m(3)
+        assert {k for k in at._cache if k[0] in work} == {
+            ("w", 3), ("tuple", "w", 3)}
+        assert all(at._cache[k] is v for k, v in kept.items())
 
 
 class TestEvalStack:
