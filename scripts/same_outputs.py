@@ -9,19 +9,24 @@ directory, and each of these runs is made once from that copy and once from
 the working tree:
 
 - ``nevlab check`` and every command of every base config of
-  ``perfbench/data/{shipped,stress,exact,edges}.json``;
+  ``perfbench/data/{shipped,stress,exact,edges}.json``, each in its own
+  process, and once more per base config, ``check`` and its commands in
+  that order in one process through ``nevlab.cli.main``, as a benchmark
+  pass runs them, so that state one command leaves for the next is seen;
 - every ``nevlab`` command, plus ``compute --r 10``, on
   ``scripts/configs/*.ini``;
 - ``scripts/run_sweep.py`` on ``scripts/configs/*.ini``.
 
 Both sides read the same config files and write the same ``--out`` path,
 so no path differs between them.  A run's record is its exit code, stdout,
-stderr and the bytes of its ``--out`` file.  The script prints the runs whose
-records differ, with the fields that differ, and exits 1 if any does, 0 if
-none does.  Where both ``--out`` files are CSVs of one shape whose differing
-cells are numbers, it also prints the largest absolute cell difference and
-its column, so that a change in the last printed digits reads apart from a
-real one.
+stderr and the bytes of its ``--out`` file; a one-process run prints each
+command's exit code (null where it raised) and leaves a JSON list of each
+command's ``--out`` text (null where it wrote none) in that file.  The
+script prints the runs whose records differ, with the fields that differ,
+and exits 1 if any does, 0 if none does.  Where both ``--out`` files are
+CSVs of one shape whose differing cells are numbers, it also prints the
+largest absolute cell difference and its column, so that a change in the
+last printed digits reads apart from a real one.
 """
 
 from __future__ import annotations
@@ -41,6 +46,27 @@ from bench_pairs import ROOT, export  # noqa: E402
 WORKLOADS = ("shipped", "stress", "exact", "edges")
 VERIFY = ("identities", "cartan", "lemma55", "prop62", "growth", "mcquillan")
 FIELDS = ("exit", "stdout", "stderr", "out")
+# Runs the JSON list of argvs in argv[1] through nevlab.cli.main in this one
+# interpreter, as perfbench/worker.py does; every argv names one --out file.
+ONE_PROCESS = """
+import json, sys, traceback
+from pathlib import Path
+from nevlab.cli import main
+codes, texts = [], []
+for argv in json.loads(sys.argv[1]):
+    out = Path(argv[argv.index("--out") + 1])
+    out.unlink(missing_ok=True)
+    try:
+        codes.append(main(argv))
+    except SystemExit as e:
+        codes.append(e.code if isinstance(e.code, int) else 1)
+    except Exception:
+        traceback.print_exc()
+        codes.append(None)
+    texts.append(out.read_text(encoding="utf-8") if out.exists() else None)
+out.write_text(json.dumps(texts), encoding="utf-8")
+print(json.dumps(codes))
+"""
 
 
 def runs(configs: Path, out: Path) -> dict:
@@ -55,9 +81,13 @@ def runs(configs: Path, out: Path) -> dict:
         for name, config in data["configs"].items():
             path = configs / f"{workload}_{name}.ini"
             path.write_text(config["ini"], encoding="utf-8")
-            for prefix in [["check"]] + config["commands"]:
-                todo[f"{workload}/{name}: {' '.join(prefix)}"] = [
-                    *nevlab, *prefix, "--config", str(path), "--out", str(out)]
+            argvs = [[*prefix, "--config", str(path), "--out", str(out)]
+                     for prefix in [["check"]] + config["commands"]]
+            for argv in argvs:
+                todo[f"{workload}/{name}: {' '.join(argv[:-4])}"] = [
+                    *nevlab, *argv]
+            todo[f"{workload}/{name}: one process"] = [
+                "-c", ONE_PROCESS, json.dumps(argvs)]
     commands = ([["check"], ["sweep"], ["compute", "--r", "10"]]
                 + [["verify", name] for name in VERIFY])
     for path in sorted((ROOT / "scripts" / "configs").glob("*.ini")):

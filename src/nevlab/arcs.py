@@ -15,11 +15,11 @@ and the coefficients lie in Q(i).
 
 Between boundaries each selected component is a sum of log|p| over exact
 polynomials p, the wedge form L_{t,I} of a form subset applied to X^e.  Each
-subset's polynomial is rooted once per command (exact squarefree factors,
-numeric simple roots); the crossing polynomials of a radius, and the factors
-of every subset an A(e) needs, are rooted together, one stacked
-companion-matrix eigvals call per degree.  A subset's arc integral is, per
-root rho,
+subset's polynomial is rooted once per lift, configuration and tol per
+process (exact squarefree factors, numeric simple roots); the crossing
+polynomials of a radius, and the factors of every subset an A(e) needs, are
+rooted together, one stacked companion-matrix eigvals call per degree.  A
+subset's arc integral is, per root rho,
 
     |rho| < r:  (th2 - th1) log r + Im Li2((rho/r) e^{-i th2})
                                   - Im Li2((rho/r) e^{-i th1}),
@@ -235,7 +235,9 @@ def _root_all(polys: list) -> list:
 class ClosedForm:
     """The radius-free data of an Evaluator's closed-form means: the form
     values y_j, their lag products, each form subset's rooted polynomial
-    and the Jensen norms, all built once per command."""
+    and the Jensen norms, all built once per lift, configuration and tol per
+    process, as the Evaluator is (nevanlinna.shared_evaluator), and the
+    CircleMeans of each radius."""
 
     def __init__(self, ev):
         self.ev = ev
@@ -309,13 +311,13 @@ class ClosedForm:
 
     def norm(self, key: tuple):
         """(ReducedNorm, gcd divisor) of X^d for key ('w', d), of X^d wedge
-        (X^d)' for ('pair', d); None where every coordinate vanishes."""
+        (X^d)' for ('pair', d); None where every coordinate vanishes.  The
+        Evaluator keeps those of X^d, which its T_d columns read too."""
+        kind, d = key
+        if kind == "w":
+            return self.ev.norm(d), self.ev.level_divisor(d)
         if key not in self._norms:
-            kind, d = key
             polys = self.ev.level_polys(d)
-            if kind == "w":
-                self._norms[key] = (ReducedNorm(polys), self.ev.level_divisor(d))
-                return self._norms[key]
             parts = [p.derivative() for p in polys]
             polys = [polys[a] * parts[b] - polys[b] * parts[a]
                      for a, b in combinations(range(len(polys)), 2)]

@@ -11,11 +11,16 @@ shared quadrature nodes, so identities that hold pointwise in theta survive
 to the reported numbers up to float rounding.  A radius where the midpoint
 rule has not converged some row on its widest grid takes every component of
 every row from the closed-form circle means instead (nevlab.arcs), which are
-linear in a few means per radius, each computed once: m(d) = hbar(d) - A(d), and prop62's pair route is
-hbarpair(d) - A(d-1) - A(d+1), by the two-row identity and the balance of
-the distance-one collection, so its route_gap stays at rounding there too.
-Every T_d column is instead the Jensen mean of heights.ReducedNorm that
-verify growth prints.
+linear in a few means per radius, each computed once: m(d) = hbar(d) -
+A(d), and prop62's pair route is hbarpair(d) - A(d-1) - A(d+1), by the
+two-row identity and the balance of the distance-one collection, so its
+route_gap stays at rounding there too.  Every T_d column is instead the
+Jensen mean of heights.ReducedNorm that verify growth prints.
+
+Every check takes its Evaluator from nevanlinna.shared_evaluator, so the
+checks of one lift, configuration and tol in one process (sweep, verify
+prop62 and verify mcquillan on one config) build the exact minors, roots
+and closed-form means once; the outputs are those of a fresh Evaluator.
 """
 
 from __future__ import annotations
@@ -26,9 +31,8 @@ from typing import TYPE_CHECKING, Sequence
 
 from .curve import CurveLift
 from .exterior import distance_one_collection, general_position_tuples
-from .heights import (ReducedNorm, _report, _row, validate_radii,
-                      verify_height_growth)
-from .nevanlinna import QUAD_TOL, Evaluator, counting
+from .heights import _report, _row, validate_radii, verify_height_growth
+from .nevanlinna import QUAD_TOL, Evaluator, counting, shared_evaluator
 
 if TYPE_CHECKING:
     from .exterior import HyperplaneConfig
@@ -53,7 +57,7 @@ def _sweep(ev: Evaluator, radii: Sequence[float], levels: Sequence[int],
     integrated by one Evaluator.radial call, converged their flags and
     each height's error estimate < tol."""
     radii = validate_radii(radii, "radius grid")
-    norms = [ReducedNorm(ev.level_polys(d)) for d in levels]
+    norms = [ev.norm(d) for d in levels]
     out = []
     for r, [(vals, conv, _)] in zip(radii, ev.radial(radii, [rows])):
         heights = [norm.height(r, ev.tol) for norm in norms]
@@ -67,7 +71,7 @@ def verify_cartan(x: CurveLift, config: HyperplaneConfig,
     """Defect-relation check: integral of the largest tuple Weil sum against
     (n+1) T_f(r) - N_W(r).  Also records (n+1) m_1 as a cross check; the
     selector makes it equal to the lhs up to quadrature."""
-    ev = Evaluator(x, config, tol)
+    ev = shared_evaluator(x, config, tol)
     n = x.n
     n_w = ev.level_divisor(n + 1)
 
@@ -86,7 +90,7 @@ def verify_lemma55(x: CurveLift, config: HyperplaneConfig,
                    tol: float = QUAD_TOL) -> SweepReport:
     """Second-main-theorem seed: 2 m_1 - m_C against 2 Tbar - Tbar_{x wedge x'}
     for the distance-one collection C of index pairs inside a tuple."""
-    ev = Evaluator(x, config, tol)
+    ev = shared_evaluator(x, config, tol)
     positions = distance_one_collection(x.n, 1).positions()
 
     def row(r, t, vals, conv):
@@ -120,7 +124,7 @@ def verify_prop62(x: CurveLift, config: HyperplaneConfig,
     for d in levels:
         if not (1 <= d <= x.n):
             raise ValueError(f"level d={d} out of range 1..{x.n}")
-    ev = Evaluator(x, config, tol)
+    ev = shared_evaluator(x, config, tol)
     positions = {d: distance_one_collection(x.n, d).positions()
                  for d in levels}
 
@@ -159,7 +163,7 @@ def mcquillan_monitor(x: CurveLift, config: HyperplaneConfig,
     below a small multiple of max(1, log r)."""
     if x.n < 1:
         raise ValueError("monitor needs n >= 1")
-    ev = Evaluator(x, config, tol)
+    ev = shared_evaluator(x, config, tol)
     n_ram = ev.level_divisor(2)
 
     def row(r, t, vals, conv):
@@ -177,7 +181,7 @@ def full_sweep(x: CurveLift, config: HyperplaneConfig,
                radii: Sequence[float], tol: float = QUAD_TOL) -> SweepReport:
     """Everything at once: all heights and proximities, the ramification and
     Wronskian counting functions, and the defect-relation margin."""
-    ev = Evaluator(x, config, tol)
+    ev = shared_evaluator(x, config, tol)
     n = x.n
     levels = list(range(1, n + 2))
     n_w = ev.level_divisor(n + 1)

@@ -59,6 +59,7 @@ __all__ = [
     "height_T",
     "SelectorContext",
     "Evaluator",
+    "shared_evaluator",
     "proximity_m",
     "proximity_hyperplane",
     "mu",
@@ -474,7 +475,12 @@ class Evaluator:
     """Caches the derived-curve data of one lift and integrates any rows of
     NodeBatch components on shared quadrature nodes, for a hyperplane
     configuration config (n, forms and general-position tuples, as in
-    exterior.HyperplaneConfig)."""
+    exterior.HyperplaneConfig).  What it caches is radius-free exact data
+    (X^d and its coefficient arrays, the level divisors and Jensen norms,
+    the selector's minors) and the closed form (nevlab.arcs) with its
+    CircleMeans per radius, each a function of the lift, the configuration
+    and tol alone, so shared_evaluator can serve one Evaluator to every
+    command of a process; no NodeBatch outlives a radial call."""
 
     def __init__(self, x: CurveLift, config, tol: float = QUAD_TOL):
         if config.n != x.n:
@@ -484,6 +490,7 @@ class Evaluator:
         self.ctx = SelectorContext.from_config(config)
         self._arrays: Dict[tuple, list] = {}
         self._divisors: Dict[int, Divisor] = {}
+        self._norms: Dict[int, ReducedNorm] = {}
         self._closed = None
 
     # -- exact/cached data ---------------------------------------------
@@ -516,6 +523,13 @@ class Evaluator:
         if d not in self._divisors:
             self._divisors[d] = level_divisor(self.level_polys(d))
         return self._divisors[d]
+
+    def norm(self, d: int) -> ReducedNorm:
+        """The ReducedNorm of X^d, read by the T_d columns and the closed
+        form's hbar(d)."""
+        if d not in self._norms:
+            self._norms[d] = ReducedNorm(self.level_polys(d))
+        return self._norms[d]
 
     # -- shared-node radial integration ----------------------------------
 
@@ -639,6 +653,24 @@ class Evaluator:
         return out, deep
 
 
+# The most Evaluators shared_evaluator keeps: more than the configurations
+# of one benchmark pass.
+_SHARED = 8
+_shared: Dict[tuple, Evaluator] = {}
+
+
+def shared_evaluator(x: CurveLift, config, tol: float) -> Evaluator:
+    """The one Evaluator of this process for the lift x, the hyperplane
+    configuration config and tol, keyed by their contents and built on the
+    first call; the _SHARED most recently used are kept."""
+    key = (x.n, x.coords, config.forms, config.tuples, tol)
+    ev = _shared.pop(key, None) or Evaluator(x, config, tol)
+    _shared[key] = ev
+    if len(_shared) > _SHARED:
+        del _shared[next(iter(_shared))]
+    return ev
+
+
 def proximity_m(x: CurveLift, d: int, L, r: float,
                 tol: float = QUAD_TOL) -> RadialValue:
     """m_{d,f}(L, r): circle average of the mean over all size-d subsets I of
@@ -648,7 +680,7 @@ def proximity_m(x: CurveLift, d: int, L, r: float,
     validate_radii([r], "proximity")
     if d == 0:
         return RadialValue(r=r, value=0.0, quadrature_nodes=0, converged=True)
-    [[((value,), converged, nodes)]] = Evaluator(x, L, tol).radial(
+    [[((value,), converged, nodes)]] = shared_evaluator(x, L, tol).radial(
         [r], [lambda at: [at.m(d)]])
     return RadialValue(r=r, value=float(value), quadrature_nodes=nodes,
                        converged=bool(converged[0]))

@@ -56,6 +56,18 @@ def monomial_lift(*exponents):
     return normalize(coords)
 
 
+@pytest.fixture(autouse=True)
+def fresh_evaluators():
+    """Start and end every test with no shared Evaluator, so a test that
+    patches arcs or nevanlinna internals is never served an Evaluator that
+    an earlier test built (nevanlinna.shared_evaluator)."""
+    from nevlab import nevanlinna
+
+    nevanlinna._shared.clear()
+    yield
+    nevanlinna._shared.clear()
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260826)
@@ -100,6 +112,16 @@ def stress(forms=STRESS_FORMS):
     """The 5-coordinate stress curve with the given integer forms (by
     default its 9 forms, which give 111 tuples)."""
     return lift_config(STRESS_COORDS, forms)
+
+
+def stress_ini(forms=STRESS_FORMS):
+    """The config text of the stress curve with the given integer forms, on
+    the radii 0.54, 1.8 and 6 at tol 3e-5."""
+    return ("[curve]\ncoords = " + "; ".join(STRESS_COORDS)
+            + "\n\n[hyperplanes]\nforms = "
+            + "; ".join(",".join(map(str, f)) for f in forms)
+            + "\n\n[sweep]\nr_min = 0.54\nr_max = 6.0\nr_points = 3\n"
+            "tol = 3e-05\n")
 
 
 def full_cap(monkeypatch):

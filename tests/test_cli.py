@@ -18,7 +18,7 @@ from nevlab.cli import (
 from nevlab.exterior import WedgeVector
 from nevlab.gauss import GaussPoly, RootFindingError
 
-from conftest import mp_height, run_fresh
+from conftest import mp_height, run_fresh, stress_ini
 
 GOOD = """
 [curve]
@@ -449,3 +449,38 @@ class TestFloatOverflow:
         cells = dict(zip(header.split(","), row.split(",")))
         assert (code, cells["converged"]) == (2, "0")
         assert not math.isfinite(float(cells["mu_int"]))
+
+
+# Every command of a config whose numbers come from the radial engine or
+# the Jensen heights.
+NUMERIC = [["sweep"], ["compute", "--r", "10"], ["verify", "cartan"],
+           ["verify", "lemma55"], ["verify", "prop62"], ["verify", "growth"],
+           ["verify", "mcquillan"]]
+
+
+@pytest.mark.parametrize("config", ["stress_n4", "twisted_cubic"])
+def test_shared_evaluators_change_no_byte(tmp_path, config):
+    # the numeric commands of one config in one process share an Evaluator
+    # (nevanlinna.shared_evaluator); forward and in reverse, each prints
+    # the bytes and exit code of a run that starts without one
+    path = tmp_path / "cfg.ini"
+    path.write_text(stress_ini() if config == "stress_n4"
+                    else TWISTED_CUBIC.read_text(encoding="utf-8"),
+                    encoding="utf-8")
+
+    def outputs(commands, fresh):
+        got = {}
+        nevlab.nevanlinna._shared.clear()
+        for argv in commands:
+            if fresh:
+                nevlab.nevanlinna._shared.clear()
+            out = tmp_path / "out.csv"
+            out.unlink(missing_ok=True)
+            code = main(argv + ["--config", str(path), "--out", str(out)])
+            got[" ".join(argv)] = code, out.read_bytes()
+        return got
+
+    alone = outputs(NUMERIC, fresh=True)
+    assert outputs(NUMERIC, fresh=False) == alone
+    assert outputs(NUMERIC[::-1], fresh=False) == alone
+    assert len(nevlab.nevanlinna._shared) == 1

@@ -376,6 +376,30 @@ class TestVerifiers:
             math.log(10), abs=1e-14)
 
 
+def test_prop62_after_sweep_roots_no_subset_and_builds_no_minor(
+        monkeypatch):
+    # one process's sweep and verify prop62 on one config share an
+    # Evaluator, and with it the exact minors and the closed form
+    from nevlab import arcs
+
+    x, cfg = stress()
+    radii = [0.54, 1.8, 6.0]
+    full_sweep(x, cfg, radii, 3e-5)
+    calls = []
+    for module, name in ((arcs, "_root_all"), (nevanlinna, "next_layer")):
+        def counted(*args, fn=getattr(module, name), name=name):
+            calls.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    shared = verify_prop62(x, cfg, range(1, x.n + 1), radii, 3e-5).to_csv()
+    assert calls == []
+    nevanlinna._shared.clear()
+    alone = verify_prop62(x, cfg, range(1, x.n + 1), radii, 3e-5).to_csv()
+    assert shared == alone
+    assert sorted(set(calls)) == ["_root_all", "next_layer"]
+
+
 class TestMidpointReferences:
     """Converged values against references that do not come from the
     midpoint rule."""

@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 from nevlab import nevanlinna
+from nevlab.cli import build, parse_config
 from nevlab.curve import associated, associated_family, normalize
 from nevlab.exterior import WedgeForm, distance_one_collection, multi_indices
 from nevlab.gauss import GR_ONE, GR_ZERO, Divisor, GaussPoly, parse_poly, roots
@@ -29,10 +30,11 @@ from nevlab.nevanlinna import (
     pointwise_logderiv_check,
     proximity_hyperplane,
     proximity_m,
+    shared_evaluator,
 )
 
 from conftest import (STRESS_FORMS, corpus, full_cap, lift_config,
-                      monomial_lift, polyval, rand_forms, stress)
+                      monomial_lift, polyval, rand_forms, stress, stress_ini)
 
 
 ONE, ZERO = GR_ONE, GR_ZERO
@@ -669,6 +671,49 @@ class TestRadialComponents:
         assert calls == []
         ev.radial([2.0], [lambda at: [at.cartan(), at.m(1)]])
         assert calls
+
+
+class TestSharedEvaluator:
+    @staticmethod
+    def _shared(text, tol=3e-5):
+        return shared_evaluator(*build(parse_config(text)), tol)
+
+    def test_one_evaluator_per_lift_configuration_and_tol(self):
+        ev = self._shared(stress_ini())
+        assert self._shared(stress_ini()) is ev
+        # form 6 times -1, as the benchmark's sign twist writes it, prints
+        # the same numbers from other form contents; form 9 changed prints
+        # others
+        twisted = STRESS_FORMS[:5] + ((-1, -1, -1, -1, -1),) + STRESS_FORMS[6:]
+        changed = STRESS_FORMS[:8] + ((2, 0, 1, 0, 4),)
+        others = [self._shared(stress_ini(), 1e-6),
+                  self._shared(stress_ini(twisted)),
+                  self._shared(stress_ini(changed))]
+        assert len({id(e) for e in [ev, *others]}) == 4
+        assert self._shared(stress_ini()) is ev
+        assert Evaluator(*build(parse_config(stress_ini())), 3e-5) is not ev
+
+    def test_keeps_the_most_recently_used(self):
+        x, cfg = corpus()["conic"]
+        first = shared_evaluator(x, cfg, 1e-6)
+        built = []
+        for k in range(2 * nevanlinna._SHARED):
+            built.append(shared_evaluator(x, cfg, 1e-6 * 2.0 ** -(k + 1)))
+            assert shared_evaluator(x, cfg, 1e-6) is first
+            assert len(nevanlinna._shared) <= nevanlinna._SHARED
+        kept = [any(ev is e for e in nevanlinna._shared.values())
+                for ev in built]
+        assert kept == ([False] * (nevanlinna._SHARED + 1)
+                        + [True] * (nevanlinna._SHARED - 1))
+
+    def test_one_reduced_norm_per_level(self):
+        from nevlab.arcs import ClosedForm
+
+        x, cfg = stress()
+        ev = Evaluator(x, cfg, 3e-5)
+        closed = ClosedForm(ev)
+        for d in range(1, x.n + 2):
+            assert closed.norm(("w", d))[0] is ev.norm(d)
 
 
 class TestNodeBatch:

@@ -177,10 +177,18 @@ def test_same_outputs_prints_largest_cell_difference(capsys):
 
 def test_same_outputs_runs_every_base_command(tmp_path):
     # 43 base commands (check and the listed commands of the 9 base configs
-    # of perfbench/data) and 20 on scripts/configs (9 nevlab commands and
+    # of perfbench/data), one one-process run of each base config's
+    # commands, and 20 on scripts/configs (9 nevlab commands and
     # run_sweep.py on each of the 2 configs)
-    todo = _same_outputs().runs(tmp_path, tmp_path / "out")
-    assert len(todo) == 63
+    module = _same_outputs()
+    todo = module.runs(tmp_path, tmp_path / "out")
+    assert len(todo) == 72
+    config = str(tmp_path / "stress_stress_n4.ini")
+    assert todo["stress/stress_n4: one process"] == [
+        "-c", module.ONE_PROCESS, json.dumps([
+            [*prefix, "--config", config, "--out", str(tmp_path / "out")]
+            for prefix in (["check"], ["sweep"], ["verify", "prop62"],
+                           ["verify", "mcquillan"])])]
     assert todo["edges/huge_radius: verify growth --r 53"][:5] == [
         "-m", "nevlab.cli", "verify", "growth", "--r"]
     assert (tmp_path / "edges_huge_radius.ini").exists()
